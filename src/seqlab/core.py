@@ -40,19 +40,28 @@ class IndexSet:
 
     @classmethod
     def from_members(cls, name: str, members: Iterable[int]) -> "IndexSet":
-        arr = np.unique(np.asarray(list(members), dtype=np.int64))
+        """An explicit set holding ``members`` (any iterable of integers >= 1).
+
+        Sorted-input contract: a strictly increasing input, such as the
+        output of ``np.flatnonzero``, is kept in its given order after one
+        O(n) comparison; any other input (unsorted, duplicated) is sorted and
+        deduplicated with ``np.unique``.  An ndarray is never turned into a
+        Python list.  Either way the set owns a read-only copy, so later
+        changes to the caller's array do not reach it.
+        """
+        if not isinstance(members, np.ndarray):
+            members = list(members)
+        arr = np.array(members, dtype=np.int64).reshape(-1)
+        if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
+            arr = np.unique(arr)
         if arr.size and arr[0] < 1:
             raise SpecError(f"index set {name!r} contains indices < 1")
+        arr.flags.writeable = False
 
         def rule(n: int, _arr: np.ndarray = arr) -> np.ndarray:
             return _arr[: int(np.searchsorted(_arr, n, side="right"))]
 
         return cls(name, rule, explicit=True)
-
-    @property
-    def n_max(self) -> float:
-        """Largest index this set can be materialized up to."""
-        return math.inf if self._explicit else MATERIALIZE_CAP
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, sorted ascending."""

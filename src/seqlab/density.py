@@ -171,7 +171,12 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
 
 def exceedance_set(s: SequencePrefix, eps: float) -> IndexSet:
     """The explicit index set {i <= N : s_i > eps}."""
-    if eps <= 0:
-        raise ValueError("threshold eps must be positive")
-    members = np.flatnonzero(s.values > eps) + 1
-    return IndexSet.from_members(f"exceedances({s.label or 'seq'};eps={eps:g})", members)
+    return _exceedances(s.values, eps, s.label or "seq")
+
+
+def _exceedances(values: np.ndarray, eps: float, label: str) -> IndexSet:
+    """{i : values_i > eps} for finite ``values``; the positions arrive sorted."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"threshold eps must be positive and finite, got {eps}")
+    members = np.flatnonzero(values > eps) + 1
+    return IndexSet.from_members(f"exceedances({label};eps={eps:g})", members)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LacunaryScheme, SequencePrefix
-from .density import DensityEstimate, checkpoints, exceedance_set, f_density
+from .density import DensityEstimate, _exceedances, checkpoints, exceedance_set, f_density
 from .errors import TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
 from .modulus import Modulus
@@ -52,8 +52,8 @@ class SpaceParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,15 @@ def pointwise_scores(x: SequencePrefix, params: SpaceParams,
     if params.limit is None:
         raise ValueError("a candidate limit L is required to compute scores")
     n = len(x) if upto is None else int(upto)
-    y = transform_prefix(params.matrix, x, n).values
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    return _scores(transform_prefix(params.matrix, x, n).values, params, x.label)
+
+
+def _scores(y: np.ndarray, params: SpaceParams, label: str) -> SequencePrefix:
+    """Scores of the transformed prefix ``y`` against ``params.limit``."""
+    idx = np.arange(1, y.size + 1, dtype=np.int64)
     dev = np.abs(y - params.limit) / params.rho.values(idx)
     s = params.family.eval_many(idx, dev)
-    return SequencePrefix(s, label=f"scores[{x.label}]" if x.label else "scores")
+    return SequencePrefix(s, label=f"scores[{label}]" if label else "scores")
 
 
 def block_trails(x: SequencePrefix, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +91,12 @@ def block_trails(x: SequencePrefix, params: SpaceParams) -> tuple[np.ndarray, np
     if scheme.k_max > len(x):
         raise TruncationError(
             f"scheme extends to {scheme.k_max}, past the sequence truncation {len(x)}")
-    s = pointwise_scores(x, params, upto=scheme.k_max).values
+    return _block_trails(pointwise_scores(x, params, upto=scheme.k_max).values, params)
+
+
+def _block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block trails from the scores s_1..s_{k_max}."""
+    scheme = params.scheme
     starts = scheme.cuts_array[:-1]
     sums = np.add.reduceat(s, starts)
     counts = np.add.reduceat((s >= params.eps).astype(np.int64), starts)
@@ -162,17 +171,10 @@ def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     s = pointwise_scores(x, params)
-    excess = exceedance_set(s, params.eps)
-    dens = f_density(excess, f, len(s), tol)
-    if dens.converged and dens.value <= tol:
-        verdict = MEMBER
-    elif dens.converged and dens.value >= 2.0 * tol:
-        verdict = NON_MEMBER
-    else:
-        verdict = INCONCLUSIVE
+    dens, verdict = _density_verdict(s, params.eps, f, tol)
     t = c = counts = None
     if params.scheme.k_max <= len(x):
-        t_arr, c_arr, n_arr = block_trails(x, params)
+        t_arr, c_arr, n_arr = _block_trails(s.values[: params.scheme.k_max], params)
         t = tuple(float(v) for v in t_arr)
         c = tuple(float(v) for v in c_arr)
         counts = tuple(int(v) for v in n_arr)
@@ -187,6 +189,17 @@ def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
     )
 
 
+def _density_verdict(s: SequencePrefix, eps: float, f: Modulus,
+                     tol: float) -> tuple[DensityEstimate, str]:
+    """Density of {i : s_i > eps} under f and the membership verdict it gives."""
+    dens = f_density(exceedance_set(s, eps), f, len(s), tol)
+    if dens.converged and dens.value <= tol:
+        return dens, MEMBER
+    if dens.converged and dens.value >= 2.0 * tol:
+        return dens, NON_MEMBER
+    return dens, INCONCLUSIVE
+
+
 def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
                         eps: float | None = None,
                         tol: float = DEFAULT_TOL) -> float | None:
@@ -198,14 +211,22 @@ def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
     """
     eps = params.eps if eps is None else eps
     y = transform_prefix(params.matrix, x, len(x)).values
+    return _limit_estimate(y, x.label, params, f, eps, tol)
+
+
+def _limit_estimate(y: np.ndarray, label: str, params: SpaceParams, f: Modulus,
+                    eps: float, tol: float) -> float | None:
+    """``stat_limit_estimate`` over the transformed prefix ``y``."""
+    if not f.unbounded:
+        raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     width = max(eps, 1e-12)
     bins = np.floor((y - float(y.min())) / width).astype(np.int64)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
     for b in uniq[order][:5]:
         candidate = float(np.median(y[bins == b]))
-        report = density_membership(x, replace(params, limit=candidate, eps=eps), f, tol)
-        if report.verdict == MEMBER:
+        s = _scores(y, replace(params, limit=candidate, eps=eps), label)
+        if _density_verdict(s, eps, f, tol)[1] == MEMBER:
             return candidate
     return None
 
@@ -226,15 +247,22 @@ def stat_cauchy_check(x: SequencePrefix, params: SpaceParams, f: Modulus,
     Anchors are tried at geometric checkpoint positions, largest first; the
     first anchor whose exceedance density converges to <= tol wins.
     """
+    eps = params.eps if eps is None else eps
+    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, eps, tol)
+
+
+def _cauchy_search(y: np.ndarray, f: Modulus, eps: float, tol: float) -> CauchyReport:
+    """``stat_cauchy_check`` over the transformed prefix ``y``."""
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the Cauchy check needs an unbounded modulus")
-    eps = params.eps if eps is None else eps
-    y = transform_prefix(params.matrix, x, len(x)).values
     trail = []
     for anchor in checkpoints(len(y))[::-1]:
         anchor = int(anchor)
-        dev = SequencePrefix(np.abs(y - y[anchor - 1]), label=f"dev@{anchor}")
-        dens = f_density(exceedance_set(dev, eps), f, len(y), tol)
+        dev = np.abs(y - y[anchor - 1])
+        # y is finite, so the deviation is NaN-free and only overflow can make it infinite
+        if not math.isfinite(float(dev.max())):
+            raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
+        dens = f_density(_exceedances(dev, eps, f"dev@{anchor}"), f, len(y), tol)
         trail.append((anchor, dens.verdict, dens.value))
         if dens.converged and dens.value <= tol:
             return CauchyReport(True, anchor, dens, tuple(trail))

@@ -24,9 +24,8 @@ from .errors import (CauchyConstructionError, GenerationError,
                      WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
 from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
-                         count_membership, density_membership, mean_membership,
-                         pointwise_scores, block_trails, stat_cauchy_check,
-                         stat_limit_estimate)
+                         _cauchy_search, _limit_estimate, block_trails, count_membership,
+                         mean_membership, pointwise_scores)
 from .modulus import Modulus
 from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
@@ -77,15 +76,14 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
     level_counts: dict[int, tuple] = {}
     r_prev = 0
     for j in range(1, depth + 1):
-        members = np.flatnonzero(s > 1.0 / j) + 1
+        above = s > 1.0 / j
+        members = np.flatnonzero(above) + 1
         level_members[j] = members
-        level_counts[j] = tuple(
-            (int(cp), int(np.searchsorted(members, cp, side="right"))) for cp in cps
-        )
+        counts = np.cumsum(above)  # counts[i - 1] = |B_j(i)|
+        level_counts[j] = tuple((int(cp), int(counts[cp - 1])) for cp in cps)
         if j == 1:
             r_j = int(members[0]) if members.size else 1
         else:
-            counts = np.searchsorted(members, ns, side="right")
             ratios = f(counts) / f_all
             bad = np.flatnonzero(ratios > 1.0 / j + _SLACK)
             last_bad = int(bad[-1]) + 1 if bad.size else 0
@@ -105,7 +103,7 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
         hi = thresholds[j] if j < depth else n + 1
         m = level_members[j]
         parts.append(m[(m >= lo) & (m < hi)])
-    x_members = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+    x_members = np.concatenate(parts)  # disjoint ascending slices: sorted and unique
     witness = IndexSet.from_members(f"witness({x.label or 'x'})", x_members)
 
     dens = f_density(witness, f, n, tol)
@@ -172,7 +170,7 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     lo = -math.inf
     hi = math.inf
     for k in range(1, depth + 1):
-        report = stat_cauchy_check(x, params, f, eps=1.0 / k, tol=tol)
+        report = _cauchy_search(y, f, 1.0 / k, tol)
         if not report.cauchy:
             raise CauchyConstructionError(
                 k, f"no anchor realizes the Cauchy condition at radius 1/{k}")
@@ -383,14 +381,14 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
     for f in moduli:
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")
-    limits = {f.name: stat_limit_estimate(x, params, f, tol=tol) for f in moduli}
+    y = transform_prefix(params.matrix, x, len(x)).values
+    limits = {f.name: _limit_estimate(y, x.label, params, f, params.eps, tol) for f in moduli}
     found = [v for v in limits.values() if v is not None]
     all_agree = len(found) == len(moduli) and (
         not found or max(found) - min(found) <= 1e-9)
     reference = found[0] if found else None
     norm_convergence = False
     if reference is not None:
-        y = transform_prefix(params.matrix, x, len(x)).values
         w = math.ceil(len(y) / 3)
         norm_convergence = bool(np.max(np.abs(y[-w:] - reference)) <= params.eps)
     return ModulusProbeReport(limits, all_agree, reference, norm_convergence)

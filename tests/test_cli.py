@@ -78,6 +78,19 @@ class TestMembershipCommand:
         assert "limit" in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "density",
+     "--modulus", "log1p", "--n", "10000"],
+    ["witness", "cauchy", "--seq", "harmonic:0", "--modulus", "id", "--n", "10000"],
+])
+def test_non_finite_eps_exits_one(capsys, argv, eps):
+    code, out, err = run(capsys, argv + ["--eps", eps])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "eps must be positive and finite" in err
+
+
 class TestNormCommand:
     def test_luxemburg(self, capsys):
         payload = run_json(capsys, ["norm", "--kind", "luxemburg", "--orlicz", "poly:2",

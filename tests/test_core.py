@@ -201,3 +201,47 @@ class TestSequencePrefix:
 def test_explicit_set_count_matches_brute(members, n):
     a = IndexSet.from_members("case", members)
     assert a.count(n) == brute_count(set(members), n)
+
+
+member_lists = st.lists(st.integers(min_value=1, max_value=10_000), max_size=60)
+
+
+def _as_input(kind, members):
+    if kind == "list":
+        return list(members)
+    if kind == "generator":
+        return (m for m in members)
+    return np.asarray(members, dtype=np.int64)
+
+
+class TestFromMembers:
+    @settings(max_examples=60)
+    @given(members=member_lists, order=st.sampled_from(["given", "sorted", "unique"]),
+           kind=st.sampled_from(["list", "generator", "array"]))
+    def test_matches_np_unique(self, members, order, kind):
+        if order == "sorted":
+            members = sorted(members)
+        elif order == "unique":
+            members = sorted(set(members))
+        expected = np.unique(np.asarray(members, dtype=np.int64))
+        a = IndexSet.from_members("case", _as_input(kind, members))
+        top = int(expected[-1]) if expected.size else 1
+        assert np.array_equal(a.members_upto(top), expected)
+
+    @settings(max_examples=40)
+    @given(members=member_lists, bad=st.integers(min_value=-5, max_value=0),
+           sort=st.booleans(), kind=st.sampled_from(["list", "array"]))
+    def test_index_below_one_rejected(self, members, bad, sort, kind):
+        members = sorted(set(members) | {bad}) if sort else members + [bad]
+        with pytest.raises(SpecError):
+            IndexSet.from_members("case", _as_input(kind, members))
+
+    @pytest.mark.parametrize("members", [[1, 3, 7], [7, 3, 1, 3]])
+    def test_input_array_not_aliased(self, members):
+        arr = np.asarray(members, dtype=np.int64)
+        a = IndexSet.from_members("case", arr)
+        before = a.members_upto(10).copy()
+        arr[:] = 9
+        assert np.array_equal(a.members_upto(10), before)
+        with pytest.raises(ValueError):
+            a.members_upto(10)[0] = 2

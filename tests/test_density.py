@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlab.core import IndexSet, SequencePrefix, complement, make_index_set
 from seqlab.density import (checkpoints, complement_inequality_check,
@@ -159,3 +161,19 @@ class TestExceedance:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             exceedance_set(SequencePrefix([1.0]), 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            exceedance_set(SequencePrefix([1.0]), eps)
+
+
+@settings(max_examples=60)
+@given(vals=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=80),
+       eps=st.floats(min_value=1e-3, max_value=2.0))
+def test_exceedance_set_matches_brute_force(vals, eps):
+    e = exceedance_set(SequencePrefix(vals), eps)
+    brute = [i for i, v in enumerate(vals, start=1) if v > eps]
+    assert list(e.members_upto(len(vals))) == brute
+    assert list(e.counts(np.arange(1, len(vals) + 1))) == [
+        sum(1 for i in brute if i <= n) for n in range(1, len(vals) + 1)]

@@ -132,7 +132,24 @@ class TestVerdicts:
         assert base.block_residuals == extended.block_residuals
 
 
+class TestSpaceParams:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            reduction_params(eps=eps)
+
+
 class TestDensityMode:
+    @pytest.mark.parametrize("matrix", ["identity", "cesaro"])
+    def test_block_trails_equal_standalone_ones(self, matrix):
+        x = spike_sequence(5000, make_index_set("squares"), base=2.0, delta=1.0)
+        p = SpaceParams(make_matrix(matrix), SQUARED, make_lacunary("powers2", 10), limit=2.0)
+        rep = density_membership(x, p, ID_MOD)
+        t, c, counts = block_trails(x, p)
+        assert rep.block_residuals == tuple(float(v) for v in t)
+        assert rep.exceedance_ratios == tuple(float(v) for v in c)
+        assert rep.exceedance_counts == tuple(int(v) for v in counts)
+
     def test_spike_on_squares_id_member(self):
         n = 100_000
         x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
@@ -170,6 +187,13 @@ class TestLimitEstimate:
         p = reduction_params(limit=None)
         assert stat_limit_estimate(alternating_sequence(1000), p, ID_MOD) is None
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            stat_limit_estimate(const_sequence(1000, 3.0), reduction_params(limit=None),
+                                ID_MOD, eps=eps)
+
 
 class TestCauchy:
     def test_convergent(self):
@@ -190,6 +214,18 @@ class TestCauchy:
                                 ID_MOD, eps=0.5)
         assert not rep.cauchy
         assert rep.anchor is None
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            stat_cauchy_check(harmonic_sequence(1000), reduction_params(limit=None),
+                              ID_MOD, eps=eps)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_deviation_rejected(self):
+        x = SequencePrefix(np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308))
+        with pytest.raises(ValueError, match="non-finite"):
+            stat_cauchy_check(x, reduction_params(limit=None), ID_MOD)
 
 
 class TestInclusionProbe:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqlab.errors import SpecError
 from seqlab.modulus import Modulus, check_modulus_axioms, make_modulus
 
-BUILTINS = ["id", "log1p", "pow:0.5", "bounded"]
+BUILTINS = ["id", "log1p", "pow:0.5", "bounded", "pow:0.1", "pow:0.25", "pow:0.4"]
 UNBOUNDED = ["id", "log1p", "pow:0.5", "pow:0.25"]
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -81,6 +81,12 @@ class TestAxiomChecker:
         rep = check_modulus_axioms(f, grid=[1.0, 2.0])
         assert rep.vanishes_at_zero.passed
         assert not rep.right_continuous_at_zero.passed
+
+    def test_tiny_power_is_a_sampled_false_negative(self):
+        # f(10^-300) = 10^-3 > 1e-6: the sampled check cannot see pow:0.01 reach 0
+        rep = check_modulus_axioms(make_modulus("pow:0.01"))
+        assert not rep.right_continuous_at_zero.passed
+        assert rep.right_continuous_at_zero.witness[0] == 1e-300
 
     def test_nonzero_at_zero(self):
         f = Modulus("shift", lambda t: t + 1.0)

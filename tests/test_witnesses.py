@@ -148,6 +148,14 @@ class TestWitnessExtraction:
             extract_witness_set(x, p, ID_MOD, depth=5)
         assert err.value.stuck_level == 2
 
+    def test_level_counts_match_brute_force(self):
+        x, p = spike_instance(10_000, delta=0.3)
+        ws = extract_witness_set(x, p, ID_MOD, depth=4)
+        s = np.abs(x.values - 2.0)
+        for j, trail in ws.level_counts.items():
+            for cp, count in trail:
+                assert count == int(np.sum(s[:cp] > 1.0 / j)), (j, cp)
+
     def test_depth_floor(self):
         x, p = spike_instance(10_000)
         with pytest.raises(ValueError):
