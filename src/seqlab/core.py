@@ -2,8 +2,7 @@
 
 Everything is 1-indexed: a prefix holds x_1..x_N and an index set is a subset
 of {1, 2, 3, ...}. Objects are immutable once built and safe to share across
-threads; the only internal mutation is a monotone materialization cache swap,
-which never changes an observable result.
+threads.
 """
 
 from __future__ import annotations
@@ -20,23 +19,29 @@ from .errors import SpecError, TruncationError
 
 # Upper bound on how far a rule-backed set will enumerate.
 MATERIALIZE_CAP = 50_000_000
+# Largest truncation point that int64 counting holds.
+MAX_INDEX = 2 ** 63 - 1
 
 
 class IndexSet:
     """A set of positive integers with fast prefix counting |A(n)|.
 
     Backed either by an explicit sorted member array or by an enumeration rule
-    listing all members <= n.  count(n) agrees with direct enumeration by
-    construction: it is a binary search into the enumerated members.
+    listing all members <= n.  A rule set may also carry ``count_rule``, an
+    exact vectorized |A(n)| for an int64 array of n >= 0; counts then cost
+    O(1) per truncation point and are not capped.  Without one, count(n) is a
+    binary search into the enumerated members, which agrees with direct
+    enumeration by construction.
     """
 
-    __slots__ = ("name", "_rule", "_explicit", "_cache")
+    __slots__ = ("name", "_rule", "_explicit", "_count")
 
-    def __init__(self, name: str, rule: Callable[[int], np.ndarray], explicit: bool = False):
+    def __init__(self, name: str, rule: Callable[[int], np.ndarray], explicit: bool = False,
+                 count_rule: Callable[[np.ndarray], np.ndarray] | None = None):
         self.name = name
         self._rule = rule
         self._explicit = explicit
-        self._cache: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+        self._count = count_rule
 
     @classmethod
     def from_members(cls, name: str, members: Iterable[int]) -> "IndexSet":
@@ -72,18 +77,15 @@ class IndexSet:
             return self._rule(n)
         if n > MATERIALIZE_CAP:
             raise TruncationError(f"cannot materialize {self.name!r} past {MATERIALIZE_CAP}")
-        cached_n, cached = self._cache
-        if cached_n >= n:
-            return cached[: int(np.searchsorted(cached, n, side="right"))]
-        arr = np.asarray(self._rule(n), dtype=np.int64)
-        self._cache = (n, arr)  # atomic swap; concurrent readers see old or new
-        return arr
+        return np.asarray(self._rule(n), dtype=np.int64)
 
     def counts(self, ns) -> np.ndarray:
         """Vectorized |A(n)| for an array of truncation points."""
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size == 0:
             return np.empty(0, dtype=np.int64)
+        if self._count is not None:
+            return np.asarray(self._count(np.maximum(ns, 0)), dtype=np.int64)
         members = self.members_upto(int(ns.max()))
         return np.searchsorted(members, ns, side="right").astype(np.int64)
 
@@ -94,8 +96,8 @@ class IndexSet:
         return int(n) - self.count(n)
 
     def contains(self, i: int) -> bool:
-        m = self.members_upto(int(i))
-        return bool(m.size and m[-1] == i)
+        before, upto = self.counts(np.asarray([int(i) - 1, int(i)]))
+        return bool(upto - before == 1)
 
     def __repr__(self) -> str:
         return f"IndexSet({self.name!r})"
@@ -108,7 +110,20 @@ def complement(a: IndexSet) -> IndexSet:
         full = np.arange(1, n + 1, dtype=np.int64)
         return np.setdiff1d(full, a.members_upto(n), assume_unique=True)
 
-    return IndexSet(f"complement({a.name})", rule)
+    return IndexSet(f"complement({a.name})", rule, count_rule=lambda ns: ns - a.counts(ns))
+
+
+def _isqrt(ns: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(n)) for an int64 array of n >= 0, up to 2^63 - 1.
+
+    The float root is off by at most one either way.  The two corrections
+    compare r against n // r rather than r*r against n, so no product can
+    overflow int64.
+    """
+    r = np.sqrt(ns.astype(np.float64)).astype(np.int64)
+    r -= r > ns // np.maximum(r, 1)
+    r += r + 1 <= ns // (r + 1)
+    return r
 
 
 def make_index_set(spec: str) -> IndexSet:
@@ -119,13 +134,17 @@ def make_index_set(spec: str) -> IndexSet:
     """
     spec = spec.strip()
     if spec == "evens":
-        return IndexSet("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64))
+        return IndexSet("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
+                        count_rule=lambda ns: ns // 2)
     if spec == "odds":
-        return IndexSet("odds", lambda n: np.arange(1, n + 1, 2, dtype=np.int64))
+        # ns - ns // 2 is (ns + 1) // 2 without overflow at 2^63 - 1
+        return IndexSet("odds", lambda n: np.arange(1, n + 1, 2, dtype=np.int64),
+                        count_rule=lambda ns: ns - ns // 2)
     if spec == "squares":
         return IndexSet(
             "squares",
             lambda n: np.arange(1, math.isqrt(max(n, 0)) + 1, dtype=np.int64) ** 2,
+            count_rule=_isqrt,
         )
     if spec.startswith("arith:"):
         body = spec[len("arith:"):]
@@ -134,9 +153,10 @@ def make_index_set(spec: str) -> IndexSet:
             a, d = int(a_str), int(d_str)
         except ValueError:
             raise SpecError(f"malformed arith spec {spec!r}: expected arith:a,d") from None
-        if a < 1 or d < 1:
-            raise SpecError(f"arith spec {spec!r} needs a >= 1 and d >= 1")
-        return IndexSet(spec, lambda n, _a=a, _d=d: np.arange(_a, n + 1, _d, dtype=np.int64))
+        if not (1 <= a <= MAX_INDEX and 1 <= d <= MAX_INDEX):
+            raise SpecError(f"arith spec {spec!r} needs 1 <= a, d <= 2^63 - 1")
+        return IndexSet(spec, lambda n, _a=a, _d=d: np.arange(_a, n + 1, _d, dtype=np.int64),
+                        count_rule=lambda ns, _a=a, _d=d: np.maximum(0, (ns - _a) // _d + 1))
     if spec.startswith("list:"):
         body = spec[len("list:"):]
         try:

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from seqlab.cli import main
@@ -89,6 +91,36 @@ def test_non_finite_eps_exits_one(capsys, argv, eps):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "eps must be positive and finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("modulus", [[], ["--modulus", "log1p"]])
+def test_non_finite_tol_exits_one(capsys, tol, modulus):
+    code, out, err = run(capsys, ["density", "--set", "evens", "--n", "100000", "--tol", tol]
+                         + modulus)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance must be positive and finite" in err
+
+
+def test_truncation_past_int64_exits_one(capsys):
+    code, out, err = run(capsys, ["density", "--set", "odds", "--n", str(10 ** 23)])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "truncation must be <= 2^63 - 1" in err
+
+
+def test_squares_log1p_at_1e15(capsys):
+    n = 10 ** 15
+    payload = run_json(capsys, ["density", "--set", "squares", "--modulus", "log1p",
+                                "--n", str(n), "--tol", "0.02"])
+    res = payload["results"]
+    cps = res["checkpoints"]
+    assert cps[-1] == n
+    counts = np.asarray([math.isqrt(cp) for cp in cps], dtype=float)
+    closed_form = np.log1p(counts) / np.log1p(np.asarray(cps, dtype=float))
+    assert res["ratios"] == [float(f"{r:.12g}") for r in closed_form]
+    assert res["verdict"] == "converged" and abs(res["value"] - 0.5) <= 0.02
 
 
 class TestNormCommand:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.core import (IndexSet, SequencePrefix, block_of, complement,
-                         make_index_set, make_lacunary)
+from seqlab.core import (MATERIALIZE_CAP, MAX_INDEX, IndexSet, SequencePrefix,
+                         block_of, complement, make_index_set, make_lacunary)
 from seqlab.errors import SpecError, TruncationError
 
 
@@ -90,6 +92,68 @@ class TestMakeIndexSet:
         a = make_index_set("squares")
         assert a.contains(16)
         assert not a.contains(15)
+
+
+rule_specs = st.one_of(
+    st.sampled_from(["evens", "odds", "squares"]),
+    st.builds("arith:{},{}".format, st.integers(1, 1000), st.integers(1, 1000)))
+
+
+class TestCountRules:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=rule_specs, take_complement=st.booleans(),
+           ns=st.lists(st.integers(min_value=0, max_value=10 ** 7), min_size=1, max_size=20))
+    def test_counts_match_enumeration(self, spec, take_complement, ns):
+        a = make_index_set(spec)
+        if take_complement:
+            a = complement(a)
+        ns = np.asarray(ns, dtype=np.int64)
+        members = a.members_upto(int(ns.max()))
+        expected = np.searchsorted(members, ns, side="right")
+        assert np.array_equal(a.counts(ns), expected)
+
+    @settings(max_examples=200)
+    @given(ks=st.lists(st.integers(min_value=1, max_value=math.isqrt(MAX_INDEX)),
+                       min_size=1, max_size=30))
+    def test_squares_exact_around_every_square(self, ks):
+        ns = [n for k in ks for n in (k * k - 1, k * k, k * k + 1)]
+        got = make_index_set("squares").counts(ns)
+        assert got.tolist() == [math.isqrt(n) for n in ns]
+
+    def test_squares_exact_at_the_int64_edge(self):
+        k = math.isqrt(MAX_INDEX)
+        ns = [k * k - 1, k * k, k * k + 1, MAX_INDEX - 1, MAX_INDEX]
+        got = make_index_set("squares").counts(ns)
+        assert got.tolist() == [k - 1, k, k, k, k]
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("evens", MAX_INDEX // 2), ("odds", (MAX_INDEX + 1) // 2),
+        ("arith:1,1", MAX_INDEX), ("arith:7,3", (MAX_INDEX - 7) // 3 + 1),
+        (f"arith:{MAX_INDEX},1", 1)])
+    def test_counts_do_not_overflow(self, spec, expected):
+        a = make_index_set(spec)
+        assert a.count(MAX_INDEX) == expected
+        assert complement(a).count(MAX_INDEX) == MAX_INDEX - expected
+
+    def test_counts_past_the_cap_without_materializing(self):
+        a = make_index_set("evens")
+        assert a.count(10 ** 15) == 5 * 10 ** 14
+        assert a.contains(10 ** 15) and not a.contains(10 ** 15 + 1)
+        with pytest.raises(TruncationError, match="cannot materialize"):
+            a.members_upto(MATERIALIZE_CAP + 1)
+
+    def test_counts_at_zero_and_below(self):
+        for spec in ("evens", "odds", "squares", "arith:3,5"):
+            assert make_index_set(spec).counts([-3, 0]).tolist() == [0, 0]
+
+    def test_contains_on_complement(self):
+        c = complement(make_index_set("squares"))
+        assert [i for i in range(1, 20) if c.contains(i)] == [
+            2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 18, 19]
+
+    def test_arith_spec_past_int64_rejected(self):
+        with pytest.raises(SpecError, match="2\\^63 - 1"):
+            make_index_set(f"arith:{MAX_INDEX + 1},1")
 
 
 class TestLacunary:

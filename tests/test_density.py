@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.core import IndexSet, SequencePrefix, complement, make_index_set
-from seqlab.density import (checkpoints, complement_inequality_check,
+from seqlab.core import MAX_INDEX, IndexSet, SequencePrefix, complement, make_index_set
+from seqlab.density import (ComplementCheck, checkpoints, complement_inequality_check,
                             exceedance_set, f_density, natural_density)
 from seqlab.modulus import Modulus, make_modulus
 
@@ -21,6 +21,23 @@ class TestCheckpoints:
     def test_too_small(self):
         with pytest.raises(ValueError):
             natural_density(make_index_set("evens"), 50)
+
+    @settings(max_examples=200)
+    @given(n=st.integers(min_value=10, max_value=2 ** 53))
+    def test_same_as_float_ceiling_up_to_2_pow_53(self, n):
+        pts = [math.ceil(n / 2 ** j) for j in range(60) if math.ceil(n / 2 ** j) >= 10]
+        assert checkpoints(n).tolist() == sorted(pts)
+
+    @pytest.mark.parametrize("n", [10 ** 16 + 1, 2 ** 62 + 3, MAX_INDEX])
+    def test_exact_past_2_pow_53(self, n):
+        cps = checkpoints(n).tolist()
+        assert cps[-1] == n
+        assert cps == sorted(-(-n // 2 ** j) for j in range(len(cps)))
+
+    @pytest.mark.parametrize("n", [MAX_INDEX + 1, 10 ** 23])
+    def test_truncation_past_int64_rejected(self, n):
+        with pytest.raises(ValueError, match="truncation must be <= 2\\^63 - 1"):
+            natural_density(make_index_set("evens"), n)
 
 
 class TestNaturalDensity:
@@ -61,6 +78,43 @@ class TestNaturalDensity:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             natural_density(make_index_set("evens"), 1000, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        a = make_index_set("evens")
+        with pytest.raises(ValueError, match="positive and finite"):
+            natural_density(a, 1000, tol=tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_density(a, make_modulus("id"), 1000, tol=tol)
+
+
+def _closed_form(spec, cp):
+    if spec == "evens":
+        return cp // 2
+    if spec == "odds":
+        return (cp + 1) // 2
+    if spec == "squares":
+        return math.isqrt(cp)
+    a, d = (int(v) for v in spec[len("arith:"):].split(","))
+    return max(0, (cp - a) // d + 1)
+
+
+class TestLargeTruncation:
+    """Rule sets are counted in closed form, so trails reach n = 10^15."""
+
+    @pytest.mark.parametrize("spec", ["evens", "odds", "squares", "arith:3,5", "arith:1000,7"])
+    @pytest.mark.parametrize("take_complement", [False, True])
+    def test_trail_equals_closed_form_at_1e15(self, spec, take_complement):
+        n = 10 ** 15
+        a = make_index_set(spec)
+        if take_complement:
+            a = complement(a)
+        d = natural_density(a, n)
+        counts = [_closed_form(spec, cp) for cp in d.checkpoints]
+        if take_complement:
+            counts = [cp - c for cp, c in zip(d.checkpoints, counts)]
+        assert d.checkpoints[-1] == n
+        assert d.ratios == tuple(c / cp for c, cp in zip(counts, d.checkpoints))
 
 
 class TestFDensity:
@@ -133,6 +187,51 @@ class TestComplementInequality:
                 expected = n
                 break
         assert res.first_violation == expected
+
+
+def _unchunked_complement_check(a, f, n):
+    ns = np.arange(1, n + 1, dtype=np.int64)
+    counts = a.counts(ns)
+    viol = np.flatnonzero(f(ns) > f(counts) + f(ns - counts) + 1e-12)
+    if viol.size:
+        return ComplementCheck(False, int(ns[viol[0]]), n)
+    return ComplementCheck(True, None, n)
+
+
+SQUARE_FN = Modulus("sq", lambda t: t ** 2)
+
+
+class TestChunkedComplementCheck:
+    N = 2 ** 21 + 3  # 32 full blocks of 2^16 and a ragged 33rd
+
+    @pytest.mark.parametrize("set_spec,f", [
+        ("arith:2000000,1", SQUARE_FN),
+        ("squares", SQUARE_FN),
+        ("list:1500000,2000000", SQUARE_FN),
+        ("evens", make_modulus("pow:0.5")),
+        ("arith:7,32", make_modulus("log1p")),
+    ])
+    def test_equals_unchunked_reference(self, set_spec, f):
+        a = make_index_set(set_spec)
+        assert complement_inequality_check(a, f, self.N) == _unchunked_complement_check(a, f, self.N)
+
+    def test_violation_past_the_first_block(self):
+        res = complement_inequality_check(make_index_set("arith:2000000,1"), SQUARE_FN, self.N)
+        assert res == ComplementCheck(False, 2000000, self.N)
+
+    def test_scans_in_blocks(self):
+        sizes = []
+
+        class Recording(IndexSet):
+            def counts(self, ns):
+                sizes.append(len(ns))
+                return super().counts(ns)
+
+        evens = Recording("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
+                          count_rule=lambda ns: ns // 2)
+        res = complement_inequality_check(evens, make_modulus("id"), self.N)
+        assert res.passed and res.n_checked == self.N
+        assert sizes == [2 ** 16] * 32 + [3]
 
 
 class TestExceedance:
