@@ -13,9 +13,8 @@ from .matrices import (RegularityReport, SummabilityMatrix, apply_row,
                        make_matrix, regularity_check, transform_prefix)
 from .membership import (DEFAULT_EPS, DEFAULT_TOL, CauchyReport,
                          InclusionProbe, MembershipReport, SpaceParams,
-                         block_residuals, block_trails,
-                         boundedness_inclusion_probe, count_membership,
-                         density_membership, mean_membership,
+                         block_membership, block_trails,
+                         boundedness_inclusion_probe, density_membership,
                          pointwise_scores, stat_cauchy_check,
                          stat_limit_estimate)
 from .modulus import (AxiomCheck, Modulus, ModulusAxiomReport,

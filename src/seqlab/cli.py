@@ -54,7 +54,7 @@ SCHEMA_VERSION = "seqlab/1"
 
 def _canon(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _canon(dataclasses.asdict(obj))
+        return {fld.name: _canon(getattr(obj, fld.name)) for fld in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -143,7 +143,7 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _report(subcommand: str, inputs: dict, results: dict, warnings: list[str]) -> dict:
+def _report(subcommand: str, inputs: dict, results, warnings=()) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
@@ -153,38 +153,39 @@ def _report(subcommand: str, inputs: dict, results: dict, warnings: list[str]) -
     }
 
 
-def _density_payload(d) -> dict:
-    return {
-        "checkpoints": list(d.checkpoints),
-        "ratios": list(d.ratios),
-        "value": d.value,
-        "verdict": d.verdict,
-        "tol": d.tol,
-    }
-
-
 def _membership_payload(rep) -> dict:
-    out = {
-        "mode": rep.mode,
-        "verdict": rep.verdict,
-        "evidence": rep.evidence,
-    }
-    if rep.block_residuals is not None:
-        out["block_residuals"] = list(rep.block_residuals)
-    if rep.exceedance_ratios is not None:
-        out["exceedance_ratios"] = list(rep.exceedance_ratios)
-    if rep.exceedance_counts is not None:
-        out["exceedance_counts"] = list(rep.exceedance_counts)
-    if rep.density is not None:
-        out["density"] = _density_payload(rep.density)
-    return out
+    """A MembershipReport's fields, less the trails its mode left unset and
+    its warnings, which go to the report's top-level list."""
+    return {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
+            if getattr(rep, fld.name) is not None and fld.name != "warnings"}
+
+
+def _pair_payload(rep, **extra) -> dict:
+    """A half-plateau or block-spike report's fields, with its two membership
+    reports under ``mean`` and ``count``."""
+    out = {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
+           if fld.name not in ("mean_report", "count_report", "warnings")}
+    return {**out, "mean": _membership_payload(rep.mean_report),
+            "count": _membership_payload(rep.count_report), **extra}
+
+
+def _space_params(args, scheme) -> SpaceParams:
+    return SpaceParams(
+        matrix=make_matrix(args.matrix),
+        family=make_family(args.orlicz),
+        scheme=scheme,
+        alpha=args.alpha,
+        rho=make_rho(args.rho),
+        limit=args.limit,
+        eps=args.eps,
+    )
 
 
 # -----------------------------
 # subcommand handlers
 # -----------------------------
 
-def _cmd_density(args) -> tuple[dict, list[str]]:
+def _cmd_density(args) -> dict:
     a = make_index_set(args.set)
     if args.modulus:
         f = make_modulus(args.modulus)
@@ -192,7 +193,7 @@ def _cmd_density(args) -> tuple[dict, list[str]]:
     else:
         est = density_mod.natural_density(a, args.n, args.tol)
     inputs = {"set": args.set, "modulus": args.modulus, "n": args.n, "tol": args.tol}
-    return _report("density", inputs, _density_payload(est), []), []
+    return _report("density", inputs, est)
 
 
 def _resolve_membership(args):
@@ -216,15 +217,7 @@ def _resolve_membership(args):
         else:
             n = max(scheme.k_max, 100_000)
     x = make_sequence(args.seq, n)
-    params = SpaceParams(
-        matrix=make_matrix(args.matrix),
-        family=make_family(args.orlicz),
-        scheme=scheme,
-        alpha=args.alpha,
-        rho=make_rho(args.rho),
-        limit=args.limit,
-        eps=args.eps,
-    )
+    params = _space_params(args, scheme)
     if args.estimate_limit:
         f = make_modulus(args.modulus or "id")
         est = membership_mod.stat_limit_estimate(x, params, f, tol=args.tol)
@@ -236,16 +229,13 @@ def _resolve_membership(args):
     return x, params, warnings
 
 
-def _cmd_membership(args) -> tuple[dict, list[str]]:
+def _cmd_membership(args) -> dict:
     x, params, warnings = _resolve_membership(args)
-    if args.mode == "mean":
-        rep = membership_mod.mean_membership(x, params, args.tol)
-    elif args.mode == "count":
-        rep = membership_mod.count_membership(x, params, args.tol)
-    else:
+    if args.mode == "density":
         f = make_modulus(args.modulus or "id")
         rep = membership_mod.density_membership(x, params, f, args.tol)
-    warnings = warnings + list(rep.warnings)
+    else:
+        rep = membership_mod.block_membership(x, params, args.mode, args.tol)
     inputs = {
         "seq": args.seq, "witness": args.witness, "mode": args.mode,
         "matrix": args.matrix, "orlicz": args.orlicz, "theta": args.theta,
@@ -253,10 +243,10 @@ def _cmd_membership(args) -> tuple[dict, list[str]]:
         "limit": params.limit, "eps": params.eps, "tol": args.tol,
         "modulus": args.modulus, "n": len(x),
     }
-    return _report("membership", inputs, _membership_payload(rep), warnings), warnings
+    return _report("membership", inputs, _membership_payload(rep), warnings + list(rep.warnings))
 
 
-def _cmd_norm(args) -> tuple[dict, list[str]]:
+def _cmd_norm(args) -> dict:
     x = make_sequence(args.seq, args.n)
     inputs = {
         "kind": args.kind, "orlicz": args.orlicz, "seq": args.seq,
@@ -264,42 +254,18 @@ def _cmd_norm(args) -> tuple[dict, list[str]]:
     }
     if args.kind == "block-mean":
         scheme = make_lacunary(args.theta, args.blocks)
-        results = {"value": block_mean_norm(x, scheme), "cuts": list(scheme.cuts)}
-        return _report("norm", inputs, results, []), []
+        return _report("norm", inputs, {"value": block_mean_norm(x, scheme), "cuts": scheme.cuts})
     family = make_family(args.orlicz)
     if args.kind == "luxemburg":
         tol = args.tol if args.tol is not None else 1e-8
         inputs["tol"] = tol
-        results = {"value": luxemburg_norm(family, x, tol)}
-        return _report("norm", inputs, results, []), []
+        return _report("norm", inputs, {"value": luxemburg_norm(family, x, tol)})
     tol = args.tol if args.tol is not None else 1e-6
     inputs["tol"] = tol
-    res = orlicz_norm(family, x, tol)
-    results = {
-        "value": res.value,
-        "scale": res.scale,
-        "attained": res.attained,
-        "iterations": res.iterations,
-    }
-    return _report("norm", inputs, results, []), []
+    return _report("norm", inputs, orlicz_norm(family, x, tol))
 
 
-def _witness_params(args, n: int) -> SpaceParams:
-    blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, n))))
-    scheme = make_lacunary(args.theta, blocks)
-    return SpaceParams(
-        matrix=make_matrix(args.matrix),
-        family=make_family(args.orlicz),
-        scheme=scheme,
-        alpha=args.alpha,
-        rho=make_rho(args.rho),
-        limit=args.limit,
-        eps=args.eps,
-    )
-
-
-def _cmd_witness(args) -> tuple[dict, list[str]]:
-    warnings: list[str] = []
+def _cmd_witness(args) -> dict:
     inputs = {
         "task": args.task, "seq": args.seq, "modulus": args.modulus,
         "depth": args.depth, "nu": args.nu, "rho": args.rho,
@@ -312,57 +278,29 @@ def _cmd_witness(args) -> tuple[dict, list[str]]:
         x, params = witnesses_mod.gen_half_plateau_instance(
             args.nu, args.rho_value, args.blocks if args.blocks is not None else 10)
         rep = witnesses_mod.half_plateau_report(x, params, args.tol)
-        results = {
-            "cuts": list(params.scheme.cuts),
-            "eps": params.eps,
-            "residuals": list(rep.residuals),
-            "residual_bounds": list(rep.residual_bounds),
-            "bound_satisfied": rep.bound_satisfied,
-            "exceedance_ratios": list(rep.exceedance_ratios),
-            "mean": _membership_payload(rep.mean_report),
-            "count": _membership_payload(rep.count_report),
-            "matches_expected": rep.matches_expected,
-        }
-        return _report("witness", inputs, results, warnings), warnings
+        results = _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps)
+        return _report("witness", inputs, results)
 
     if args.task == "block-spike":
         scheme = make_lacunary(args.theta, args.blocks if args.blocks is not None else 12)
         inst = witnesses_mod.gen_block_spike_instance(
             make_orlicz(args.orlicz), scheme, args.rho_value, args.alpha)
         rep = witnesses_mod.block_spike_report(inst, args.tol)
-        warnings.extend(rep.warnings)
-        results = {
-            "cuts": list(scheme.cuts),
-            "spike_heights": list(inst.spike_heights),
-            "residuals": list(rep.residuals),
-            "residuals_at_least_one": rep.residuals_at_least_one,
-            "exceedance_ratios": list(rep.exceedance_ratios),
-            "exceedance_counts": list(rep.exceedance_counts),
-            "one_spike_per_block": rep.one_spike_per_block,
-            "mean": _membership_payload(rep.mean_report),
-            "count": _membership_payload(rep.count_report),
-            "matches_expected": rep.matches_expected,
-        }
-        return _report("witness", inputs, results, warnings), warnings
+        results = _pair_payload(rep, cuts=scheme.cuts, spike_heights=inst.spike_heights)
+        return _report("witness", inputs, results, rep.warnings)
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
     n = args.n if args.n is not None else 100_000
     x = make_sequence(args.seq, n)
-    params = _witness_params(args, len(x))
+    blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
+    params = _space_params(args, make_lacunary(args.theta, blocks))
 
     if args.task == "probe":
         if not args.probe_moduli:
             raise SeqlabError("witness probe needs --probe-moduli")
         moduli = [make_modulus(tok) for tok in args.probe_moduli.split(",") if tok.strip()]
-        rep = witnesses_mod.multi_modulus_probe(x, params, moduli, args.tol)
-        results = {
-            "limits": rep.limits,
-            "all_agree": rep.all_agree,
-            "reference": rep.reference,
-            "norm_convergence": rep.norm_convergence,
-        }
-        return _report("witness", inputs, results, warnings), warnings
+        return _report("witness", inputs, witnesses_mod.multi_modulus_probe(x, params, moduli, args.tol))
 
     f = make_modulus(args.modulus or "id")
     if args.task == "extract":
@@ -377,22 +315,19 @@ def _cmd_witness(args) -> tuple[dict, list[str]]:
         except WitnessExtractionError as exc:
             results = {"failure": {"stuck_level": exc.stuck_level, "message": str(exc)},
                        "limit": params.limit}
-            return _report("witness", inputs, results, warnings), warnings
+            return _report("witness", inputs, results)
         off = witnesses_mod.converge_off_witness(x, params, ws.members, 1.0 / depth)
         members = ws.members.members_upto(len(x))
         results = {
             "limit": params.limit,
-            "thresholds": list(ws.thresholds),
-            "witness_size": int(members.size),
-            "witness_members_head": [int(v) for v in members[:500]],
-            "density": _density_payload(ws.density),
+            "thresholds": ws.thresholds,
+            "witness_size": members.size,
+            "witness_members_head": members[:500],
+            "density": ws.density,
             "off_tail_sup": ws.off_tail_sup,
-            "off_check": {
-                "passed": off.passed, "i0": off.i0,
-                "tail_max": off.tail_max, "n_off": off.n_off,
-            },
+            "off_check": off,
         }
-        return _report("witness", inputs, results, warnings), warnings
+        return _report("witness", inputs, results)
 
     if args.task == "cauchy":
         depth = args.depth if args.depth is not None else 10
@@ -403,15 +338,15 @@ def _cmd_witness(args) -> tuple[dict, list[str]]:
                 nested = witnesses_mod.cauchy_limit_construction(x, params, f, depth, args.tol)
                 results["limit"] = nested.value
                 results["width"] = nested.width
-                results["anchors"] = list(nested.anchors)
+                results["anchors"] = nested.anchors
             except CauchyConstructionError as exc:
                 results["failure"] = {"level": exc.level, "message": str(exc)}
-        return _report("witness", inputs, results, warnings), warnings
+        return _report("witness", inputs, results)
 
     raise SeqlabError(f"unknown witness task {args.task!r}")
 
 
-def _cmd_check(args) -> tuple[dict, list[str]]:
+def _cmd_check(args) -> dict:
     if bool(args.modulus) == bool(args.orlicz):
         raise SeqlabError("check needs exactly one of --modulus or --orlicz")
     if args.modulus:
@@ -420,17 +355,9 @@ def _cmd_check(args) -> tuple[dict, list[str]]:
     else:
         report = check_orlicz_axioms(make_orlicz(args.orlicz))
         kind, name = "orlicz", args.orlicz
-    results = {
-        "kind": kind,
-        "name": name,
-        "passed": report.passed,
-        "axioms": {
-            key: {"passed": chk.passed, "witness": chk.witness, "note": chk.note}
-            for key, chk in report.checks().items()
-        },
-    }
+    results = {"kind": kind, "name": name, "passed": report.passed, "axioms": report.checks()}
     inputs = {"modulus": args.modulus, "orlicz": args.orlicz}
-    return _report("check", inputs, results, []), []
+    return _report("check", inputs, results)
 
 
 # -----------------------------
@@ -527,7 +454,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        payload, _ = _HANDLERS[args.command](args)
+        payload = _HANDLERS[args.command](args)
     except (SeqlabError, ValueError, ArithmeticError) as exc:
         print(f"seqlab: error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,56 @@ MATERIALIZE_CAP = 50_000_000
 MAX_INDEX = 2 ** 63 - 1
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite (NaN included)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """The stripped nonblank lines of a spec file holding ``what`` values.
+
+    An unreadable (or not UTF-8) or empty file is a SpecError naming the file.
+    """
+    path = Path(path)
+    try:
+        lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
+    if not lines:
+        raise SpecError(f"empty {what} file {path}")
+    return lines
+
+
+def read_floats(path: str | Path, what: str) -> np.ndarray:
+    """A spec file of one real number per line, as a float array."""
+    lines = read_lines(path, what)
+    try:
+        return np.asarray([float(ln) for ln in lines])
+    except ValueError:
+        raise SpecError(f"non-numeric {what} value in {path}") from None
+
+
+def parse_kv(body: str, what: str) -> dict[str, str]:
+    """Split ``key=value,key=value`` into a dict.
+
+    A comma token without ``=`` continues the previous value, so nested
+    specs such as ``set=arith:3,5`` keep their commas.
+    """
+    parts: dict[str, str] = {}
+    current = None
+    for tok in body.split(","):
+        if "=" in tok:
+            key, val = tok.split("=", 1)
+            parts[key.strip()] = val
+            current = key.strip()
+        elif current is not None:
+            parts[current] += "," + tok
+        else:
+            raise SpecError(f"malformed {what} spec {body!r}")
+    return parts
+
+
 class IndexSet:
     """A set of positive integers with fast prefix counting |A(n)|.
 
@@ -167,13 +217,8 @@ def make_index_set(spec: str) -> IndexSet:
             raise SpecError(f"empty list spec {spec!r}")
         return IndexSet.from_members(spec, items)
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        try:
-            lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise SpecError(f"cannot read index file {path}: {exc}") from None
-        if not lines:
-            raise SpecError(f"empty index file {path}")
+        path = spec[len("file:"):]
+        lines = read_lines(path, "index")
         try:
             items = [int(ln) for ln in lines]
         except ValueError:
@@ -278,11 +323,7 @@ def make_lacunary(spec: str, blocks: int | None = None) -> LacunaryScheme:
             body = spec[len("explicit:"):]
             tokens = [tok for tok in body.split(",") if tok.strip()]
         else:
-            path = Path(spec[len("file:"):])
-            try:
-                tokens = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-            except OSError as exc:
-                raise SpecError(f"cannot read theta file {path}: {exc}") from None
+            tokens = read_lines(spec[len("file:"):], "theta")
         if not tokens:
             raise SpecError(f"no cuts in theta spec {spec!r}")
         try:
@@ -317,10 +358,6 @@ class SequencePrefix:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def prefix(self, n: int) -> "SequencePrefix":
         if not 1 <= n <= len(self):

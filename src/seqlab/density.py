@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_INDEX, IndexSet, SequencePrefix
+from .core import MAX_INDEX, IndexSet, SequencePrefix, check_tol
 from .modulus import Modulus
 
 CONVERGED = "converged"
@@ -124,14 +124,9 @@ def _validated_checkpoints(n: int) -> np.ndarray:
     return ns
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-
-
 def natural_density(a: IndexSet, n: int, tol: float = 1e-2) -> DensityEstimate:
     """Estimate lim |A(n)|/n from the prefix ratio trail."""
-    _check_tol(tol)
+    check_tol(tol)
     ns = _validated_checkpoints(int(n))
     counts = a.counts(ns)
     return _estimate(ns, counts / ns, tol)
@@ -146,7 +141,7 @@ def f_density(a: IndexSet, f: Modulus, n: int, tol: float = 1e-2) -> DensityEsti
     """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: density ratios need an unbounded modulus")
-    _check_tol(tol)
+    check_tol(tol)
     ns = _validated_checkpoints(int(n))
     counts = a.counts(ns)
     return _estimate(ns, f(counts) / f(ns), tol)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import SequencePrefix
+from .core import SequencePrefix, read_floats, read_lines
 from .errors import SpecError, TruncationError
 
 
@@ -56,25 +55,11 @@ def make_matrix(spec: str) -> SummabilityMatrix:
         body = spec[len("riesz:"):]
         if not body.startswith("file="):
             raise SpecError(f"riesz spec must be riesz:file=PATH, got {spec!r}")
-        path = Path(body[len("file="):])
-        try:
-            lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise SpecError(f"cannot read riesz weights {path}: {exc}") from None
-        if not lines:
-            raise SpecError(f"empty riesz weight file {path}")
-        try:
-            weights = np.asarray([float(ln) for ln in lines])
-        except ValueError:
-            raise SpecError(f"non-numeric weight in {path}") from None
-        return SummabilityMatrix("riesz", weights=weights)
+        return SummabilityMatrix("riesz", weights=read_floats(body[len("file="):], "riesz weight"))
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        try:
-            lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise SpecError(f"cannot read matrix file {path}: {exc}") from None
-        if not lines or [t.strip() for t in lines[0].split(",")] != ["i", "k", "a"]:
+        path = spec[len("file:"):]
+        lines = read_lines(path, "matrix")
+        if [t.strip() for t in lines[0].split(",")] != ["i", "k", "a"]:
             raise SpecError(f"matrix file {path} must start with header 'i,k,a'")
         rows: dict[int, list[tuple[int, float]]] = {}
         for ln in lines[1:]:

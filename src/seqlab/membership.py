@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LacunaryScheme, SequencePrefix
+from .core import LacunaryScheme, SequencePrefix, check_tol
 from .density import DensityEstimate, _exceedances, checkpoints, exceedance_set, f_density
 from .errors import TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
@@ -104,12 +104,8 @@ def _block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.nd
     return sums / halpha, counts / halpha, counts
 
 
-def block_residuals(x: SequencePrefix, params: SpaceParams) -> np.ndarray:
-    t, _, _ = block_trails(x, params)
-    return t
-
-
 def _trail_verdict(trail: np.ndarray, tol: float) -> tuple[str, int]:
+    check_tol(tol)
     r = len(trail)
     if r < MIN_BLOCKS:
         raise ValueError(f"need at least {MIN_BLOCKS} blocks for a verdict, got {r}")
@@ -123,44 +119,35 @@ def _trail_verdict(trail: np.ndarray, tol: float) -> tuple[str, int]:
     return INCONCLUSIVE, w
 
 
-def _block_evidence(params: SpaceParams, tol: float, window: int) -> dict:
-    return {
-        "tol": tol,
-        "eps": params.eps,
-        "alpha": params.alpha,
-        "window": window,
-        "h": [int(v) for v in params.scheme.h],
-        "k_max": params.scheme.k_max,
-    }
-
-
-def mean_membership(x: SequencePrefix, params: SpaceParams,
-                    tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Verdict on whether the block residual trail t_r tends to 0."""
-    t, c, counts = block_trails(x, params)
-    verdict, w = _trail_verdict(t, tol)
-    return MembershipReport(
-        mode="mean",
-        verdict=verdict,
-        block_residuals=tuple(float(v) for v in t),
-        exceedance_ratios=tuple(float(v) for v in c),
-        exceedance_counts=tuple(int(v) for v in counts),
-        evidence=_block_evidence(params, tol, w),
-    )
-
-
-def count_membership(x: SequencePrefix, params: SpaceParams,
+def block_membership(x: SequencePrefix, params: SpaceParams, mode: str,
                      tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Verdict on whether the per-block exceedance ratio trail c_r tends to 0."""
-    t, c, counts = block_trails(x, params)
-    verdict, w = _trail_verdict(c, tol)
+    """Verdict on whether the block residual trail t_r (mode ``mean``) or the
+    exceedance ratio trail c_r (mode ``count``) tends to 0."""
+    if mode not in ("mean", "count"):
+        raise ValueError(f"block mode must be 'mean' or 'count', got {mode!r}")
+    return _block_report(block_trails(x, params), params, mode, tol)
+
+
+def _block_report(trails: tuple[np.ndarray, np.ndarray, np.ndarray], params: SpaceParams,
+                  mode: str, tol: float) -> MembershipReport:
+    """The ``mode`` verdict on trails (t, c, counts) from ``block_trails``, so
+    a caller judging both modes scores the prefix once."""
+    t, c, counts = trails
+    verdict, w = _trail_verdict(t if mode == "mean" else c, tol)
     return MembershipReport(
-        mode="count",
+        mode=mode,
         verdict=verdict,
         block_residuals=tuple(float(v) for v in t),
         exceedance_ratios=tuple(float(v) for v in c),
         exceedance_counts=tuple(int(v) for v in counts),
-        evidence=_block_evidence(params, tol, w),
+        evidence={
+            "tol": tol,
+            "eps": params.eps,
+            "alpha": params.alpha,
+            "window": w,
+            "h": [int(v) for v in params.scheme.h],
+            "k_max": params.scheme.k_max,
+        },
     )
 
 
@@ -307,8 +294,9 @@ def boundedness_inclusion_probe(x: SequencePrefix, params: SpaceParams,
             f"h_r/h_r^alpha deviates from 1 by {dev:g} on the trailing blocks",
             None, None, None,
         )
-    count_rep = count_membership(x, params, tol)
-    mean_rep = mean_membership(x, params, tol)
+    trails = block_trails(x, params)
+    count_rep = _block_report(trails, params, "count", tol)
+    mean_rep = _block_report(trails, params, "mean", tol)
     implication = None
     if count_rep.verdict == MEMBER:
         implication = mean_rep.verdict in (MEMBER, INCONCLUSIVE)

@@ -1,13 +1,15 @@
-"""Modulus functions and sampled axiom checks.
+"""Gauge functions, moduli among them, and sampled axiom checks.
 
 A modulus vanishes exactly at 0, is subadditive and increasing, and is
 right-continuous at 0.  The axioms are analytic, so they are verified by
-sampling; a pass means "no counterexample found on the grid".
+sampling; a pass means "no counterexample found on the grid".  The grid
+validation and the zero, monotone and pairwise checks here are shared with
+the Orlicz-function axioms in ``seqlab.orlicz``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -20,12 +22,18 @@ _SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus function with a vectorized evaluator and an unboundedness flag."""
+    """A gauge: a name plus a vectorized nondecreasing map with M(0) = 0.
+
+    Moduli and Orlicz functions (``seqlab.orlicz.OrliczFn`` is this class)
+    share the type; only the axioms checked on them differ.  ``unbounded``
+    matters to moduli only: density ratios need an unbounded one.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     unbounded: bool = True
 
+    # perfbench/tracing.py wraps this method on the class, so it stays here.
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         out = self.fn(arr)
@@ -66,23 +74,60 @@ class AxiomCheck:
 
 
 @dataclass(frozen=True)
-class ModulusAxiomReport:
-    vanishes_at_zero: AxiomCheck
-    subadditive: AxiomCheck
-    monotone: AxiomCheck
-    right_continuous_at_zero: AxiomCheck
+class AxiomReport:
+    """Base of the sampled axiom reports: each field is one AxiomCheck."""
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks().values())
 
     def checks(self) -> dict[str, AxiomCheck]:
-        return {
-            "vanishes_at_zero": self.vanishes_at_zero,
-            "subadditive": self.subadditive,
-            "monotone": self.monotone,
-            "right_continuous_at_zero": self.right_continuous_at_zero,
-        }
+        return {fld.name: getattr(self, fld.name) for fld in fields(self)}
+
+
+@dataclass(frozen=True)
+class ModulusAxiomReport(AxiomReport):
+    vanishes_at_zero: AxiomCheck
+    subadditive: AxiomCheck
+    monotone: AxiomCheck
+    right_continuous_at_zero: AxiomCheck
+
+
+def _axiom_grid(grid, default: np.ndarray) -> np.ndarray:
+    """The sorted distinct grid points; they must be positive and finite."""
+    g = np.unique(np.asarray(default if grid is None else grid, dtype=float))
+    if g.size == 0:
+        raise ValueError("axiom grid must be nonempty")
+    if np.any(g <= 0) or not np.all(np.isfinite(g)):
+        raise ValueError("axiom grid values must be positive and finite")
+    return g
+
+
+def _vanishes_at_zero(f: Modulus) -> AxiomCheck:
+    v0 = float(f(0.0))
+    return AxiomCheck(v0 == 0.0, witness=None if v0 == 0.0 else (0.0, v0))
+
+
+def _monotone(g: np.ndarray, fg: np.ndarray, sym: str) -> AxiomCheck:
+    """The sampled values ``fg`` on the sorted grid ``g`` never drop."""
+    bad = np.flatnonzero(np.diff(fg) < -_SLACK)
+    if not bad.size:
+        return AxiomCheck(True)
+    i = int(bad[0])
+    return AxiomCheck(False, witness=(float(g[i]), float(g[i + 1])),
+                      note=f"{sym} drops from {float(fg[i]):.6g} to {float(fg[i + 1]):.6g}")
+
+
+def _pairwise(g: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+              lhs_name: str, rhs_name: str) -> AxiomCheck:
+    """lhs[i, j] <= rhs[i, j] over all grid pairs (g[i], g[j]); a failure
+    names the first violating pair."""
+    viol = lhs > rhs + _SLACK
+    if not np.any(viol):
+        return AxiomCheck(True)
+    i, j = map(int, np.argwhere(viol)[0])
+    return AxiomCheck(False, witness=(float(g[i]), float(g[j])),
+                      note=f"{lhs_name}={float(lhs[i, j]):.6g} > {rhs_name}={float(rhs[i, j]):.6g}")
 
 
 def check_modulus_axioms(f: Modulus, grid=None) -> ModulusAxiomReport:
@@ -94,41 +139,10 @@ def check_modulus_axioms(f: Modulus, grid=None) -> ModulusAxiomReport:
     a smaller exponent still fails, a sampled false negative.  Failures carry
     the witnessing inputs.
     """
-    g = np.sort(np.unique(np.asarray(DEFAULT_GRID if grid is None else grid, dtype=float)))
-    if g.size == 0:
-        raise ValueError("axiom grid must be nonempty")
-    if np.any(g <= 0) or not np.all(np.isfinite(g)):
-        raise ValueError("axiom grid values must be positive and finite")
-
-    v0 = float(f(0.0))
-    zero = AxiomCheck(v0 == 0.0, witness=None if v0 == 0.0 else (0.0, v0))
-
+    g = _axiom_grid(grid, DEFAULT_GRID)
     fg = f(g)
     gx, gy = np.meshgrid(g, g, indexing="ij")
-    lhs = f(gx + gy)
-    rhs = fg[:, None] + fg[None, :]
-    viol = lhs > rhs + _SLACK
-    if np.any(viol):
-        i, j = map(int, np.argwhere(viol)[0])
-        sub = AxiomCheck(
-            False,
-            witness=(float(g[i]), float(g[j])),
-            note=f"f(x+y)={float(lhs[i, j]):.6g} > f(x)+f(y)={float(rhs[i, j]):.6g}",
-        )
-    else:
-        sub = AxiomCheck(True)
-
-    diffs = np.diff(fg)
-    bad = np.flatnonzero(diffs < -_SLACK)
-    if bad.size:
-        i = int(bad[0])
-        mono = AxiomCheck(
-            False,
-            witness=(float(g[i]), float(g[i + 1])),
-            note=f"f drops from {float(fg[i]):.6g} to {float(fg[i + 1]):.6g}",
-        )
-    else:
-        mono = AxiomCheck(True)
+    sub = _pairwise(g, f(gx + gy), fg[:, None] + fg[None, :], "f(x+y)", "f(x)+f(y)")
 
     eps_tail = 10.0 ** -np.arange(1, 301, dtype=float)
     tail_vals = f(eps_tail)
@@ -139,4 +153,4 @@ def check_modulus_axioms(f: Modulus, grid=None) -> ModulusAxiomReport:
         note="" if ok else "f(10^-k) stays above 1e-6 down to k=300",
     )
 
-    return ModulusAxiomReport(zero, sub, mono, rc)
+    return ModulusAxiomReport(_vanishes_at_zero(f), sub, _monotone(g, fg, "f"), rc)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LacunaryScheme, SequencePrefix
+from .core import LacunaryScheme, SequencePrefix, check_tol, parse_kv, read_floats
 from .errors import SpecError, TruncationError, UnboundedNormError
-from .modulus import AxiomCheck
+from .modulus import (AxiomCheck, AxiomReport, Modulus, _axiom_grid, _monotone,
+                      _pairwise, _vanishes_at_zero)
 
 _SLACK = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,19 +28,10 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 DEFAULT_ORLICZ_GRID = np.logspace(-6.0, 2.0, 33)
 
 
-@dataclass(frozen=True)
-class OrliczFn:
-    """A convex gauge: continuous, nondecreasing, M(0) = 0, M(t) -> infinity."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        out = self.fn(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+# An Orlicz function is a convex gauge: continuous, nondecreasing, M(0) = 0,
+# M(t) -> infinity.  It shares the gauge type with the moduli; only the
+# axioms checked on it (``check_orlicz_axioms``) differ.
+OrliczFn = Modulus
 
 
 def make_orlicz(spec: str) -> OrliczFn:
@@ -129,35 +120,15 @@ def make_family(spec: str) -> OrliczFamily:
     ``weighted:base=SPEC,weights=file:PATH`` (one positive weight per line)."""
     spec = spec.strip()
     if spec.startswith("weighted:"):
-        body = spec[len("weighted:"):]
-        parts: dict[str, str] = {}
-        current = None
-        for tok in body.split(","):
-            if "=" in tok:
-                key, val = tok.split("=", 1)
-                parts[key.strip()] = val
-                current = key.strip()
-            elif current is not None:
-                parts[current] += "," + tok
-            else:
-                raise SpecError(f"malformed weighted spec {spec!r}")
+        parts = parse_kv(spec[len("weighted:"):], "weighted")
         if "base" not in parts or "weights" not in parts:
             raise SpecError(f"weighted spec needs base= and weights=, got {spec!r}")
         base = make_orlicz(parts["base"])
         wspec = parts["weights"]
         if not wspec.startswith("file:"):
             raise SpecError(f"weights must come from file:PATH, got {wspec!r}")
-        path = Path(wspec[len("file:"):])
-        try:
-            lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise SpecError(f"cannot read weight file {path}: {exc}") from None
-        if not lines:
-            raise SpecError(f"empty weight file {path}")
-        try:
-            w = np.asarray([float(ln) for ln in lines])
-        except ValueError:
-            raise SpecError(f"non-numeric weight in {path}") from None
+        path = wspec[len("file:"):]
+        w = read_floats(path, "weight")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise SpecError(f"weights in {path} must be positive and finite")
 
@@ -221,17 +192,7 @@ def make_rho(spec: str) -> RhoSchedule:
         except ValueError:
             raise SpecError(f"malformed rho spec {spec!r}") from None
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        try:
-            lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-        except OSError as exc:
-            raise SpecError(f"cannot read rho file {path}: {exc}") from None
-        if not lines:
-            raise SpecError(f"empty rho file {path}")
-        try:
-            return RhoSchedule("table", table=np.asarray([float(ln) for ln in lines]))
-        except ValueError:
-            raise SpecError(f"non-numeric rho value in {path}") from None
+        return RhoSchedule("table", table=read_floats(spec[len("file:"):], "rho"))
     raise SpecError(f"unknown rho spec {spec!r}")
 
 
@@ -274,8 +235,7 @@ def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -
     in k guarantees a bracket whenever the norm is finite.  Raises
     UnboundedNormError if doubling escapes its 2^50 growth cap.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tol(tol)
     a = np.abs(x.values)
     if not a.any():
         return 0.0
@@ -345,8 +305,7 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float,
 
 
 def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> OrliczNormResult:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tol(tol)
     a = np.abs(x.values)
     if not a.any():
         return OrliczNormResult(0.0, None, "edge", 0)
@@ -473,25 +432,12 @@ def block_mean_norm(x: SequencePrefix, scheme: LacunaryScheme) -> float:
 
 
 @dataclass(frozen=True)
-class OrliczAxiomReport:
+class OrliczAxiomReport(AxiomReport):
     vanishes_at_zero: AxiomCheck
     positive: AxiomCheck
     monotone: AxiomCheck
     midpoint_convex: AxiomCheck
     grows_unbounded: AxiomCheck
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks().values())
-
-    def checks(self) -> dict[str, AxiomCheck]:
-        return {
-            "vanishes_at_zero": self.vanishes_at_zero,
-            "positive": self.positive,
-            "monotone": self.monotone,
-            "midpoint_convex": self.midpoint_convex,
-            "grows_unbounded": self.grows_unbounded,
-        }
 
 
 def check_orlicz_axioms(m: OrliczFn, grid=None) -> OrliczAxiomReport:
@@ -500,46 +446,19 @@ def check_orlicz_axioms(m: OrliczFn, grid=None) -> OrliczAxiomReport:
 
     The default grid covers 1e-6..1e2; pass a custom grid for wider ranges.
     """
-    g = np.sort(np.unique(np.asarray(DEFAULT_ORLICZ_GRID if grid is None else grid, dtype=float)))
-    if g.size == 0:
-        raise ValueError("axiom grid must be nonempty")
-    if np.any(g <= 0) or not np.all(np.isfinite(g)):
-        raise ValueError("axiom grid values must be positive and finite")
-
-    v0 = float(m(0.0))
-    zero = AxiomCheck(v0 == 0.0, witness=None if v0 == 0.0 else (0.0, v0))
-
+    g = _axiom_grid(grid, DEFAULT_ORLICZ_GRID)
     mg = m(g)
     bad = np.flatnonzero(mg <= 0)
     positive = (AxiomCheck(False, witness=(float(g[int(bad[0])]), float(mg[int(bad[0])])),
                            note="M(t) must be positive for t > 0")
                 if bad.size else AxiomCheck(True))
 
-    diffs = np.diff(mg)
-    bad = np.flatnonzero(diffs < -_SLACK)
-    if bad.size:
-        i = int(bad[0])
-        mono = AxiomCheck(False, witness=(float(g[i]), float(g[i + 1])),
-                          note=f"M drops from {float(mg[i]):.6g} to {float(mg[i + 1]):.6g}")
-    else:
-        mono = AxiomCheck(True)
-
     g0 = np.concatenate(([0.0], g))
     mg0 = m(g0)
     gx, gy = np.meshgrid(g0, g0, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
         mid = m((gx + gy) / 2.0)
-    rhs = (mg0[:, None] + mg0[None, :]) / 2.0
-    viol = mid > rhs + _SLACK
-    if np.any(viol):
-        i, j = map(int, np.argwhere(viol)[0])
-        convex = AxiomCheck(
-            False,
-            witness=(float(g0[i]), float(g0[j])),
-            note=f"M(mid)={float(mid[i, j]):.6g} > (M(s)+M(t))/2={float(rhs[i, j]):.6g}",
-        )
-    else:
-        convex = AxiomCheck(True)
+    convex = _pairwise(g0, mid, (mg0[:, None] + mg0[None, :]) / 2.0, "M(mid)", "(M(s)+M(t))/2")
 
     # convexity with M(0)=0 forces M(t) >= t * M(1) for t >= 1, so a genuine
     # gauge gains far more than 10x over 1..1e8; saturation fails this
@@ -560,4 +479,4 @@ def check_orlicz_axioms(m: OrliczFn, grid=None) -> OrliczAxiomReport:
     else:
         grows = AxiomCheck(False, witness=(float(prefix[0]), float(prefix[-1])),
                            note="M(10^k) gains less than 10x over 1..1e8; looks bounded")
-    return OrliczAxiomReport(zero, positive, mono, convex, grows)
+    return OrliczAxiomReport(_vanishes_at_zero(m), positive, _monotone(g, mg, "M"), convex, grows)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IndexSet, SequencePrefix, make_index_set
+from .core import IndexSet, SequencePrefix, make_index_set, parse_kv
 from .errors import SpecError, TruncationError
 
 
@@ -46,7 +46,7 @@ def read_sequence_csv(path) -> SequencePrefix:
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read sequence file {path}: {exc}") from None
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip().lower() for c in rows[0]] != ["i", "value"]:
@@ -65,21 +65,6 @@ def read_sequence_csv(path) -> SequencePrefix:
             raise SpecError(f"non-finite value at index {i} in {path}")
         values.append(v)
     return SequencePrefix(np.asarray(values), label=f"file:{path}")
-
-
-def _parse_kv(body: str, what: str) -> dict[str, str]:
-    parts: dict[str, str] = {}
-    current = None
-    for tok in body.split(","):
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-            parts[key.strip()] = val
-            current = key.strip()
-        elif current is not None:
-            parts[current] += "," + tok  # commas inside nested specs like arith:3,5
-        else:
-            raise SpecError(f"malformed {what} spec {body!r}")
-    return parts
 
 
 def make_sequence(spec: str, n: int | None = None) -> SequencePrefix:
@@ -101,7 +86,7 @@ def make_sequence(spec: str, n: int | None = None) -> SequencePrefix:
     if spec.startswith("spike:"):
         if n is None:
             raise SpecError("spike sequence needs a truncation length")
-        parts = _parse_kv(spec[len("spike:"):], "spike")
+        parts = parse_kv(spec[len("spike:"):], "spike")
         if "set" not in parts:
             raise SpecError(f"spike spec needs set=, got {spec!r}")
         positions = make_index_set(parts["set"])

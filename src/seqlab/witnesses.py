@@ -24,8 +24,8 @@ from .errors import (CauchyConstructionError, GenerationError,
                      WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
 from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
-                         _cauchy_search, _limit_estimate, block_trails, count_membership,
-                         mean_membership, pointwise_scores)
+                         _block_report, _cauchy_search, _limit_estimate, block_trails,
+                         pointwise_scores)
 from .modulus import Modulus
 from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
@@ -248,10 +248,11 @@ class HalfPlateauReport:
 
 def half_plateau_report(x: SequencePrefix, params: SpaceParams,
                         tol: float = DEFAULT_TOL) -> HalfPlateauReport:
-    t, c, _ = block_trails(x, params)
+    trails = block_trails(x, params)
+    t, c, _ = trails
     bounds = 2.0 ** -np.arange(1, params.scheme.blocks + 1, dtype=float)
-    mean_rep = mean_membership(x, params, tol)
-    count_rep = count_membership(x, params, tol)
+    mean_rep = _block_report(trails, params, "mean", tol)
+    count_rep = _block_report(trails, params, "count", tol)
     return HalfPlateauReport(
         residuals=tuple(float(v) for v in t),
         residual_bounds=tuple(float(v) for v in bounds),
@@ -344,9 +345,10 @@ class BlockSpikeReport:
 def block_spike_report(instance: BlockSpikeInstance,
                        tol: float = DEFAULT_TOL) -> BlockSpikeReport:
     x, params = instance.x, instance.params
-    t, c, counts = block_trails(x, params)
-    mean_rep = mean_membership(x, params, tol)
-    count_rep = count_membership(x, params, tol)
+    trails = block_trails(x, params)
+    t, c, counts = trails
+    mean_rep = _block_report(trails, params, "mean", tol)
+    count_rep = _block_report(trails, params, "count", tol)
     return BlockSpikeReport(
         residuals=tuple(float(v) for v in t),
         residuals_at_least_one=bool(np.all(t >= 1.0 - 1e-9)),

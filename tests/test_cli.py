@@ -103,6 +103,62 @@ def test_non_finite_tol_exits_one(capsys, tol, modulus):
     assert err.count("\n") == 1 and "tolerance must be positive and finite" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+@pytest.mark.parametrize("argv", [
+    ["membership", "--seq", "harmonic:0", "--limit", "0", "--mode", "mean", "--blocks", "7"],
+    ["membership", "--seq", "harmonic:0", "--limit", "0", "--mode", "count", "--blocks", "7"],
+    ["norm", "--kind", "luxemburg", "--seq", "list:3,4"],
+    ["norm", "--kind", "orlicz", "--seq", "list:3,4"],
+], ids=["mean", "count", "luxemburg", "orlicz"])
+def test_bad_tol_exits_one(capsys, argv, tol):
+    code, out, err = run(capsys, argv + ["--tol", tol])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance must be positive and finite" in err
+
+
+# Each file-backed spec as the CLI takes it, given the path of its file.
+FILE_SPECS = {
+    "set": lambda p: ["density", "--set", f"file:{p}", "--n", "1000"],
+    "theta": lambda p: ["norm", "--kind", "block-mean", "--theta", f"file:{p}",
+                        "--seq", "const:1", "--n", "64"],
+    "rho": lambda p: ["membership", "--seq", "const:0", "--limit", "0", "--mode", "mean",
+                      "--blocks", "6", "--rho", f"file:{p}"],
+    "weights": lambda p: ["norm", "--kind", "luxemburg", "--seq", "list:3,4",
+                          "--orlicz", f"weighted:base=poly:2,weights=file:{p}"],
+    "riesz": lambda p: ["membership", "--seq", "const:0", "--limit", "0", "--mode", "mean",
+                        "--blocks", "6", "--matrix", f"riesz:file={p}"],
+    "matrix": lambda p: ["membership", "--seq", "const:0", "--limit", "0", "--mode", "mean",
+                         "--blocks", "6", "--matrix", f"file:{p}"],
+}
+
+
+# What the one-line message of each file fault says, besides the file's path.
+FILE_FAULTS = {
+    "missing": ("cannot read",),
+    "empty": ("empty",),
+    "non-numeric": ("non-numeric", "non-integer", "malformed"),
+    "not-utf8": ("cannot read",),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+@pytest.mark.parametrize("spec", sorted(FILE_SPECS))
+def test_bad_spec_file_exits_one(capsys, tmp_path, spec, fault):
+    path = tmp_path / "spec.txt"
+    if fault == "empty":
+        path.write_text(" \n\n")
+    elif fault == "non-numeric":
+        path.write_text("i,k,a\n1,1,one\n" if spec == "matrix" else "1\ntwo\n")
+    elif fault == "not-utf8":
+        path.write_bytes(b"\xff\xfe1\n")
+    code, out, err = run(capsys, FILE_SPECS[spec](path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err
+    assert any(phrase in err for phrase in FILE_FAULTS[fault])
+
+
 def test_truncation_past_int64_exits_one(capsys):
     code, out, err = run(capsys, ["density", "--set", "odds", "--n", str(10 ** 23)])
     assert code == 1

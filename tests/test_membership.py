@@ -5,10 +5,10 @@ from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.errors import TruncationError
 from seqlab.matrices import make_matrix
 from seqlab.membership import (INCONCLUSIVE, MEMBER, NON_MEMBER, SpaceParams,
-                               block_trails, boundedness_inclusion_probe,
-                               count_membership, density_membership,
-                               mean_membership, pointwise_scores,
-                               stat_cauchy_check, stat_limit_estimate)
+                               block_membership, block_trails,
+                               boundedness_inclusion_probe, density_membership,
+                               pointwise_scores, stat_cauchy_check,
+                               stat_limit_estimate)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import const_rho, make_orlicz, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
@@ -99,8 +99,8 @@ class TestVerdicts:
     def test_constant_member_everywhere(self):
         x = const_sequence(64, 3.0)
         p = reduction_params(limit=3.0)
-        assert mean_membership(x, p).verdict == MEMBER
-        assert count_membership(x, p).verdict == MEMBER
+        assert block_membership(x, p, "mean").verdict == MEMBER
+        assert block_membership(x, p, "count").verdict == MEMBER
         assert density_membership(const_sequence(200, 3.0), reduction_params(blocks=6, limit=3.0),
                                   ID_MOD).verdict == MEMBER
 
@@ -108,28 +108,38 @@ class TestVerdicts:
         x = const_sequence(16, 0.0)
         p = reduction_params(blocks=4)
         with pytest.raises(ValueError, match="blocks"):
-            mean_membership(x, p)
+            block_membership(x, p, "mean")
 
     def test_nonmember_needs_level_and_trend(self):
         # residuals pinned at 1: non-member
         p = reduction_params(blocks=8, limit=0.0)
         ones = const_sequence(256, 1.0)
-        assert mean_membership(ones, p, tol=1e-2).verdict == NON_MEMBER
+        assert block_membership(ones, p, "mean", tol=1e-2).verdict == NON_MEMBER
 
     def test_inconclusive_between_levels(self):
         p = reduction_params(blocks=8, limit=0.0)
         x = const_sequence(256, 1.0)
         # tol chosen so the trail sits between tol and 2 tol
-        assert mean_membership(x, p, tol=0.9).verdict == INCONCLUSIVE
+        assert block_membership(x, p, "mean", tol=0.9).verdict == INCONCLUSIVE
 
     def test_verdict_ignores_values_past_last_cut(self):
         rng = np.random.default_rng(6)
         vals = rng.normal(size=64)
         p = reduction_params(limit=0.0)
-        base = mean_membership(SequencePrefix(vals), p)
-        extended = mean_membership(SequencePrefix(np.concatenate([vals, [99.0, -99.0]])), p)
+        base = block_membership(SequencePrefix(vals), p, "mean")
+        extended = block_membership(SequencePrefix(np.concatenate([vals, [99.0, -99.0]])), p, "mean")
         assert base.verdict == extended.verdict
         assert base.block_residuals == extended.block_residuals
+
+    def test_unknown_block_mode_rejected(self):
+        with pytest.raises(ValueError, match="block mode"):
+            block_membership(const_sequence(64, 0.0), reduction_params(), "density")
+
+    @pytest.mark.parametrize("mode", ["mean", "count"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, mode, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            block_membership(const_sequence(64, 0.0), reduction_params(), mode, tol)
 
 
 class TestSpaceParams:

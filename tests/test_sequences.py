@@ -85,6 +85,12 @@ class TestCsv:
         with pytest.raises(SpecError):
             read_sequence_csv(p)
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        p.write_bytes(b"i,value\n1,\xff\n")
+        with pytest.raises(SpecError, match="cannot read sequence file .*seq.csv"):
+            read_sequence_csv(p)
+
     def test_via_make_sequence(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text("i,value\n1,1\n2,2\n")

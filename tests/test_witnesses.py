@@ -7,7 +7,8 @@ from seqlab.core import make_index_set, make_lacunary
 from seqlab.errors import (CauchyConstructionError, GenerationError,
                            WitnessExtractionError)
 from seqlab.matrices import make_matrix
-from seqlab.membership import MEMBER, NON_MEMBER, SpaceParams, block_trails
+from seqlab.membership import (MEMBER, NON_MEMBER, SpaceParams, block_trails,
+                               boundedness_inclusion_probe)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import OrliczFn, make_orlicz, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
@@ -82,6 +83,25 @@ class TestHalfPlateau:
     def test_needs_six_blocks(self):
         with pytest.raises(ValueError):
             gen_half_plateau_instance(1.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("report", ["half-plateau", "block-spike", "inclusion-probe"])
+def test_both_block_verdicts_from_one_transform(monkeypatch, report):
+    import seqlab.membership as membership_mod
+
+    calls = []
+    transform = membership_mod.transform_prefix
+    monkeypatch.setattr(membership_mod, "transform_prefix",
+                        lambda *args: calls.append(args) or transform(*args))
+    if report == "half-plateau":
+        rep = half_plateau_report(*gen_half_plateau_instance(1.0, 1.0, 10))
+    elif report == "block-spike":
+        rep = block_spike_report(gen_block_spike_instance(make_orlicz("linear"),
+                                                          make_lacunary("powers2", 12)))
+    else:
+        rep = boundedness_inclusion_probe(const_sequence(64, 0.5), identity_params(6, 0.5))
+        assert rep.hypothesis_met
+    assert len(calls) == 1
 
 
 class TestBlockSpike:
