@@ -89,49 +89,34 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-def _flatten(obj, prefix: str, rows: list):
+def _flatten(obj, prefix: str = ""):
+    """Yield (path, leaf) over a canonical payload; a leaf is a scalar or a
+    list of scalars (possibly empty)."""
     if isinstance(obj, dict):
         for k in sorted(obj):
-            _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(obj, list):
-        if all(not isinstance(v, (dict, list)) for v in obj):
-            for i, v in enumerate(obj, start=1):
-                rows.append((prefix, str(i), _fmt_scalar(v)))
-        else:
-            for i, v in enumerate(obj, start=1):
-                _flatten(v, f"{prefix}[{i}]", rows)
+            yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+        for i, v in enumerate(obj, start=1):
+            yield from _flatten(v, f"{prefix}[{i}]")
     else:
-        rows.append((prefix, "", _fmt_scalar(obj)))
+        yield prefix, obj
 
 
 def render_csv(payload: dict) -> str:
-    rows: list[tuple[str, str, str]] = []
-    _flatten(_canon(payload), "", rows)
     lines = ["field,index,value"]
-    for field, idx, val in rows:
-        if "," in val or '"' in val:
-            val = '"' + val.replace('"', '""') + '"'
-        lines.append(f"{field},{idx},{val}")
+    for field, leaf in _flatten(_canon(payload)):
+        for idx, v in enumerate(leaf, start=1) if isinstance(leaf, list) else [("", leaf)]:
+            val = _fmt_scalar(v)
+            if "," in val or '"' in val:
+                val = '"' + val.replace('"', '""') + '"'
+            lines.append(f"{field},{idx},{val}")
     return "\n".join(lines) + "\n"
 
 
 def render_table(payload: dict) -> str:
-    flat: list[tuple[str, str]] = []
-
-    def walk(obj, prefix):
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                walk(obj[k], f"{prefix}.{k}" if prefix else str(k))
-        elif isinstance(obj, list):
-            if all(not isinstance(v, (dict, list)) for v in obj):
-                flat.append((prefix, ", ".join(_fmt_scalar(v) for v in obj)))
-            else:
-                for i, v in enumerate(obj, start=1):
-                    walk(v, f"{prefix}[{i}]")
-        else:
-            flat.append((prefix, _fmt_scalar(obj)))
-
-    walk(_canon(payload), "")
+    # a list joins into one row, so an empty list still prints its field
+    flat = [(field, ", ".join(map(_fmt_scalar, leaf)) if isinstance(leaf, list) else _fmt_scalar(leaf))
+            for field, leaf in _flatten(_canon(payload))]
     width = max((len(k) for k, _ in flat), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in flat) + "\n"
 

@@ -2,8 +2,11 @@
 
 A row whose support reaches past the truncation is an error, never a silent
 partial sum: silent truncation would corrupt membership verdicts downstream.
-Single-row sums use math.fsum (exact accumulation); bulk transforms use
-cumulative sums, which are deterministic regardless of evaluation order.
+Each family has one array form: Cesaro is Riesz with unit weights, and an
+explicit table is CSR (row i holds entries indptr[i-1]:indptr[i], columns
+ascending; an empty row is undefined).  Single rows use math.fsum (exact
+accumulation); bulk transforms check every row first, then use cumulative or
+per-row array sums, which may differ from math.fsum in the last bit.
 """
 
 from __future__ import annotations
@@ -13,44 +16,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SequencePrefix, read_floats, read_lines
+from .core import MATERIALIZE_CAP, MAX_INDEX, SequencePrefix, read_floats, read_lines
 from .errors import SpecError, TruncationError
 
 
 @dataclass(frozen=True)
 class SummabilityMatrix:
     """One of: identity, Cesaro (row i averages x_1..x_i), Riesz (weighted
-    averages), or an explicit row-major table."""
+    averages), or an explicit table in CSR form (``indptr``, integer ``cols``
+    >= 1 and finite ``coefs``)."""
 
     kind: str
     weights: np.ndarray | None = None
-    entries: dict | None = None  # row -> (col array, coef array), explicit only
+    indptr: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    coefs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("identity", "cesaro", "riesz", "explicit"):
             raise SpecError(f"unknown matrix kind {self.kind!r}")
+        arrays = {}
         if self.kind == "riesz":
-            w = np.asarray(self.weights, dtype=float)
+            w = arrays["weights"] = np.array(self.weights, dtype=float)
             if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise SpecError("riesz weights must be a nonempty list of positive finite reals")
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
-        if self.kind == "explicit" and not self.entries:
-            raise SpecError("explicit matrix has no entries")
+        if self.kind == "explicit":
+            if self.cols is None or np.size(self.cols) == 0:
+                raise SpecError("explicit matrix has no entries")
+            ptr = arrays["indptr"] = np.array(self.indptr, dtype=np.int64)
+            cols = arrays["cols"] = np.array(self.cols, dtype=np.int64)
+            coefs = arrays["coefs"] = np.array(self.coefs, dtype=float)
+            if (ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0 or ptr[-1] != cols.size
+                    or np.any(np.diff(ptr) < 0) or cols.ndim != 1 or coefs.shape != cols.shape):
+                raise SpecError("explicit matrix needs a CSR indptr rising from 0 to len(cols)")
+            if np.any(cols < 1) or not np.all(np.isfinite(coefs)):
+                raise SpecError("explicit matrix needs columns >= 1 and finite coefficients")
+            rows = np.repeat(np.arange(1, ptr.size), np.diff(ptr))
+            bad = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
+            if bad.size:
+                j = int(bad[0])
+                raise SpecError(f"duplicate entry for row {rows[j]}" if cols[j] == cols[j + 1]
+                                else f"explicit matrix columns must ascend in row {rows[j]}")
+        for name, a in arrays.items():  # private copies, read-only
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def make_matrix(spec: str) -> SummabilityMatrix:
     """Build a matrix from a matrix-spec string.
 
     Forms: ``identity``, ``cesaro``, ``riesz:file=PATH`` (one positive weight
-    per line), ``file:PATH`` (CSV with header ``i,k,a``).
+    per line), ``file:PATH`` (CSV with header ``i,k,a``; rows up to
+    core.MATERIALIZE_CAP, columns up to core.MAX_INDEX).
     """
     spec = spec.strip()
-    if spec == "identity":
-        return SummabilityMatrix("identity")
-    if spec == "cesaro":
-        return SummabilityMatrix("cesaro")
+    if spec in ("identity", "cesaro"):
+        return SummabilityMatrix(spec)
     if spec.startswith("riesz:"):
         body = spec[len("riesz:"):]
         if not body.startswith("file="):
@@ -61,63 +82,69 @@ def make_matrix(spec: str) -> SummabilityMatrix:
         lines = read_lines(path, "matrix")
         if [t.strip() for t in lines[0].split(",")] != ["i", "k", "a"]:
             raise SpecError(f"matrix file {path} must start with header 'i,k,a'")
-        rows: dict[int, list[tuple[int, float]]] = {}
+        rows, cols, coefs = [], [], []
         for ln in lines[1:]:
             try:
                 i_str, k_str, a_str = ln.split(",")
                 i, k, a = int(i_str), int(k_str), float(a_str)
             except ValueError:
                 raise SpecError(f"malformed matrix row {ln!r} in {path}") from None
-            if i < 1 or k < 1 or not math.isfinite(a):
+            if not (1 <= i <= MATERIALIZE_CAP and 1 <= k <= MAX_INDEX and math.isfinite(a)):
                 raise SpecError(f"invalid matrix entry {ln!r} in {path}")
-            rows.setdefault(i, []).append((k, a))
-        entries = {}
-        for i, pairs in rows.items():
-            pairs.sort()
-            cols = np.asarray([k for k, _ in pairs], dtype=np.int64)
-            if np.unique(cols).size != cols.size:
-                raise SpecError(f"duplicate entry for row {i} in {path}")
-            coefs = np.asarray([a for _, a in pairs], dtype=float)
-            entries[i] = (cols, coefs)
-        return SummabilityMatrix("explicit", entries=entries)
+            rows.append(i)
+            cols.append(k)
+            coefs.append(a)
+        order = np.lexsort((cols, rows))
+        try:
+            return SummabilityMatrix("explicit", indptr=np.cumsum(np.bincount(rows)),
+                                     cols=np.asarray(cols)[order], coefs=np.asarray(coefs)[order])
+        except SpecError as exc:  # every line passed, so: no entries, or a duplicate
+            raise SpecError(f"{exc} in {path}" if rows else str(exc)) from None
     raise SpecError(f"unknown matrix spec {spec!r}")
 
 
-def _check_row(matrix: SummabilityMatrix, i: int, n: int) -> None:
-    if i < 1:
-        raise ValueError(f"row index must be >= 1, got {i}")
-    if matrix.kind in ("identity", "cesaro"):
-        if i > n:
-            raise TruncationError(f"row {i} needs x_{i} past truncation {n}")
-    elif matrix.kind == "riesz":
-        if i > n:
-            raise TruncationError(f"row {i} needs x_{i} past truncation {n}")
-        if i > matrix.weights.size:
-            raise TruncationError(f"riesz weights cover only {matrix.weights.size} rows, row {i} requested")
-    else:
-        if i not in matrix.entries:
+def _check_rows(matrix: SummabilityMatrix, first: int, last: int, n: int) -> None:
+    """Raise for the first row in first..last that x_1..x_n cannot feed."""
+    if first < 1:
+        raise ValueError(f"row index must be >= 1, got {first}")
+    if matrix.kind != "explicit":
+        # both limits grow with the row, so row `last` fails whenever any row does
+        if last > n:
+            raise TruncationError(f"row {last} needs x_{last} past truncation {n}")
+        if matrix.kind == "riesz" and last > matrix.weights.size:
+            raise TruncationError(f"riesz weights cover only {matrix.weights.size} rows, row {last} requested")
+        return
+    ptr, cols = matrix.indptr, matrix.cols
+    top = min(last, ptr.size - 1)  # rows past it are undefined
+    # an empty row is undefined; a row's last column is its largest
+    ends = ptr[first:top + 1]
+    bad = np.flatnonzero((ends == ptr[first - 1:top]) | (cols[ends - 1] > n))
+    i = first + int(bad[0]) if bad.size else max(first, top + 1)
+    if i <= last:
+        if i > top or ptr[i] == ptr[i - 1]:
             raise TruncationError(f"explicit matrix defines no row {i}")
-        cols, _ = matrix.entries[i]
-        if cols[-1] > n:
-            raise TruncationError(f"row {i} needs column {int(cols[-1])} past truncation {n}")
+        raise TruncationError(f"row {i} needs column {int(cols[ptr[i] - 1])} past truncation {n}")
+
+
+def _weights(matrix: SummabilityMatrix, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w_1..w_upto, running sums P_i) of a weighted mean; Cesaro has w = 1, so P_i = i exactly."""
+    if matrix.kind == "cesaro":
+        return np.ones(upto), np.arange(1.0, upto + 1)
+    return matrix.weights[:upto], np.cumsum(matrix.weights[:upto])
 
 
 def apply_row(matrix: SummabilityMatrix, x: SequencePrefix, i: int) -> float:
     """The transform value at row i: sum_k a_ik x_k over the row's support."""
-    n = len(x)
     i = int(i)
-    _check_row(matrix, i, n)
-    v = x.values
+    _check_rows(matrix, i, i, len(x))
     if matrix.kind == "identity":
-        out = float(v[i - 1])
-    elif matrix.kind == "cesaro":
-        out = math.fsum(v[:i]) / i
-    elif matrix.kind == "riesz":
-        w = matrix.weights[:i]
-        out = math.fsum(w * v[:i]) / math.fsum(w)
+        out = float(x.values[i - 1])
+    elif matrix.kind == "explicit":
+        row = slice(matrix.indptr[i - 1], matrix.indptr[i])
+        out = math.fsum(matrix.coefs[row] * x.values[matrix.cols[row] - 1])
     else:
-        cols, coefs = matrix.entries[i]
-        out = math.fsum(coefs * v[cols - 1])
+        w = _weights(matrix, i)[0]
+        out = math.fsum(w * x.values[:i]) / math.fsum(w)
     if not math.isfinite(out):
         raise ArithmeticError(f"non-finite accumulation at row {i}")
     return out
@@ -128,20 +155,19 @@ def transform_prefix(matrix: SummabilityMatrix, x: SequencePrefix, upto: int) ->
     upto = int(upto)
     if upto < 1:
         raise ValueError(f"row count must be >= 1, got {upto}")
+    _check_rows(matrix, 1, upto, len(x))
     label = f"{matrix.kind}:{x.label}" if x.label else matrix.kind
     if matrix.kind == "identity":
-        _check_row(matrix, upto, len(x))
         return SequencePrefix(x.values[:upto], label=label)
-    if matrix.kind == "cesaro":
-        _check_row(matrix, upto, len(x))
-        out = np.cumsum(x.values[:upto]) / np.arange(1, upto + 1)
+    if matrix.kind == "explicit":
+        end = matrix.indptr[upto]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
+            out = np.add.reduceat(matrix.coefs[:end] * x.values[matrix.cols[:end] - 1], matrix.indptr[:upto])
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError(f"non-finite accumulation at row {int(np.argmin(np.isfinite(out))) + 1}")
         return SequencePrefix(out, label=label)
-    if matrix.kind == "riesz":
-        _check_row(matrix, upto, len(x))
-        w = matrix.weights[:upto]
-        out = np.cumsum(w * x.values[:upto]) / np.cumsum(w)
-        return SequencePrefix(out, label=label)
-    return SequencePrefix([apply_row(matrix, x, i) for i in range(1, upto + 1)], label=label)
+    w, p = _weights(matrix, upto)
+    return SequencePrefix(np.cumsum(w * x.values[:upto]) / p, label=label)
 
 
 @dataclass(frozen=True)
@@ -157,60 +183,33 @@ class RegularityReport:
     columns_vanish: bool
 
 
-def _column_profile(matrix: SummabilityMatrix, k: int, upto: int) -> tuple[float, float]:
-    if matrix.kind == "identity":
-        peak = 1.0 if k <= upto else 0.0
-        final = 1.0 if k == upto else 0.0
-        return peak, final
-    if matrix.kind == "cesaro":
-        return (1.0 / k if k <= upto else 0.0), (1.0 / upto if k <= upto else 0.0)
-    if matrix.kind == "riesz":
-        p = np.cumsum(matrix.weights[:upto])
-        if k > upto:
-            return 0.0, 0.0
-        wk = float(matrix.weights[k - 1])
-        return wk / float(p[k - 1]), wk / float(p[-1])
-    peak = 0.0
-    final = 0.0
-    for i in range(1, upto + 1):
-        if i not in matrix.entries:
-            continue
-        cols, coefs = matrix.entries[i]
-        pos = np.searchsorted(cols, k)
-        if pos < cols.size and cols[pos] == k:
-            val = abs(float(coefs[pos]))
-            peak = max(peak, val)
-            if i == upto:
-                final = val
-    return peak, final
-
-
 def regularity_check(matrix: SummabilityMatrix, upto: int) -> RegularityReport:
     """Report sup_i sum_k |a_ik|, the row-sum -> 1 trend, and sampled column decay."""
     upto = int(upto)
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    if matrix.kind in ("identity", "cesaro", "riesz"):
-        # normalized by construction: each row's coefficients sum to exactly 1
+    # sample columns well below the truncation so the decay trend is visible
+    ks = [k for k in (1, 2, 4, 8, 16) if k <= max(1, upto // 10)]
+    if matrix.kind == "explicit":
+        _check_rows(matrix, 1, upto, MAX_INDEX)
+        starts, end = matrix.indptr[:upto], matrix.indptr[upto]
+        cols, coefs = matrix.cols[:end], matrix.coefs[:end]
+        row_sums, abs_sums = np.add.reduceat(np.stack([coefs, np.abs(coefs)]), starts, axis=1)
+        on_last = np.arange(end) >= starts[-1]
+        columns = {k: (float(np.max(np.abs(coefs[cols == k]), initial=0.0)),
+                       float(np.max(np.abs(coefs[(cols == k) & on_last]), initial=0.0))) for k in ks}
+    else:
         if matrix.kind == "riesz" and upto > matrix.weights.size:
             raise TruncationError(f"riesz weights cover only {matrix.weights.size} rows")
-        abs_sums = np.ones(upto)
-        row_sums = np.ones(upto)
-    else:
-        abs_sums = np.empty(upto)
-        row_sums = np.empty(upto)
-        for i in range(1, upto + 1):
-            if i not in matrix.entries:
-                raise TruncationError(f"explicit matrix defines no row {i}")
-            _, coefs = matrix.entries[i]
-            abs_sums[i - 1] = math.fsum(np.abs(coefs))
-            row_sums[i - 1] = math.fsum(coefs)
+        # normalized by construction: each row's coefficients sum to exactly 1
+        abs_sums = row_sums = np.ones(upto)
+        if matrix.kind == "identity":
+            columns = {k: (1.0, float(k == upto)) for k in ks}
+        else:  # a_ik = w_k / P_i with P_i = w_1 + ... + w_i
+            wts, p = _weights(matrix, upto)
+            columns = {k: (float(wts[k - 1] / p[k - 1]), float(wts[k - 1] / p[-1])) for k in ks}
     w = max(1, math.ceil(upto / 3))
-    tail = row_sums[-w:]
-    max_dev = float(np.max(np.abs(tail - 1.0)))
-    # sample columns well below the truncation so the decay trend is visible
-    ks = sorted({1, 2, 4, 8, 16} & set(range(1, max(1, upto // 10) + 1)))
-    columns = {k: _column_profile(matrix, k, upto) for k in ks}
+    max_dev = float(np.max(np.abs(row_sums[-w:] - 1.0)))
     vanish = all(final <= max(0.1 * peak, 1e-12) for peak, final in columns.values())
     return RegularityReport(
         upto=upto,

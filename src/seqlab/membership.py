@@ -54,6 +54,8 @@ class SpaceParams:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if self.limit is not None and not math.isfinite(self.limit):
+            raise ValueError(f"limit must be finite, got {self.limit}")
 
 
 @dataclass(frozen=True)

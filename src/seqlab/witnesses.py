@@ -197,6 +197,9 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
     exceedance threshold is set below the smallest plateau score at this
     truncation so every plateau position counts.
     """
+    for name, v in (("nu", nu), ("rho", rho)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if nu < 0:
         raise ValueError("plateau height nu must be >= 0")
     if rho <= 0:

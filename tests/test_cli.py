@@ -93,6 +93,45 @@ def test_non_finite_eps_exits_one(capsys, argv, eps):
     assert err.count("\n") == 1 and "eps must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["witness", "half-plateau", "--nu", "nan"], "nu"),
+    (["witness", "half-plateau", "--nu", "inf"], "nu"),
+    (["witness", "half-plateau", "--rho-value", "nan"], "rho"),
+    (["witness", "half-plateau", "--rho-value", "inf"], "rho"),
+    (["membership", "--witness", "half-plateau", "--mode", "mean", "--nu", "nan"], "nu"),
+])
+def test_non_finite_half_plateau_exits_one(capsys, argv, name):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"{name} must be finite" in err
+
+
+def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):
+    # row 2 sums two finite terms to inf; row 1 alone is fine
+    p = tmp_path / "m.csv"
+    p.write_text("i,k,a\n1,1,1\n2,1,1e300\n2,2,1e300\n" + "".join(f"{i},{i},1\n" for i in range(3, 9)))
+    code, out, err = run(capsys, ["membership", "--seq", "list:1e8,1e8,1,1,1,1,1,1", "--limit", "0",
+                                  "--mode", "mean", "--matrix", f"file:{p}",
+                                  "--theta", "explicit:1,2,3,4,5,6,7", "--blocks", "6"])
+    assert code == 1
+    assert out == ""
+    assert err == "seqlab: error: non-finite accumulation at row 2\n"
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["membership", "--seq", "const:1", "--mode", "density", "--modulus", "id", "--n", "1000"],
+    ["membership", "--seq", "const:1", "--mode", "mean", "--blocks", "6"],
+    ["witness", "extract", "--seq", "const:1", "--modulus", "id", "--n", "1000"],
+])
+def test_non_finite_limit_exits_one(capsys, argv, limit):
+    code, out, err = run(capsys, argv + ["--limit", limit])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"limit must be finite, got {limit}" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize("modulus", [[], ["--modulus", "log1p"]])
 def test_non_finite_tol_exits_one(capsys, tol, modulus):

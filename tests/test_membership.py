@@ -148,6 +148,11 @@ class TestSpaceParams:
         with pytest.raises(ValueError, match="positive and finite"):
             reduction_params(eps=eps)
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+    def test_limit_must_be_finite(self, limit):
+        with pytest.raises(ValueError, match="limit must be finite"):
+            reduction_params(limit=limit)
+
 
 class TestDensityMode:
     @pytest.mark.parametrize("matrix", ["identity", "cesaro"])

@@ -84,6 +84,12 @@ class TestHalfPlateau:
         with pytest.raises(ValueError):
             gen_half_plateau_instance(1.0, 1.0, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["nu", "rho"])
+    def test_non_finite_parameter_named(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gen_half_plateau_instance(**{"nu": 1.0, "rho": 1.0, name: bad})
+
 
 @pytest.mark.parametrize("report", ["half-plateau", "block-spike", "inclusion-probe"])
 def test_both_block_verdicts_from_one_transform(monkeypatch, report):
