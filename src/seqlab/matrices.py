@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MATERIALIZE_CAP, MAX_INDEX, SequencePrefix, read_floats, read_lines
+from .core import MAX_INDEX, SequencePrefix, read_floats, read_lines
 from .errors import SpecError, TruncationError
 
 
@@ -66,8 +66,8 @@ def make_matrix(spec: str) -> SummabilityMatrix:
     """Build a matrix from a matrix-spec string.
 
     Forms: ``identity``, ``cesaro``, ``riesz:file=PATH`` (one positive weight
-    per line), ``file:PATH`` (CSV with header ``i,k,a``; rows up to
-    core.MATERIALIZE_CAP, columns up to core.MAX_INDEX).
+    per line), ``file:PATH`` (CSV with header ``i,k,a``; rows up to the entry
+    count, as a higher row leaves some row empty; columns up to core.MAX_INDEX).
     """
     spec = spec.strip()
     if spec in ("identity", "cesaro"):
@@ -89,7 +89,7 @@ def make_matrix(spec: str) -> SummabilityMatrix:
                 i, k, a = int(i_str), int(k_str), float(a_str)
             except ValueError:
                 raise SpecError(f"malformed matrix row {ln!r} in {path}") from None
-            if not (1 <= i <= MATERIALIZE_CAP and 1 <= k <= MAX_INDEX and math.isfinite(a)):
+            if not (1 <= i < len(lines) and 1 <= k <= MAX_INDEX and math.isfinite(a)):
                 raise SpecError(f"invalid matrix entry {ln!r} in {path}")
             rows.append(i)
             cols.append(k)

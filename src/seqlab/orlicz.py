@@ -110,14 +110,7 @@ def table_family(fns: Sequence[OrliczFn], name: str = "table") -> OrliczFamily:
         return fns[i - 1]
 
     def eval_many(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        bad = (idx < 1) | (idx > len(fns))
-        if bad.any():
-            at(int(idx[np.argmax(bad)]))  # raises, naming the first bad index
-        out = np.empty(t.shape)
-        for i in np.unique(idx):
-            at_i = idx == i
-            out[at_i] = fns[i - 1](t[at_i])
-        return out
+        return np.asarray([at(int(i))(float(v)) for i, v in zip(idx, t)])
 
     return OrliczFamily("table", name, at, eval_many)
 

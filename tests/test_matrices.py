@@ -198,7 +198,7 @@ class TestMakeMatrix:
             make_matrix(f"file:{p}")
 
     @pytest.mark.parametrize("line", ["0,1,1.0", "1,0,1.0", "1,1,inf", "50000001,1,1.0",
-                                      f"1,{2 ** 63},1.0"])
+                                      "2,1,1.0", f"1,{2 ** 63},1.0"])
     def test_csv_invalid_entry(self, tmp_path, line):
         p = tmp_path / "m.csv"
         p.write_text(f"i,k,a\n{line}\n")

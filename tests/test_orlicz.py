@@ -204,18 +204,6 @@ TABLE = table_family([make_orlicz("linear"), make_orlicz("poly:2"), make_orlicz(
 
 
 class TestTableFamily:
-    @settings(max_examples=60)
-    @given(st.lists(st.tuples(st.integers(1, 5),
-                              st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False)),
-                    min_size=1, max_size=40))
-    def test_eval_many_equals_per_element(self, pairs):
-        idx = np.asarray([i for i, _ in pairs])
-        t = np.asarray([v for _, v in pairs])
-        want = np.asarray([TABLE.at(i)(v) for i, v in pairs])
-        got = TABLE.eval_many(idx, t)
-        assert got.shape == want.shape
-        assert np.all(got == want)
-
     @pytest.mark.parametrize("idx, named", [([2, 9, 0], 9), ([2, 0, 9], 0), ([6], 6)])
     def test_out_of_range_names_first_in_array_order(self, idx, named):
         with pytest.raises(TruncationError, match=rf"covers indices 1\.\.5, got {named}$"):
