@@ -1,11 +1,14 @@
 """Orlicz machinery: modulars, Luxemburg and Orlicz norms, conjugates,
 doubling-growth checks, and the block-mean norm.
 
-The modular I(x) = sum_k M_k(|x_k|) is the gauge behind both norms.  The
-Luxemburg norm is found by bisection on the scale parameter (the modular is
-monotone in it, which is what makes bisection correct); the Orlicz norm
-minimizes (1 + I(k x))/k by golden-section over a doubling bracket, and may
-legitimately be approached at the bracket edge rather than attained.
+The modular I(x) = sum_k M_k(|x_k|) is the gauge behind both norms, and each
+norm costs a handful of modular passes at any scale of x.  The Luxemburg norm
+is the root of I(x / k) = 1: convexity brackets it from one pass at
+k = max|x|, and Illinois regula falsi on (log k, log I) narrows the bracket to
+a relative width of ``tol``.  The Orlicz (Amemiya) norm minimizes
+(1 + I(k x)) / k by Brent's method in log k from a bracket a loose Luxemburg
+norm fixes; the infimum may legitimately be approached as k -> infinity
+rather than attained, which the result reports as an edge.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .modulus import (AxiomCheck, AxiomReport, Modulus, _axiom_grid, _monotone,
                       _pairwise, _vanishes_at_zero)
 
 _SLACK = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 DEFAULT_ORLICZ_GRID = np.logspace(-6.0, 2.0, 33)
 
@@ -227,52 +228,133 @@ def modular(family: OrliczFamily, x: SequencePrefix) -> float:
     return modular_report(family, x).value
 
 
-def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -> float:
-    """inf{k > 0 : modular(x / k) <= 1}, located by bisection.
+# Doubling or halving a scale more than 2^50 times past max|x| gives up.
+_SCALE_CAP = 2.0 ** 50
+_MAX_STEPS = 200
+# Loose Luxemburg tolerance behind the Orlicz norm's start: it need only be
+# an upper bound within a small factor of the norm.
+_LOOSE_TOL = 0.5
+_EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
-    The bracket is found by doubling k upward until the modular drops to 1
-    and halving downward until it rises above 1; monotonicity of the modular
-    in k guarantees a bracket whenever the norm is finite.  Raises
-    UnboundedNormError if doubling escapes its 2^50 growth cap.
+
+class _Modular:
+    """s -> sum_i M_i(s |x_i|), counting the passes it makes over x."""
+
+    __slots__ = ("family", "idx", "a", "label", "passes")
+
+    def __init__(self, family: OrliczFamily, x: SequencePrefix):
+        self.family = family
+        self.a = np.abs(x.values)
+        self.idx = np.arange(1, self.a.size + 1, dtype=np.int64)
+        self.label = x.label or "x"
+        self.passes = 0
+
+    def __call__(self, s: float) -> float:
+        self.passes += 1
+        return _modular_arrays(self.family, self.idx, self.a * s)
+
+
+def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
+    """The Luxemburg norm of ``mod``'s sequence and an upper bound hi on it
+    with modular(x / hi) <= 1, to relative tolerance ``tol``.
+
+    rho(k) = modular(x / k) is nonincreasing in k.  One pass at k0 = max|x|
+    brackets the root by convexity; Illinois regula falsi on
+    (log k, log rho) then narrows [lo, hi] (rho(lo) > 1 >= rho(hi)) until
+    hi - lo <= tol * lo.
+    """
+    k0 = float(mod.a.max())
+    lo = hi = None  # (k, rho(k))
+    k, jump = k0, True
+    while True:
+        r = mod(1.0 / k)
+        if r > 1.0:
+            lo = (k, r)
+        else:
+            hi = (k, r)
+        if lo is not None and hi is not None:
+            break
+        if jump and 0.0 < r < math.inf:
+            # M convex with M(0) = 0 gives M(t / c) <= M(t) / c for c >= 1, so the
+            # root lies between k and k * r; the pad keeps it strictly inside
+            k *= r * (1.0 + tol / 2.0 if r > 1.0 else 1.0 - tol / 2.0)
+            jump = False
+        elif hi is None:
+            k *= 2.0
+            if k > k0 * _SCALE_CAP:
+                raise UnboundedNormError(
+                    f"modular of {mod.label} never drops to 1 within scale {k0 * _SCALE_CAP:g}")
+        else:
+            k /= 2.0
+            if k < k0 / _SCALE_CAP:
+                raise UnboundedNormError(
+                    f"modular of {mod.label} never rises above 1 down to scale {k0 / _SCALE_CAP:g}")
+    (k_lo, r_lo), (k_hi, r_hi) = lo, hi
+    u_lo, u_hi = math.log(k_lo), math.log(k_hi)
+    f_lo, f_hi = math.log(r_lo), (math.log(r_hi) if r_hi > 0.0 else -math.inf)
+    # Illinois weights; each secant aims a quarter tolerance past rho = 1 on the
+    # side that moved least recently, so it lands there whatever the rounding
+    w_lo, w_hi = f_lo, f_hi
+    last_lo = r > 1.0
+    aim_lo, aim_hi = math.log1p(tol / 4.0), math.log1p(-tol / 4.0)
+    for _ in range(_MAX_STEPS):
+        if k_hi - k_lo <= tol * k_lo:
+            break
+        u = math.nan
+        if math.isfinite(w_lo) and math.isfinite(w_hi):
+            aim = aim_hi if last_lo else aim_lo
+            u = u_lo + (w_lo - aim) / (w_lo - w_hi) * (u_hi - u_lo)
+        if not u_lo < u < u_hi:
+            u = 0.5 * (u_lo + u_hi)
+            if not u_lo < u < u_hi:
+                break
+        k = math.exp(u)
+        r = mod(1.0 / k)
+        f = math.log(r) if r > 0.0 else -math.inf
+        if r > 1.0:
+            k_lo, u_lo, f_lo, w_lo = k, u, f, f
+            if last_lo:
+                w_hi /= 2.0
+            last_lo = True
+        else:
+            k_hi, u_hi, f_hi, w_hi = k, u, f, f
+            if not last_lo:
+                w_lo /= 2.0
+            last_lo = False
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        return k_hi, k_hi
+    # the interpolated root of log rho = 0 costs no further pass
+    u = u_lo + f_lo / (f_lo - f_hi) * (u_hi - u_lo)
+    return min(max(math.exp(u), k_lo), k_hi), k_hi
+
+
+def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -> float:
+    """inf{k > 0 : modular(x / k) <= 1}, to relative tolerance ``tol``.
+
+    The result k satisfies k* / (1 + tol) <= k <= k* (1 + tol) for the true
+    norm k*, at every scale of x (a tol finer than float resolution stops at
+    adjacent floats).  One modular pass at k0 = max|x| brackets
+    k* by convexity; Illinois regula falsi on (log k, log modular), exact in
+    one step for ``poly:p`` and ``linear``, narrows the bracket until its
+    width is at most tol times its lower end.  Doubling or halving takes over
+    where the modular underflows, overflows or the gauge is not convex, and
+    raises UnboundedNormError past 2^50 times max|x| either way.
     """
     check_tol(tol)
-    a = np.abs(x.values)
-    if not a.any():
+    if not np.any(x.values):
         return 0.0
-    idx = np.arange(1, len(x) + 1, dtype=np.int64)
-
-    def mval(k: float) -> float:
-        return _modular_arrays(family, idx, a / k)
-
-    hi = max(1.0, float(a.max()))
-    cap = hi * 2.0 ** 50
-    while mval(hi) > 1.0:
-        hi *= 2.0
-        if hi > cap:
-            raise UnboundedNormError(
-                f"modular of {x.label or 'x'} never drops to 1 within scale {cap:g}")
-    while hi > 1e-300 and mval(hi / 2.0) <= 1.0:
-        hi /= 2.0
-    lo = hi / 2.0
-    for _ in range(200):
-        if hi - lo <= tol * min(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if mval(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _luxemburg(_Modular(family, x), tol)[0]
 
 
 @dataclass(frozen=True)
 class OrliczNormResult:
     """Estimate of inf_k (1 + modular(k x)) / k.
 
-    ``attained`` is "interior" when the minimum sat inside the sampled
-    bracket and "edge" when the objective was still descending at the largest
-    sampled scale (the infimum is approached as k -> infinity, e.g. for a
-    linear gauge).
+    ``attained`` is "interior" when a minimizing scale was bracketed and
+    "edge" when the objective was still falling at a scale k where 1/k is
+    below its float resolution: the infimum is approached as k -> infinity,
+    as for a linear gauge.  ``iterations`` counts modular passes.
     """
 
     value: float
@@ -281,49 +363,96 @@ class OrliczNormResult:
     iterations: int
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float,
-                xtol: float, max_iter: int = 400) -> tuple[float, int]:
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = fn(c)
-    yd = fn(d)
-    evals = 2
-    while h > xtol and evals < max_iter:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = _INV_PHI * h
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
+def _brent_min(fn: Callable[[float], float], a: float, b: float, x: float, fx: float,
+               xtol: float) -> tuple[float, float]:
+    """Brent's safeguarded parabolic minimization of a unimodal ``fn`` on
+    [a, b] from an interior x with fn(x) = fx no larger than at either end;
+    stops once the bracket around the best point is within 2 xtol on each side.
+    Returns the best point and its value."""
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    for _ in range(_MAX_STEPS):
+        m = 0.5 * (a + b)
+        if max(x - a, b - x) <= 2.0 * xtol:
+            break
+        parabolic = False
+        if abs(e) > xtol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            prev, e = e, d
+            if abs(p) < abs(0.5 * q * prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                parabolic = True
+                if x + d - a < 2.0 * xtol or b - (x + d) < 2.0 * xtol:
+                    d = math.copysign(xtol, m - x)
+        if not parabolic:
+            e = (a - x) if x >= m else (b - x)
+            d = golden * e
+        u = x + (d if abs(d) >= xtol else math.copysign(xtol, d))
+        fu = fn(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, yc = c, d, yd
-            h = _INV_PHI * h
-            d = a + _INV_PHI * h
-            yd = fn(d)
-        evals += 1
-    return 0.5 * (a + b), evals
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
 
 
 def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> OrliczNormResult:
+    """The Orlicz (Amemiya) norm inf_{k > 0} (1 + modular(k x)) / k.
+
+    g(k) = (1 + modular(k x)) / k is unimodal.  A loose Luxemburg bound hi
+    starts the search: g(k) >= 1/k and g(1/hi) <= 2 hi, so no k below
+    1 / g(1/hi) can win.  Scales step up from 1/hi by factors 2, 4, 16, ...
+    until g rises, and Brent's method in log k then stops at a relative k
+    width near 0.1 sqrt(tol); the value error is quadratic in that width and
+    stays far inside ``tol``.  When g is still falling at a k with 1/k below
+    its float resolution, the result is that g(k) with ``attained="edge"``.
+    """
     check_tol(tol)
-    a = np.abs(x.values)
-    if not a.any():
+    if not np.any(x.values):
         return OrliczNormResult(0.0, None, "edge", 0)
-    idx = np.arange(1, len(x) + 1, dtype=np.int64)
+    mod = _Modular(family, x)
+    _, hi = _luxemburg(mod, _LOOSE_TOL)
 
-    def g(k: float) -> float:
-        return (1.0 + _modular_arrays(family, idx, k * a)) / k
+    def g(u: float) -> float:
+        k = math.exp(u)
+        return (1.0 + mod(k)) / k
 
-    scales = 2.0 ** np.arange(-40, 41, dtype=float)
-    gs = np.asarray([g(k) for k in scales])
-    j = int(np.argmin(gs))
-    evals = scales.size
-    if j == scales.size - 1:
-        return OrliczNormResult(float(gs[-1]), float(scales[-1]), "edge", evals)
-    left = scales[j - 1] if j > 0 else scales[0] / 4.0
-    xtol = max(1e-13, 1e-3 * tol * float(scales[j]))
-    k_opt, iters = _golden_min(g, float(left), float(scales[j + 1]), xtol)
-    return OrliczNormResult(float(g(k_opt)), float(k_opt), "interior", evals + iters + 1)
+    x_u = -math.log(hi)
+    fx = g(x_u)
+    a_u = -math.log(fx)  # every k <= 1 / g(1/hi) has g(k) >= 1/k >= g(1/hi)
+    step = math.log(2.0)
+    while True:
+        u = x_u + step
+        if u > _LOG_MAX:
+            return OrliczNormResult(fx, math.exp(x_u), "edge", mod.passes)
+        fu = g(u)
+        if fu > fx:
+            break
+        if math.exp(-u) <= _EPS * fu:
+            return OrliczNormResult(fu, math.exp(u), "edge", mod.passes)
+        a_u, x_u, fx = x_u, u, fu
+        step *= 2.0
+    best_u, value = _brent_min(g, a_u, u, x_u, fx, 0.025 * math.sqrt(tol))
+    return OrliczNormResult(value, math.exp(best_u), "interior", mod.passes)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlab import orlicz as orlicz_mod
 from seqlab.core import SequencePrefix, make_lacunary
 from seqlab.errors import SpecError, TruncationError
 from seqlab.orlicz import (OrliczFn, block_mean_norm, check_orlicz_axioms,
@@ -12,6 +13,7 @@ from seqlab.orlicz import (OrliczFn, block_mean_norm, check_orlicz_axioms,
                            luxemburg_norm, make_family, make_orlicz, make_rho,
                            modular, modular_report, orlicz_norm, table_family,
                            uniform_family, weighted_family)
+from seqlab.sequences import make_sequence
 
 POLY2 = uniform_family(make_orlicz("poly:2"))
 LINEAR = uniform_family(make_orlicz("linear"))
@@ -128,6 +130,13 @@ class TestOrliczNorm:
         assert res.attained == "interior"
         assert res.scale == pytest.approx(0.2, abs=1e-4)
 
+    @pytest.mark.parametrize("s", [1e-15, 1e15, 1e-200, 1e200])
+    def test_poly2_closed_form_far_from_one(self, s):
+        res = orlicz_norm(POLY2, SequencePrefix(np.asarray([3.0 * s, 4.0 * s])))
+        assert res.value == pytest.approx(10.0 * s, rel=1e-12)
+        assert res.attained == "interior"
+        assert res.scale == pytest.approx(0.2 / s, rel=1e-4)
+
     def test_zero_vector_edge(self):
         res = orlicz_norm(POLY2, SequencePrefix(np.zeros(4)))
         assert res.value == 0.0
@@ -148,6 +157,100 @@ class TestOrliczNorm:
         lux = luxemburg_norm(POLY2, x, tol=tol)
         orl = orlicz_norm(POLY2, x, tol=tol)
         assert lux <= orl.value + tol
+
+
+GAUGES = {"poly:2": POLY2, "explog": EXPLOG, "linear": LINEAR}
+
+
+def norm_value(kind, family, x):
+    if kind == "luxemburg":
+        return luxemburg_norm(family, x)
+    return orlicz_norm(family, x).value
+
+
+class TestScaleFree:
+    @settings(max_examples=60, deadline=None)
+    @given(vals=small_vec, exponent=st.floats(min_value=-200.0, max_value=200.0),
+           negative=st.booleans())
+    @pytest.mark.parametrize("kind", ["luxemburg", "orlicz"])
+    @pytest.mark.parametrize("gauge", sorted(GAUGES))
+    def test_homogeneity_at_every_scale(self, gauge, kind, vals, exponent, negative):
+        x = np.asarray(vals)
+        if not np.any(x):
+            return
+        c = (-1.0 if negative else 1.0) * 10.0 ** exponent
+        base = norm_value(kind, GAUGES[gauge], SequencePrefix(x))
+        scaled = norm_value(kind, GAUGES[gauge], SequencePrefix(c * x))
+        assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(vals=small_vec)
+    @pytest.mark.parametrize("gauge", sorted(GAUGES))
+    def test_luxemburg_orlicz_order(self, gauge, vals):
+        x = SequencePrefix(np.asarray(vals))
+        if not np.any(x.values):
+            return
+        lux = luxemburg_norm(GAUGES[gauge], x, tol=1e-8)
+        orl = orlicz_norm(GAUGES[gauge], x, tol=1e-6).value
+        assert lux * (1.0 - 1e-8) <= orl <= 2.0 * lux * (1.0 + 1e-6)
+
+    def test_linear_edge_at_scale(self):
+        x = make_sequence("alt:1,-2", 100_000)
+        res = orlicz_norm(LINEAR, x)
+        assert res.attained == "edge"
+        assert res.value == pytest.approx(150_000.0, rel=1e-12)
+
+    def test_weighted_poly2_closed_form(self):
+        w = np.linspace(0.5, 2.0, 1000)
+        family = weighted_family(make_orlicz("poly:2"), lambda idx: w[idx - 1])
+        x = make_sequence("alt:1.5,-0.25", 1000)
+        want = math.sqrt(math.fsum(w * x.values ** 2))
+        assert orlicz_norm(family, x).value == pytest.approx(2.0 * want, rel=1e-9)
+        assert luxemburg_norm(family, x) == pytest.approx(want, rel=1e-12)
+
+
+class TestPassCounts:
+    """Modular passes per norm stay few and do not depend on the values, so
+    runs over drawn values repeat the same work."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        eval_many = orlicz_mod.OrliczFamily.eval_many
+
+        def counted(self, idx, t):
+            count[0] += 1
+            return eval_many(self, idx, t)
+
+        monkeypatch.setattr(orlicz_mod.OrliczFamily, "eval_many", counted)
+
+        def run(kind, family, x):
+            count[0] = 0
+            norm_value(kind, family, x)
+            return count[0]
+
+        return run
+
+    @pytest.mark.parametrize("kind, limit", [("luxemburg", 8), ("orlicz", 25)])
+    @pytest.mark.parametrize("gauge", sorted(GAUGES))
+    def test_alt_values(self, passes, gauge, kind, limit):
+        rng = np.random.default_rng(7)
+        draws = [(1.0, -2.0), (1.01, -2.02), (1.0, -2.02), (1.01, -2.0)]
+        draws += [(round(rng.uniform(1.0, 1.01), 5), round(rng.uniform(-2.02, -2.0), 5))
+                  for _ in range(4)]
+        counts = {passes(kind, GAUGES[gauge], make_sequence(f"alt:{a},{b}", 100_000))
+                  for a, b in draws}
+        assert len(counts) == 1 and counts.pop() <= limit
+
+    @pytest.mark.parametrize("kind, limit", [("luxemburg", 8), ("orlicz", 25)])
+    def test_ladder(self, passes, kind, limit):
+        rng = np.random.default_rng(8)
+        counts = set()
+        for s in (1e-200, 1e-15, 1e-6, 1.0, 1e6, 1e15, 1e200):
+            for u in [1.0, 1.05] + [round(rng.uniform(1.0, 1.05), 4) for _ in range(3)]:
+                x = SequencePrefix(np.asarray([float(f"{3 * u * s:.12g}"), float(f"{4 * u * s:.12g}")]))
+                counts.add(passes(kind, POLY2, x))
+        assert len(counts) == 1 and counts.pop() <= limit
 
 
 class TestComplementary:
