@@ -235,18 +235,25 @@ _MAX_STEPS = 200
 # an upper bound within a small factor of the norm.
 _LOOSE_TOL = 0.5
 _EPS = float(np.finfo(float).eps)
-_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 class _Modular:
-    """s -> sum_i M_i(s |x_i|), counting the passes it makes over x."""
+    """s -> sum_i M_i(s |x_i| / unit) with unit = max|x|, counting the passes
+    it makes over x.
 
-    __slots__ = ("family", "idx", "a", "label", "passes")
+    Both norms are solved for x / unit and scaled back: the change of
+    variable k -> k / unit is exact for any family and keeps every scale the
+    solvers visit near 1, whatever the magnitude of x.
+    """
+
+    __slots__ = ("family", "idx", "a", "unit", "label", "passes")
 
     def __init__(self, family: OrliczFamily, x: SequencePrefix):
+        a = np.abs(x.values)
         self.family = family
-        self.a = np.abs(x.values)
-        self.idx = np.arange(1, self.a.size + 1, dtype=np.int64)
+        self.unit = float(a.max())
+        self.a = a / self.unit
+        self.idx = np.arange(1, a.size + 1, dtype=np.int64)
         self.label = x.label or "x"
         self.passes = 0
 
@@ -256,15 +263,15 @@ class _Modular:
 
 
 def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
-    """The Luxemburg norm of ``mod``'s sequence and an upper bound hi on it
-    with modular(x / hi) <= 1, to relative tolerance ``tol``.
+    """The Luxemburg norm of x / unit and an upper bound hi on it with
+    modular(x / (unit hi)) <= 1, to relative tolerance ``tol``.
 
-    rho(k) = modular(x / k) is nonincreasing in k.  One pass at k0 = max|x|
-    brackets the root by convexity; Illinois regula falsi on
+    rho(k) = modular(x / (unit k)) is nonincreasing in k.  One pass at
+    k0 = 1 brackets the root by convexity; Illinois regula falsi on
     (log k, log rho) then narrows [lo, hi] (rho(lo) > 1 >= rho(hi)) until
     hi - lo <= tol * lo.
     """
-    k0 = float(mod.a.max())
+    k0 = 1.0
     lo = hi = None  # (k, rho(k))
     k, jump = k0, True
     while True:
@@ -284,12 +291,12 @@ def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
             k *= 2.0
             if k > k0 * _SCALE_CAP:
                 raise UnboundedNormError(
-                    f"modular of {mod.label} never drops to 1 within scale {k0 * _SCALE_CAP:g}")
+                    f"modular of {mod.label} never drops to 1 within scale {mod.unit * _SCALE_CAP:g}")
         else:
             k /= 2.0
             if k < k0 / _SCALE_CAP:
                 raise UnboundedNormError(
-                    f"modular of {mod.label} never rises above 1 down to scale {k0 / _SCALE_CAP:g}")
+                    f"modular of {mod.label} never rises above 1 down to scale {mod.unit / _SCALE_CAP:g}")
     (k_lo, r_lo), (k_hi, r_hi) = lo, hi
     u_lo, u_hi = math.log(k_lo), math.log(k_hi)
     f_lo, f_hi = math.log(r_lo), (math.log(r_hi) if r_hi > 0.0 else -math.inf)
@@ -344,7 +351,8 @@ def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -
     check_tol(tol)
     if not np.any(x.values):
         return 0.0
-    return _luxemburg(_Modular(family, x), tol)[0]
+    mod = _Modular(family, x)
+    return mod.unit * _luxemburg(mod, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -442,17 +450,15 @@ def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> O
     step = math.log(2.0)
     while True:
         u = x_u + step
-        if u > _LOG_MAX:
-            return OrliczNormResult(fx, math.exp(x_u), "edge", mod.passes)
         fu = g(u)
         if fu > fx:
             break
         if math.exp(-u) <= _EPS * fu:
-            return OrliczNormResult(fu, math.exp(u), "edge", mod.passes)
+            return OrliczNormResult(mod.unit * fu, math.exp(u) / mod.unit, "edge", mod.passes)
         a_u, x_u, fx = x_u, u, fu
         step *= 2.0
     best_u, value = _brent_min(g, a_u, u, x_u, fx, 0.025 * math.sqrt(tol))
-    return OrliczNormResult(value, math.exp(best_u), "interior", mod.passes)
+    return OrliczNormResult(mod.unit * value, math.exp(best_u) / mod.unit, "interior", mod.passes)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,16 @@ class TestScaleFree:
         orl = orlicz_norm(GAUGES[gauge], x, tol=1e-6).value
         assert lux * (1.0 - 1e-8) <= orl <= 2.0 * lux * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("vals, gauge, lux, orl", [
+        ([1e-300, 2e-300], "linear", 3e-300, 3e-300),
+        ([5e-324], "poly:2", 5e-324, 1e-323),
+        ([1e300, -1e300], "poly:2", math.sqrt(2.0) * 1e300, 2.0 * math.sqrt(2.0) * 1e300),
+    ])
+    def test_closed_forms_at_float_extremes(self, vals, gauge, lux, orl):
+        x = SequencePrefix(np.asarray(vals))
+        assert luxemburg_norm(GAUGES[gauge], x) == pytest.approx(lux, rel=1e-12)
+        assert orlicz_norm(GAUGES[gauge], x).value == pytest.approx(orl, rel=1e-12)
+
     def test_linear_edge_at_scale(self):
         x = make_sequence("alt:1,-2", 100_000)
         res = orlicz_norm(LINEAR, x)
