@@ -29,24 +29,47 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _nonblank_lines(text: str, path: Path, what: str) -> list[str]:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise SpecError(f"empty {what} file {path}")
+    return lines
+
+
 def read_lines(path: str | Path, what: str) -> list[str]:
     """The stripped nonblank lines of a spec file holding ``what`` values.
 
     An unreadable (or not UTF-8) or empty file is a SpecError naming the file.
     """
     path = Path(path)
-    try:
-        lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
-    if not lines:
-        raise SpecError(f"empty {what} file {path}")
-    return lines
+    return _nonblank_lines(_read_text(path, what), path, what)
 
 
 def read_floats(path: str | Path, what: str) -> np.ndarray:
-    """A spec file of one real number per line, as a float array."""
-    lines = read_lines(path, what)
+    """A spec file of one real number per line, as a float array.
+
+    When every whitespace character is a line break, the whitespace tokens
+    are exactly the stripped nonblank lines, and numpy parses them in bulk
+    with Python's own float syntax.  Any other file, or any token numpy
+    rejects, takes the line-by-line path, which words every error.
+    """
+    file = Path(path)
+    text = _read_text(file, what)
+    tokens = text.split()
+    if tokens and len(text) - sum(map(len, tokens)) == text.count("\n") + text.count("\r"):
+        try:
+            return np.array(tokens, dtype=float)
+        except ValueError:
+            pass
+    del tokens  # never held together with the line list
+    lines = _nonblank_lines(text, file, what)
     try:
         return np.asarray([float(ln) for ln in lines])
     except ValueError:

@@ -267,13 +267,12 @@ def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
     modular(x / (unit hi)) <= 1, to relative tolerance ``tol``.
 
     rho(k) = modular(x / (unit k)) is nonincreasing in k.  One pass at
-    k0 = 1 brackets the root by convexity; Illinois regula falsi on
+    k = 1 brackets the root by convexity; Illinois regula falsi on
     (log k, log rho) then narrows [lo, hi] (rho(lo) > 1 >= rho(hi)) until
     hi - lo <= tol * lo.
     """
-    k0 = 1.0
     lo = hi = None  # (k, rho(k))
-    k, jump = k0, True
+    k, jump = 1.0, True
     while True:
         r = mod(1.0 / k)
         if r > 1.0:
@@ -289,12 +288,12 @@ def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
             jump = False
         elif hi is None:
             k *= 2.0
-            if k > k0 * _SCALE_CAP:
+            if k > _SCALE_CAP:
                 raise UnboundedNormError(
                     f"modular of {mod.label} never drops to 1 within scale {mod.unit * _SCALE_CAP:g}")
         else:
             k /= 2.0
-            if k < k0 / _SCALE_CAP:
+            if k < 1.0 / _SCALE_CAP:
                 raise UnboundedNormError(
                     f"modular of {mod.label} never rises above 1 down to scale {mod.unit / _SCALE_CAP:g}")
     (k_lo, r_lo), (k_hi, r_hi) = lo, hi

@@ -309,6 +309,8 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme,
     exactly 1/h_r^alpha.  Requires an unbounded, strictly increasing gauge;
     a bounded one cannot satisfy the height inequality and raises.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     if not 0.0 < alpha <= 1.0:

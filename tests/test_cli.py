@@ -107,6 +107,14 @@ def test_non_finite_half_plateau_exits_one(capsys, argv, name):
     assert err.count("\n") == 1 and f"{name} must be finite" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_block_spike_rho_exits_one(capsys, bad):
+    code, out, err = run(capsys, ["witness", "block-spike", "--rho-value", bad])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"rho must be finite, got {bad}" in err
+
+
 def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):
     # row 2 sums two finite terms to inf; row 1 alone is fine
     p = tmp_path / "m.csv"

@@ -6,12 +6,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import (MATERIALIZE_CAP, MAX_INDEX, IndexSet, SequencePrefix,
-                         block_of, complement, make_index_set, make_lacunary)
+                         block_of, complement, make_index_set, make_lacunary,
+                         read_floats)
 from seqlab.errors import SpecError, TruncationError
 
 
 def brute_count(members, n):
     return sum(1 for m in members if m <= n)
+
+
+def per_line_floats(text):
+    return [float(ln.strip()) for ln in text.splitlines() if ln.strip()]
+
+
+class TestReadFloats:
+    @pytest.mark.parametrize("text", [
+        "1\n2.5\n", "1\r\n2\r\n-3e-2", "1_000\ninf\n-0\nnan\n", "\u0661\u0662\n",
+        "  1\n\n 2 \n", "1\t\n\x0c2\n", "\n\n7\n\n",
+    ])
+    def test_matches_per_line_parse(self, tmp_path, text):
+        path = tmp_path / "v.txt"
+        path.write_text(text, newline="")
+        got = read_floats(path, "weight")
+        np.testing.assert_array_equal(got, per_line_floats(text))
+        assert got.dtype == np.float64
+
+    @settings(max_examples=40)
+    @given(vals=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20),
+           pads=st.lists(st.sampled_from(["", " ", "\t", "\n", "\r\n"]), min_size=20, max_size=20))
+    def test_any_padding_matches_per_line_parse(self, tmp_path_factory, vals, pads):
+        text = "".join(f"{p}{v!r}\n" for p, v in zip(pads, vals))
+        path = tmp_path_factory.mktemp("floats") / "v.txt"
+        path.write_text(text, newline="")
+        assert read_floats(path, "weight").tolist() == per_line_floats(text)
+
+    @pytest.mark.parametrize("text", ["1\ntwo\n", "1 2\n", "1\n0x10\n", "1\x002\n"])
+    def test_non_numeric_names_the_path_as_given(self, tmp_path, monkeypatch, text):
+        (tmp_path / "v.txt").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SpecError, match=r"^non-numeric rho value in \./v\.txt$"):
+            read_floats("./v.txt", "rho")
+
+    def test_empty(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text(" \n\n")
+        with pytest.raises(SpecError, match=f"^empty rho file {path}$"):
+            read_floats(path, "rho")
 
 
 class TestMakeIndexSet:

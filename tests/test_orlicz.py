@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqlab import orlicz as orlicz_mod
 from seqlab.core import SequencePrefix, make_lacunary
-from seqlab.errors import SpecError, TruncationError
+from seqlab.errors import SpecError, TruncationError, UnboundedNormError
 from seqlab.orlicz import (OrliczFn, block_mean_norm, check_orlicz_axioms,
                            complementary, const_rho, delta2_check,
                            luxemburg_norm, make_family, make_orlicz, make_rho,
@@ -85,6 +85,11 @@ class TestLuxemburg:
 
     def test_zero_vector(self):
         assert luxemburg_norm(POLY2, SequencePrefix(np.zeros(3))) == 0.0
+
+    def test_modular_bounded_below_hits_growth_cap(self):
+        shifted = uniform_family(OrliczFn("1+t", lambda t: 1.0 + t))
+        with pytest.raises(UnboundedNormError, match="never drops to 1 within scale 4.5036e"):
+            luxemburg_norm(shifted, SequencePrefix(np.asarray([3.0, 4.0])))
 
     def test_linear_is_absolute_sum(self):
         x = SequencePrefix(np.asarray([1.0, 2.0, 3.0]))

@@ -138,6 +138,11 @@ class TestBlockSpike:
         with pytest.raises(GenerationError):
             gen_block_spike_instance(sat, make_lacunary("powers2", 8))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rho_named(self, bad):
+        with pytest.raises(ValueError, match=f"^rho must be finite, got {bad}$"):
+            gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 8), rho=bad)
+
 
 class TestWitnessExtraction:
     def test_spike_on_squares(self):
