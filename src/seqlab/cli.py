@@ -247,7 +247,9 @@ def _cmd_norm(args) -> dict:
         return _report("norm", inputs, {"value": luxemburg_norm(family, x, tol)})
     tol = args.tol if args.tol is not None else 1e-6
     inputs["tol"] = tol
-    return _report("norm", inputs, orlicz_norm(family, x, tol))
+    res = orlicz_norm(family, x, tol)
+    past = res.scale is None and res.value > 0  # x = 0 has no scale either
+    return _report("norm", inputs, res, ["the minimizing scale k lies past the float range"] if past else [])
 
 
 def _cmd_witness(args) -> dict:

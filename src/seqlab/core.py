@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,51 +30,78 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
-
-
-def _nonblank_lines(text: str, path: Path, what: str) -> list[str]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SpecError(f"empty {what} file {path}")
-    return lines
-
-
 def read_lines(path: str | Path, what: str) -> list[str]:
     """The stripped nonblank lines of a spec file holding ``what`` values.
 
     An unreadable (or not UTF-8) or empty file is a SpecError naming the file.
     """
     path = Path(path)
-    return _nonblank_lines(_read_text(path, what), path, what)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {what} file {path}: {exc}") from None
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise SpecError(f"empty {what} file {path}")
+    return lines
+
+
+# The ASCII line breaks of str.splitlines that numpy's reader takes for spaces.
+_SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e"
+
+
+def _has_header(path: str | Path, columns: dict) -> bool:
+    """Whether an ASCII file's first line names ``columns`` and no line break
+    splits a row for str.splitlines but not for numpy.  (In one column such a
+    break splits a token, which numpy rejects, or sits at its edge, where both
+    readers drop it.)"""
+    data = Path(path).read_bytes()
+    head = ",".join(columns).encode()
+    return (data.startswith((head + b"\n", head + b"\r\n")) and data.isascii()
+            and not any(brk in data for brk in _SPLITLINES_ONLY))
+
+
+def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
+               valid: Callable[..., bool] = lambda *cols: True) -> tuple:
+    """The columns of a comma-separated numeric spec file, by numpy's C parser.
+
+    ``columns`` maps names to dtypes; a file of several starts with a header
+    line naming them.  Unless the whole file parses into exactly those
+    columns, with no error or warning, and ``valid`` accepts them, this is
+    ``per_line()``: the line-by-line reader, which words every error.  The C
+    parser takes a subset of what int() and float() take, to the same values.
+    """
+    cols = None
+    try:
+        header = len(columns) > 1
+        if not header or _has_header(path, columns):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(path, dtype=list(columns.items()), delimiter=",", comments=None,
+                                   quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(header))
+            cols = tuple(table[name] for name in columns)
+    except Exception:
+        pass
+    return cols if cols is not None and valid(*cols) else per_line()
+
+
+def read_numbers(path: str | Path, what: str, error: str, kind: type = float):
+    """The numbers of a spec file of one ``kind`` (float or int) per line, as
+    an array or, line by line, a list; a line ``kind`` rejects is ``error``."""
+
+    def per_line():
+        lines = read_lines(path, what)
+        try:
+            return [kind(ln) for ln in lines],
+        except ValueError:
+            raise SpecError(error) from None
+
+    return read_table(path, {"value": np.float64 if kind is float else np.int64}, per_line)[0]
 
 
 def read_floats(path: str | Path, what: str) -> np.ndarray:
-    """A spec file of one real number per line, as a float array.
-
-    When every whitespace character is a line break, the whitespace tokens
-    are exactly the stripped nonblank lines, and numpy parses them in bulk
-    with Python's own float syntax.  Any other file, or any token numpy
-    rejects, takes the line-by-line path, which words every error.
-    """
-    file = Path(path)
-    text = _read_text(file, what)
-    tokens = text.split()
-    if tokens and len(text) - sum(map(len, tokens)) == text.count("\n") + text.count("\r"):
-        try:
-            return np.array(tokens, dtype=float)
-        except ValueError:
-            pass
-    del tokens  # never held together with the line list
-    lines = _nonblank_lines(text, file, what)
-    try:
-        return np.asarray([float(ln) for ln in lines])
-    except ValueError:
-        raise SpecError(f"non-numeric {what} value in {path}") from None
+    """A spec file of one real number per line, as a float array."""
+    return np.asarray(read_numbers(path, what, f"non-numeric {what} value in {path}"))
 
 
 def parse_kv(body: str, what: str) -> dict[str, str]:
@@ -241,12 +269,8 @@ def make_index_set(spec: str) -> IndexSet:
         return IndexSet.from_members(spec, items)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        lines = read_lines(path, "index")
-        try:
-            items = [int(ln) for ln in lines]
-        except ValueError:
-            raise SpecError(f"non-integer entry in index file {path}") from None
-        return IndexSet.from_members(spec, items)
+        return IndexSet.from_members(spec, read_numbers(path, "index",
+                                                        f"non-integer entry in index file {path}", int))
     raise SpecError(f"unknown set spec {spec!r}")
 
 
@@ -346,7 +370,8 @@ def make_lacunary(spec: str, blocks: int | None = None) -> LacunaryScheme:
             body = spec[len("explicit:"):]
             tokens = [tok for tok in body.split(",") if tok.strip()]
         else:
-            tokens = read_lines(spec[len("file:"):], "theta")
+            tokens = list(map(int, read_numbers(spec[len("file:"):], "theta",
+                                                f"non-integer cut in theta spec {spec!r}", int)))
         if not tokens:
             raise SpecError(f"no cuts in theta spec {spec!r}")
         try:

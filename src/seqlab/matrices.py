@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_INDEX, SequencePrefix, read_floats, read_lines
+from .core import MAX_INDEX, SequencePrefix, read_floats, read_lines, read_table
 from .errors import SpecError, TruncationError
 
 
@@ -79,27 +79,34 @@ def make_matrix(spec: str) -> SummabilityMatrix:
         return SummabilityMatrix("riesz", weights=read_floats(body[len("file="):], "riesz weight"))
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        lines = read_lines(path, "matrix")
-        if [t.strip() for t in lines[0].split(",")] != ["i", "k", "a"]:
-            raise SpecError(f"matrix file {path} must start with header 'i,k,a'")
-        rows, cols, coefs = [], [], []
-        for ln in lines[1:]:
-            try:
-                i_str, k_str, a_str = ln.split(",")
-                i, k, a = int(i_str), int(k_str), float(a_str)
-            except ValueError:
-                raise SpecError(f"malformed matrix row {ln!r} in {path}") from None
-            if not (1 <= i < len(lines) and 1 <= k <= MAX_INDEX and math.isfinite(a)):
-                raise SpecError(f"invalid matrix entry {ln!r} in {path}")
-            rows.append(i)
-            cols.append(k)
-            coefs.append(a)
+
+        def per_line():
+            lines = read_lines(path, "matrix")
+            if [t.strip() for t in lines[0].split(",")] != ["i", "k", "a"]:
+                raise SpecError(f"matrix file {path} must start with header 'i,k,a'")
+            rows, cols, coefs = [], [], []
+            for ln in lines[1:]:
+                try:
+                    i_str, k_str, a_str = ln.split(",")
+                    i, k, a = int(i_str), int(k_str), float(a_str)
+                except ValueError:
+                    raise SpecError(f"malformed matrix row {ln!r} in {path}") from None
+                if not (1 <= i < len(lines) and 1 <= k <= MAX_INDEX and math.isfinite(a)):
+                    raise SpecError(f"invalid matrix entry {ln!r} in {path}")
+                rows.append(i)
+                cols.append(k)
+                coefs.append(a)
+            return rows, cols, coefs
+
+        rows, cols, coefs = read_table(path, {"i": np.int64, "k": np.int64, "a": np.float64}, per_line,
+                                       lambda i, k, a: 1 <= i.min() and i.max() <= i.size
+                                       and k.min() >= 1 and np.isfinite(a).all())
         order = np.lexsort((cols, rows))
         try:
             return SummabilityMatrix("explicit", indptr=np.cumsum(np.bincount(rows)),
                                      cols=np.asarray(cols)[order], coefs=np.asarray(coefs)[order])
         except SpecError as exc:  # every line passed, so: no entries, or a duplicate
-            raise SpecError(f"{exc} in {path}" if rows else str(exc)) from None
+            raise SpecError(f"{exc} in {path}" if len(rows) else str(exc)) from None
     raise SpecError(f"unknown matrix spec {spec!r}")
 
 

@@ -261,6 +261,12 @@ class _Modular:
         self.passes += 1
         return _modular_arrays(self.family, self.idx, self.a * s)
 
+    def scale_back(self, norm: float) -> float:
+        """unit * norm, the norm of x; past the float range it is an OverflowError."""
+        if not math.isfinite(self.unit * norm):
+            raise OverflowError(f"norm of {self.label} overflows the float range: {self.unit:g} * {norm:g}")
+        return self.unit * norm
+
 
 def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
     """The Luxemburg norm of x / unit and an upper bound hi on it with
@@ -351,17 +357,18 @@ def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -
     if not np.any(x.values):
         return 0.0
     mod = _Modular(family, x)
-    return mod.unit * _luxemburg(mod, tol)[0]
+    return mod.scale_back(_luxemburg(mod, tol)[0])
 
 
 @dataclass(frozen=True)
 class OrliczNormResult:
     """Estimate of inf_k (1 + modular(k x)) / k.
 
-    ``attained`` is "interior" when a minimizing scale was bracketed and
-    "edge" when the objective was still falling at a scale k where 1/k is
-    below its float resolution: the infimum is approached as k -> infinity,
-    as for a linear gauge.  ``iterations`` counts modular passes.
+    ``scale`` is the minimizing k, or None when x = 0 or k lies past the
+    float range.  ``attained`` is "interior" when a minimizing scale was
+    bracketed and "edge" when the objective was still falling at a scale k
+    where 1/k is below its float resolution: the infimum is approached as
+    k -> infinity, as for a linear gauge.  ``iterations`` counts modular passes.
     """
 
     value: float
@@ -446,18 +453,20 @@ def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> O
     x_u = -math.log(hi)
     fx = g(x_u)
     a_u = -math.log(fx)  # every k <= 1 / g(1/hi) has g(k) >= 1/k >= g(1/hi)
-    step = math.log(2.0)
+    step, attained = math.log(2.0), "edge"
     while True:
         u = x_u + step
         fu = g(u)
         if fu > fx:
+            u, fu = _brent_min(g, a_u, u, x_u, fx, 0.025 * math.sqrt(tol))
+            attained = "interior"
             break
         if math.exp(-u) <= _EPS * fu:
-            return OrliczNormResult(mod.unit * fu, math.exp(u) / mod.unit, "edge", mod.passes)
+            break
         a_u, x_u, fx = x_u, u, fu
         step *= 2.0
-    best_u, value = _brent_min(g, a_u, u, x_u, fx, 0.025 * math.sqrt(tol))
-    return OrliczNormResult(mod.unit * value, math.exp(best_u) / mod.unit, "interior", mod.passes)
+    scale = math.exp(u) / mod.unit
+    return OrliczNormResult(mod.scale_back(fu), scale if math.isfinite(scale) else None, attained, mod.passes)
 
 
 @dataclass(frozen=True)

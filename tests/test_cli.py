@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,52 @@ def test_bad_spec_file_exits_one(capsys, tmp_path, spec, fault):
     assert out == ""
     assert err.count("\n") == 1 and str(path) in err
     assert any(phrase in err for phrase in FILE_FAULTS[fault])
+
+
+DEGENERATE_FILES = [(spec, text) for spec in sorted(FILE_SPECS) + ["seq"] for text in ("", " \n\t\n")]
+DEGENERATE_FILES += [("matrix", "i,k,a\n"), ("seq", "i,value\n")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, text", DEGENERATE_FILES)
+def test_degenerate_spec_file_exits_one_with_one_line(capsys, tmp_path, spec, text):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    argv = (FILE_SPECS[spec](path) if spec in FILE_SPECS
+            else ["norm", "--kind", "luxemburg", "--orlicz", "poly:2", "--seq", f"file:{path}"])
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("seqlab: error: ")
+
+
+def test_empty_spec_file_under_warnings_as_errors(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "seqlab.cli", "norm", "--kind", "luxemburg",
+         "--seq", "list:3,4", "--orlicz", f"weighted:base=poly:2,weights=file:{path}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"seqlab: error: empty weight file {path}\n"
+
+
+def test_norm_past_the_float_range_exits_one(capsys):
+    code, out, err = run(capsys, ["norm", "--kind", "luxemburg", "--orlicz", "explog",
+                                  "--seq", "list:1.7e308"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "overflows the float range" in err
+
+
+def test_orlicz_scale_past_the_float_range_is_null(capsys):
+    payload = run_json(capsys, ["norm", "--kind", "orlicz", "--orlicz", "poly:2",
+                                "--seq", "list:5e-324"])
+    assert payload["results"]["value"] == 1e-323
+    assert payload["results"]["scale"] is None
+    assert payload["warnings"] == ["the minimizing scale k lies past the float range"]
 
 
 def test_truncation_past_int64_exits_one(capsys):

@@ -209,6 +209,19 @@ class TestScaleFree:
         assert luxemburg_norm(GAUGES[gauge], x) == pytest.approx(lux, rel=1e-12)
         assert orlicz_norm(GAUGES[gauge], x).value == pytest.approx(orl, rel=1e-12)
 
+    def test_norm_past_the_float_range_raises(self):
+        x = SequencePrefix(np.asarray([1.7e308]))  # the Luxemburg norm is 1.7e308 / ln 2
+        with pytest.raises(OverflowError, match="^norm of x overflows the float range: 1.7e"):
+            luxemburg_norm(EXPLOG, x)
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            orlicz_norm(POLY2, SequencePrefix(np.asarray([1e308])))  # 2e308
+
+    def test_scale_past_the_float_range_is_none(self):
+        res = orlicz_norm(POLY2, SequencePrefix(np.asarray([5e-324])))  # k* = 1 / 5e-324
+        assert res.value == 1e-323
+        assert res.scale is None and res.attained == "interior"
+        assert orlicz_norm(POLY2, SequencePrefix(np.asarray([0.0]))).scale is None
+
     def test_linear_edge_at_scale(self):
         x = make_sequence("alt:1,-2", 100_000)
         res = orlicz_norm(LINEAR, x)
