@@ -70,6 +70,7 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
     columns, with no error or warning, and ``valid`` accepts them, this is
     ``per_line()``: the line-by-line reader, which words every error.  The C
     parser takes a subset of what int() and float() take, to the same values.
+    Warnings are trapped process-wide, so parse from one thread at a time.
     """
     cols = None
     try:
@@ -80,7 +81,7 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
                 table = np.loadtxt(path, dtype=list(columns.items()), delimiter=",", comments=None,
                                    quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(header))
             cols = tuple(table[name] for name in columns)
-    except Exception:
+    except (OSError, ValueError, ArithmeticError, Warning):
         pass
     return cols if cols is not None and valid(*cols) else per_line()
 

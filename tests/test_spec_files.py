@@ -58,7 +58,7 @@ def outcome(reader, path):
 
 
 def per_line_outcome(reader, path):
-    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("C parser disabled")):
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("C parser disabled")):
         return outcome(reader, path)
 
 
