@@ -371,8 +371,8 @@ def make_lacunary(spec: str, blocks: int | None = None) -> LacunaryScheme:
             body = spec[len("explicit:"):]
             tokens = [tok for tok in body.split(",") if tok.strip()]
         else:
-            tokens = list(map(int, read_numbers(spec[len("file:"):], "theta",
-                                                f"non-integer cut in theta spec {spec!r}", int)))
+            path = spec[len("file:"):]
+            tokens = list(read_numbers(path, "theta", f"non-integer cut in theta spec {spec!r}", int))
         if not tokens:
             raise SpecError(f"no cuts in theta spec {spec!r}")
         try:

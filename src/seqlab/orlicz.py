@@ -453,7 +453,8 @@ def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> O
     x_u = -math.log(hi)
     fx = g(x_u)
     a_u = -math.log(fx)  # every k <= 1 / g(1/hi) has g(k) >= 1/k >= g(1/hi)
-    step, attained = math.log(2.0), "edge"
+    step = math.log(2.0)
+    attained = "edge"
     while True:
         u = x_u + step
         fu = g(u)
