@@ -72,7 +72,6 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
     parser takes a subset of what int() and float() take, to the same values.
     Warnings are trapped process-wide, so parse from one thread at a time.
     """
-    cols = None
     try:
         header = len(columns) > 1
         if not header or _has_header(path, columns):
@@ -81,9 +80,11 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
                 table = np.loadtxt(path, dtype=list(columns.items()), delimiter=",", comments=None,
                                    quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(header))
             cols = tuple(table[name] for name in columns)
+            if valid(*cols):
+                return cols
     except (OSError, ValueError, ArithmeticError, Warning):
         pass
-    return cols if cols is not None and valid(*cols) else per_line()
+    return per_line()
 
 
 def read_numbers(path: str | Path, what: str, error: str, kind: type = float):

@@ -137,6 +137,9 @@ def test_bulk_reader_matches_per_line_reader(tmp_path_factory, reader, data):
     ("matrix", "i,k,a\n1,1,-inf\n"),
     ("matrix", "i,k,a\n1,1,1.0\n1,1,2.0\n"),
     ("matrix", "i, k, a\n1,1,1.0\n"),
+    ("matrix", "I,K,A\n1,1,1.0\n"),
+    ("matrix", "\ni,k,a\n1,1,1.0\n"),
+    ("seq", "i,v\n1,0.5\n"),
     ("index", "+3\n9223372036854775808\n"),
     ("seq", "I,Value\n1,0.5\n"),
     ("seq", "i,value\n1,0.5,\n"),
