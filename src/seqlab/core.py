@@ -2,12 +2,15 @@
 
 Everything is 1-indexed: a prefix holds x_1..x_N and an index set is a subset
 of {1, 2, 3, ...}. Objects are immutable once built and safe to share across
-threads.
+threads.  Spec files are parsed one at a time under a lock, and a warning that
+another thread raises meanwhile is captured rather than shown.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +64,17 @@ def _has_header(path: str | Path, columns: dict) -> bool:
             and not any(brk in data for brk in _SPLITLINES_ONLY))
 
 
+def _plain_file(path: str | Path) -> str | None:
+    """``path`` made absolute, if it names a regular file that numpy's loader
+    opens as itself: no URL, no compression suffix.  (Given anything else,
+    numpy fetches it, decompresses it or reads a compressed sibling.)"""
+    path = os.path.abspath(path)
+    return path if os.path.isfile(path) and not path.endswith((".gz", ".bz2", ".xz", ".lzma")) else None
+
+
+_PARSE_LOCK = threading.Lock()
+
+
 def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
                valid: Callable[..., bool] = lambda *cols: True) -> tuple:
     """The columns of a comma-separated numeric spec file, by numpy's C parser.
@@ -70,19 +84,19 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
     columns, with no error or warning, and ``valid`` accepts them, this is
     ``per_line()``: the line-by-line reader, which words every error.  The C
     parser takes a subset of what int() and float() take, to the same values.
-    Warnings are trapped process-wide, so parse from one thread at a time.
     """
     try:
         header = len(columns) > 1
-        if not header or _has_header(path, columns):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(path, dtype=list(columns.items()), delimiter=",", comments=None,
+        file = _plain_file(path)
+        if file and (not header or _has_header(file, columns)):
+            with _PARSE_LOCK, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = np.loadtxt(file, dtype=list(columns.items()), delimiter=",", comments=None,
                                    quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(header))
             cols = tuple(table[name] for name in columns)
-            if valid(*cols):
+            if not caught and valid(*cols):
                 return cols
-    except (OSError, ValueError, ArithmeticError, Warning):
+    except (OSError, ValueError, ArithmeticError):
         pass
     return per_line()
 

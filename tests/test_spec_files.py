@@ -1,12 +1,20 @@
 """The numeric spec-file readers: numpy's C parser against the per-line code.
 
-Every ``file:`` spec goes through ``core.read_table``, which parses the whole
-file with ``np.loadtxt`` and falls back to the reader's per-line code for any
-file the C parser rejects or the reader's checks refuse.  The per-line code
+Every numeric ``file:`` spec but the sequence CSV goes through
+``core.read_table``, which parses the whole file with ``np.loadtxt`` and falls
+back to the reader's per-line code for any file the C parser rejects or the
+reader's checks refuse.  The per-line code
 alone words errors.  So with ``np.loadtxt`` disabled, every reader must give
 the same arrays, bit for bit, or the same error text.
 """
 
+import bz2
+import gzip
+import lzma
+import threading
+import urllib.request
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -15,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab import core, matrices, sequences
-from seqlab.core import MAX_INDEX, make_index_set, make_lacunary, read_floats
+from seqlab import core, matrices
+from seqlab.core import MAX_INDEX, make_index_set, make_lacunary, read_floats, read_table
 from seqlab.matrices import make_matrix
 from seqlab.orlicz import make_family, make_rho
-from seqlab.sequences import make_sequence
+from seqlab.errors import SpecError
 
 GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "data"
 
@@ -42,7 +50,6 @@ READERS = {
     "matrix": _matrix,
     "index": lambda p: make_index_set(f"file:{p}").members_upto(MAX_INDEX),
     "theta": lambda p: make_lacunary(f"file:{p}").cuts,
-    "seq": lambda p: make_sequence(f"file:{p}").values,
 }
 
 
@@ -90,14 +97,12 @@ def spec_text(draw, reader):
     if reader == "matrix":
         rows = [[str(i), str(k), draw(GOOD_FLOATS)] for i in range(1, size + 1)
                 for k in range(max(1, i - 1), i + 1)]
-    elif reader == "seq":
-        rows = [[str(i), draw(GOOD_FLOATS)] for i in range(1, size + 1)]
     elif reader in ("index", "theta"):
         # increasing, so that theta files are mostly valid schemes
         rows = [[str(v)] for v in sorted(set(draw(st.lists(st.integers(0, 60), max_size=size))))]
     else:
         rows = [[draw(GOOD_FLOATS)] for _ in range(size)]
-    real = {"matrix": 2, "seq": 1, "index": None, "theta": None}.get(reader, 0)
+    real = {"matrix": 2, "index": None, "theta": None}.get(reader, 0)
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 4])) if rows else 0):
         row = draw(st.sampled_from(rows))
         j = draw(st.integers(0, len(row) - 1))
@@ -107,9 +112,8 @@ def spec_text(draw, reader):
         else:
             row[j] = draw(BAD_TOKENS if fault == "bad" else ODD_FLOATS if j == real else ODD_INTS)
     lines = [",".join(draw(PADS) + tok + draw(PADS) for tok in row) for row in rows]
-    if reader in ("matrix", "seq"):
-        header = "i,k,a" if reader == "matrix" else "i,value"
-        lines.insert(0, draw(st.sampled_from([header] * 5 + [" " + header, header.upper(), "i,k"])))
+    if reader == "matrix":
+        lines.insert(0, draw(st.sampled_from(["i,k,a"] * 5 + [" i,k,a", "I,K,A", "i,k"])))
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(EXTRA_LINES))
     text = "".join(ln + draw(st.sampled_from(["\n", "\n", "\r\n"])) for ln in lines)
@@ -139,13 +143,7 @@ def test_bulk_reader_matches_per_line_reader(tmp_path_factory, reader, data):
     ("matrix", "i, k, a\n1,1,1.0\n"),
     ("matrix", "I,K,A\n1,1,1.0\n"),
     ("matrix", "\ni,k,a\n1,1,1.0\n"),
-    ("seq", "i,v\n1,0.5\n"),
     ("index", "+3\n9223372036854775808\n"),
-    ("seq", "I,Value\n1,0.5\n"),
-    ("seq", "i,value\n1,0.5,\n"),
-    ("seq", "i,value\n2,0.5\n"),
-    ("seq", "i,value\n1,0.5\n1,0.5\n"),
-    ("seq", "i,value\n1,inf\n"),
     ("theta", "0\n\x0c\n4\n"),
     ("rho", "1\n#1\n"),
     ("riesz", "1 # one\n"),
@@ -158,7 +156,7 @@ def test_per_line_cases_match(tmp_path, reader, text):
 
 
 FIXTURES = {"w.txt": "weights", "rho.txt": "rho", "riesz.txt": "riesz", "band.csv": "matrix",
-            "idx.txt": "index", "cuts.txt": "theta", "seq.csv": "seq"}
+            "idx.txt": "index", "cuts.txt": "theta"}
 
 
 def test_golden_fixtures_load_without_the_per_line_reader(monkeypatch):
@@ -167,8 +165,91 @@ def test_golden_fixtures_load_without_the_per_line_reader(monkeypatch):
 
     for module in (core, matrices):
         monkeypatch.setattr(module, "read_lines", per_line)
-    monkeypatch.setattr(sequences.csv, "reader", per_line)
     for name, reader in FIXTURES.items():
         READERS[reader](GOLDEN_DATA / name)
     with pytest.raises(AssertionError, match="per-line"):  # a 1_0 token is for int() and float() alone
         READERS["weights"](GOLDEN_DATA / "w_crlf.txt")
+
+
+# --- files numpy's path loader would open other than as themselves ----------
+
+VALID_TEXT = {"weights": "0.5\n1.5\n", "matrix": "i,k,a\n1,1,1.0\n2,1,0.5\n2,2,0.5\n"}
+COMPRESSORS = {".gz": gzip.compress, ".bz2": bz2.compress, ".xz": lzma.compress,
+               ".lzma": lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE)}
+
+
+@pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+@pytest.mark.parametrize("reader", sorted(VALID_TEXT))
+def test_compressed_file_is_not_decompressed(tmp_path, reader, suffix):
+    path = tmp_path / f"spec.txt{suffix}"
+    path.write_bytes(COMPRESSORS[suffix](VALID_TEXT[reader].encode()))
+    got = outcome(reader, path)
+    assert got == per_line_outcome(reader, path)
+    assert got[0] == "SpecError"
+
+
+@pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+@pytest.mark.parametrize("reader", sorted(VALID_TEXT))
+def test_missing_file_does_not_read_its_compressed_sibling(tmp_path, reader, suffix):
+    path = tmp_path / "spec.txt"
+    Path(f"{path}{suffix}").write_bytes(COMPRESSORS[suffix](VALID_TEXT[reader].encode()))
+    got = outcome(reader, path)
+    assert got[0] == "SpecError" and got[1].startswith("cannot read ")
+
+
+@pytest.mark.parametrize("reader", sorted(VALID_TEXT))
+def test_url_is_not_fetched(monkeypatch, reader):
+    def urlopen(*args, **kwargs):
+        raise AssertionError("fetched a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    got = outcome(reader, "http://localhost:9/spec.txt")
+    assert got[0] == "SpecError" and got[1].startswith("cannot read ")
+
+
+# --- warnings and threads ------------------------------------------------------
+
+def test_warning_from_another_thread_is_not_raised(tmp_path):
+    """While a file parses, a warning raised in another thread is captured,
+    not turned into an error; the parse falls back; the filters come back."""
+    path = tmp_path / "w.txt"
+    path.write_text("1\n2\n")
+    raised = []
+    load = np.loadtxt
+
+    def loadtxt_while_another_thread_warns(*args, **kwargs):
+        def warn():
+            try:
+                warnings.warn("from another thread", UserWarning)
+            except UserWarning:
+                raised.append(True)
+
+        thread = threading.Thread(target=warn)
+        thread.start()
+        thread.join()
+        return load(*args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        with mock.patch.object(np, "loadtxt", loadtxt_while_another_thread_warns):
+            got = read_table(path, {"value": np.float64}, lambda: ("per line",))
+        assert warnings.filters == filters
+    assert raised == []
+    assert got == ("per line",)
+
+
+def test_concurrent_reads_match_serial_reads():
+    names = list(FIXTURES) * 4
+    serial = [outcome(FIXTURES[n], GOLDEN_DATA / n) for n in names]
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(lambda n: outcome(FIXTURES[n], GOLDEN_DATA / n), names)) == serial
+
+
+def test_numpy_warning_falls_back_to_the_per_line_reader(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="^empty weight file"):
+            read_floats(path, "weight")
