@@ -51,28 +51,27 @@ def read_lines(path: str | Path, what: str) -> list[str]:
 
 # The ASCII line breaks of str.splitlines that numpy's reader takes for spaces.
 _SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e"
+# Held while numpy parses, for warnings are caught process-wide.
+_PARSE_LOCK = threading.Lock()
 
 
-def _has_header(path: str | Path, columns: dict) -> bool:
-    """Whether an ASCII file's first line names ``columns`` and no line break
-    splits a row for str.splitlines but not for numpy.  (In one column such a
-    break splits a token, which numpy rejects, or sits at its edge, where both
+def _loadable(path: str | Path, columns: dict) -> str | None:
+    """``path`` made absolute, if numpy's loader opens it as itself (a regular
+    file, no URL or compression suffix: else numpy fetches it, decompresses it
+    or reads a compressed sibling) and, for several columns, the file is ASCII,
+    starts with a header line naming them and holds no line break that splits
+    a row for str.splitlines but not for numpy.  (In one column such a break
+    splits a token, which numpy rejects, or sits at its edge, where both
     readers drop it.)"""
+    path = os.path.abspath(path)
+    if not os.path.isfile(path) or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
+    if len(columns) == 1:
+        return path
     data = Path(path).read_bytes()
     head = ",".join(columns).encode()
-    return (data.startswith((head + b"\n", head + b"\r\n")) and data.isascii()
-            and not any(brk in data for brk in _SPLITLINES_ONLY))
-
-
-def _plain_file(path: str | Path) -> str | None:
-    """``path`` made absolute, if it names a regular file that numpy's loader
-    opens as itself: no URL, no compression suffix.  (Given anything else,
-    numpy fetches it, decompresses it or reads a compressed sibling.)"""
-    path = os.path.abspath(path)
-    return path if os.path.isfile(path) and not path.endswith((".gz", ".bz2", ".xz", ".lzma")) else None
-
-
-_PARSE_LOCK = threading.Lock()
+    return path if (data.startswith((head + b"\n", head + b"\r\n")) and data.isascii()
+                    and not any(brk in data for brk in _SPLITLINES_ONLY)) else None
 
 
 def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
@@ -86,13 +85,12 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
     parser takes a subset of what int() and float() take, to the same values.
     """
     try:
-        header = len(columns) > 1
-        file = _plain_file(path)
-        if file and (not header or _has_header(file, columns)):
+        file = _loadable(path, columns)
+        if file:
             with _PARSE_LOCK, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 table = np.loadtxt(file, dtype=list(columns.items()), delimiter=",", comments=None,
-                                   quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(header))
+                                   quotechar=None, encoding="utf-8", ndmin=1, skiprows=int(len(columns) > 1))
             cols = tuple(table[name] for name in columns)
             if not caught and valid(*cols):
                 return cols
