@@ -19,13 +19,12 @@ from .membership import (DEFAULT_EPS, DEFAULT_TOL, CauchyReport,
                          stat_limit_estimate)
 from .modulus import (AxiomCheck, Modulus, ModulusAxiomReport,
                       check_modulus_axioms, make_modulus)
-from .orlicz import (ComplementaryValue, Delta2Report, ModularValue, OrliczFn,
-                     OrliczFamily, OrliczAxiomReport, OrliczNormResult,
-                     RhoSchedule, block_mean_norm, check_orlicz_axioms,
-                     complementary, const_rho, delta2_check, luxemburg_norm,
-                     make_family, make_orlicz, make_rho, modular,
-                     modular_report, orlicz_norm, table_family,
-                     uniform_family, weighted_family)
+from .orlicz import (ComplementaryValue, Delta2Report, OrliczFn, OrliczFamily,
+                     OrliczAxiomReport, OrliczNormResult, RhoSchedule,
+                     block_mean_norm, check_orlicz_axioms, complementary,
+                     const_rho, delta2_check, luxemburg_norm, make_family,
+                     make_orlicz, make_rho, modular, orlicz_norm,
+                     table_family, uniform_family, weighted_family)
 from .sequences import (alternating_sequence, const_sequence,
                         harmonic_sequence, make_sequence, read_sequence_csv,
                         spike_sequence)

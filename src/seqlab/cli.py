@@ -193,6 +193,8 @@ def _resolve_membership(args):
             x, params = inst.x, inst.params
             warnings.append(witnesses_mod.BLOCK_SPIKE_DISCREPANCY)
         return x, params, warnings
+    if args.seq is None:
+        raise SeqlabError("membership needs --seq or --witness")
     scheme = make_lacunary(args.theta, args.blocks)
     n = args.n
     if n is None:
@@ -278,15 +280,17 @@ def _cmd_witness(args) -> dict:
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
+    depth = {"extract": 5, "cauchy": 10}.get(args.task) if args.depth is None else args.depth
+    least = 2 if args.task == "extract" else 1
+    if args.task != "probe" and depth < least:  # before any computation, so the data cannot decide
+        raise SeqlabError(f"witness {args.task} needs --depth >= {least}, got {depth}")
     n = args.n if args.n is not None else 100_000
     x = make_sequence(args.seq, n)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
     params = _space_params(args, make_lacunary(args.theta, blocks))
 
     if args.task == "probe":
-        if not args.probe_moduli:
-            raise SeqlabError("witness probe needs --probe-moduli")
-        moduli = [make_modulus(tok) for tok in args.probe_moduli.split(",") if tok.strip()]
+        moduli = [make_modulus(tok) for tok in (args.probe_moduli or "").split(",") if tok.strip()]
         return _report("witness", inputs, witnesses_mod.multi_modulus_probe(x, params, moduli, args.tol))
 
     f = make_modulus(args.modulus or "id")
@@ -296,7 +300,6 @@ def _cmd_witness(args) -> dict:
             if est is None:
                 raise SeqlabError("no candidate limit found; supply --limit")
             params = dataclasses.replace(params, limit=est)
-        depth = args.depth if args.depth is not None else 5
         try:
             ws = witnesses_mod.extract_witness_set(x, params, f, depth, args.tol)
         except WitnessExtractionError as exc:
@@ -316,21 +319,18 @@ def _cmd_witness(args) -> dict:
         }
         return _report("witness", inputs, results)
 
-    if args.task == "cauchy":
-        depth = args.depth if args.depth is not None else 10
-        base = membership_mod.stat_cauchy_check(x, params, f, tol=args.tol)
-        results: dict = {"cauchy": base.cauchy, "anchor": base.anchor}
-        if base.cauchy:
-            try:
-                nested = witnesses_mod.cauchy_limit_construction(x, params, f, depth, args.tol)
-                results["limit"] = nested.value
-                results["width"] = nested.width
-                results["anchors"] = nested.anchors
-            except CauchyConstructionError as exc:
-                results["failure"] = {"level": exc.level, "message": str(exc)}
-        return _report("witness", inputs, results)
-
-    raise SeqlabError(f"unknown witness task {args.task!r}")
+    # cauchy, the one task left
+    base = membership_mod.stat_cauchy_check(x, params, f, tol=args.tol)
+    results: dict = {"cauchy": base.cauchy, "anchor": base.anchor}
+    if base.cauchy:
+        try:
+            nested = witnesses_mod.cauchy_limit_construction(x, params, f, depth, args.tol)
+            results["limit"] = nested.value
+            results["width"] = nested.width
+            results["anchors"] = nested.anchors
+        except CauchyConstructionError as exc:
+            results["failure"] = {"level": exc.level, "message": str(exc)}
+    return _report("witness", inputs, results)
 
 
 def _cmd_check(args) -> dict:

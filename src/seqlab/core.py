@@ -99,23 +99,22 @@ def read_table(path: str | Path, columns: dict, per_line: Callable[[], tuple],
     return per_line()
 
 
-def read_numbers(path: str | Path, what: str, error: str, kind: type = float):
-    """The numbers of a spec file of one ``kind`` (float or int) per line, as
-    an array or, line by line, a list; a line ``kind`` rejects is ``error``."""
+def read_numbers(path: str | Path, what: str, kind: type = float) -> np.ndarray:
+    """A spec file of one number of ``kind`` (float or int) per line, as an
+    array; a line ``kind`` rejects, or an int past int64, is a SpecError."""
 
     def per_line():
         lines = read_lines(path, what)
         try:
-            return [kind(ln) for ln in lines],
+            values = [kind(ln) for ln in lines]
         except ValueError:
-            raise SpecError(error) from None
+            raise SpecError(f"non-{'numeric' if kind is float else 'integer'} {what} value"
+                            f" in {path}") from None
+        if kind is int and any(abs(v) > MAX_INDEX for v in values):
+            raise SpecError(f"{what} value in {path} lies outside [-(2^63 - 1), 2^63 - 1]")
+        return values,
 
-    return read_table(path, {"value": np.float64 if kind is float else np.int64}, per_line)[0]
-
-
-def read_floats(path: str | Path, what: str) -> np.ndarray:
-    """A spec file of one real number per line, as a float array."""
-    return np.asarray(read_numbers(path, what, f"non-numeric {what} value in {path}"))
+    return np.asarray(read_table(path, {"value": np.float64 if kind is float else np.int64}, per_line)[0])
 
 
 def parse_kv(body: str, what: str) -> dict[str, str]:
@@ -136,6 +135,46 @@ def parse_kv(body: str, what: str) -> dict[str, str]:
         else:
             raise SpecError(f"malformed {what} spec {body!r}")
     return parts
+
+
+def parse_spec(spec: str, what: str, forms: dict, *context):
+    """The one grammar of every spec family: ``head:body`` goes to the builder
+    ``forms["head:"]`` and a bare ``head`` to ``forms["head"]``, called as
+    ``build(spec, body, *context)`` with the stripped spec, which labels what it builds."""
+    spec = spec.strip()
+    head, colon, body = spec.partition(":")
+    if head + colon not in forms:
+        raise SpecError(f"unknown {what} spec {spec!r}")
+    return forms[head + colon](spec, body, *context)
+
+
+def spec_number(spec: str, name: str, token, kind: type = float, lo: float = -math.inf,
+                hi: float = math.inf, open_lo: bool = False, why: str = ""):
+    """Field ``name`` of ``spec``: ``token`` as a finite float or an int in
+    [lo, hi], or (lo, hi] when ``open_lo``; an int's range ends at MAX_INDEX
+    or below.  Anything else is one SpecError naming the field, the range
+    (and ``why`` it holds), the token and the spec."""
+    hi = min(hi, MAX_INDEX) if kind is int else hi
+    try:
+        v = kind(token)
+        ok = (kind is int or math.isfinite(v)) and (lo < v or v == lo and not open_lo) and v <= hi
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if ok:
+        return v
+    top = "2^63 - 1]" if hi == MAX_INDEX else f"{hi:.15g}{']' if hi < math.inf else ')'}"
+    rng = "" if lo == -math.inf else f" in {'(' if open_lo else '['}{lo:.15g}, {top}"
+    kind_name = "an integer" if kind is int else "a finite number"
+    raise SpecError(f"{name} must be {kind_name}{rng}{why and ' for ' + why}, got {token!r} in spec {spec!r}")
+
+
+def spec_items(spec: str, body: str, name: str, kind: type = float, lo: float = -math.inf) -> list:
+    """The nonblank comma-separated items of a list body, each read as the
+    field ``name``; there must be one."""
+    items = [spec_number(spec, name, tok, kind, lo) for tok in body.split(",") if tok.strip()]
+    if not items:
+        raise SpecError(f"no {name} in spec {spec!r}")
+    return items
 
 
 class IndexSet:
@@ -241,51 +280,33 @@ def _isqrt(ns: np.ndarray) -> np.ndarray:
     return r
 
 
+def _arith(spec: str, body: str) -> IndexSet:
+    a, d = (spec_number(spec, name, tok, int, 1) for name, tok in zip("ad", body.partition(",")[::2]))
+    return IndexSet(spec, lambda n: np.arange(a, n + 1, d, dtype=np.int64),
+                    count_rule=lambda ns: np.maximum(0, (ns - a) // d + 1))
+
+
+_SET_FORMS = {
+    "evens": lambda spec, body: IndexSet("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
+                                         count_rule=lambda ns: ns // 2),
+    # ns - ns // 2 is (ns + 1) // 2 without overflow at 2^63 - 1
+    "odds": lambda spec, body: IndexSet("odds", lambda n: np.arange(1, n + 1, 2, dtype=np.int64),
+                                        count_rule=lambda ns: ns - ns // 2),
+    "squares": lambda spec, body: IndexSet(
+        "squares", lambda n: np.arange(1, math.isqrt(max(n, 0)) + 1, dtype=np.int64) ** 2, count_rule=_isqrt),
+    "arith:": _arith,
+    "list:": lambda spec, body: IndexSet.from_members(spec, spec_items(spec, body, "index", int, 1)),
+    "file:": lambda spec, path: IndexSet.from_members(spec, read_numbers(path, "index", int)),
+}
+
+
 def make_index_set(spec: str) -> IndexSet:
     """Build an IndexSet from a set-spec string.
 
     Forms: ``evens``, ``odds``, ``squares``, ``arith:a,d``, ``list:1,4,9``,
     ``file:PATH`` (one index per line, ASCII decimal).
     """
-    spec = spec.strip()
-    if spec == "evens":
-        return IndexSet("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
-                        count_rule=lambda ns: ns // 2)
-    if spec == "odds":
-        # ns - ns // 2 is (ns + 1) // 2 without overflow at 2^63 - 1
-        return IndexSet("odds", lambda n: np.arange(1, n + 1, 2, dtype=np.int64),
-                        count_rule=lambda ns: ns - ns // 2)
-    if spec == "squares":
-        return IndexSet(
-            "squares",
-            lambda n: np.arange(1, math.isqrt(max(n, 0)) + 1, dtype=np.int64) ** 2,
-            count_rule=_isqrt,
-        )
-    if spec.startswith("arith:"):
-        body = spec[len("arith:"):]
-        try:
-            a_str, d_str = body.split(",")
-            a, d = int(a_str), int(d_str)
-        except ValueError:
-            raise SpecError(f"malformed arith spec {spec!r}: expected arith:a,d") from None
-        if not (1 <= a <= MAX_INDEX and 1 <= d <= MAX_INDEX):
-            raise SpecError(f"arith spec {spec!r} needs 1 <= a, d <= 2^63 - 1")
-        return IndexSet(spec, lambda n, _a=a, _d=d: np.arange(_a, n + 1, _d, dtype=np.int64),
-                        count_rule=lambda ns, _a=a, _d=d: np.maximum(0, (ns - _a) // _d + 1))
-    if spec.startswith("list:"):
-        body = spec[len("list:"):]
-        try:
-            items = [int(tok) for tok in body.split(",") if tok.strip()]
-        except ValueError:
-            raise SpecError(f"malformed list spec {spec!r}") from None
-        if not items:
-            raise SpecError(f"empty list spec {spec!r}")
-        return IndexSet.from_members(spec, items)
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        return IndexSet.from_members(spec, read_numbers(path, "index",
-                                                        f"non-integer entry in index file {path}", int))
-    raise SpecError(f"unknown set spec {spec!r}")
+    return parse_spec(spec, "set", _SET_FORMS)
 
 
 @dataclass(frozen=True)
@@ -353,53 +374,42 @@ def block_of(scheme: LacunaryScheme, i: int) -> int:
     return int(np.searchsorted(scheme.cuts_array, i, side="left"))
 
 
+def _geometric(spec: str, body: str, blocks) -> LacunaryScheme:
+    q = spec_number(spec, "q", body, lo=1.0, hi=1e18, open_lo=True)
+    cuts = [0]
+    for r in range(1, spec_number(spec, "blocks", blocks, int, 1) + 1):
+        cuts.append(max(cuts[-1] + 1, math.ceil(q ** r)))
+        if cuts[-1] > MAX_INDEX:  # refused as a field past the last block that fits
+            spec_number(spec, "blocks", blocks, int, 1, r - 1)
+    return LacunaryScheme(tuple(cuts))
+
+
+def _given_cuts(spec: str, cuts, blocks) -> LacunaryScheme:
+    """Listed cuts (a leading 0 optional) as a scheme of ``blocks`` blocks, or all."""
+    cuts = [0] * (int(cuts[0]) != 0) + [int(c) for c in cuts]
+    last = len(cuts) - 1 if blocks is None else spec_number(spec, "blocks", blocks, int, 1, len(cuts) - 1)
+    return LacunaryScheme(tuple(cuts[: last + 1]))
+
+
+_THETA_FORMS = {
+    "powers2": lambda spec, body, blocks: LacunaryScheme(
+        (0,) + tuple(2 ** r for r in range(1, spec_number(spec, "blocks", blocks, int, 1, 62) + 1))),
+    "geometric:": _geometric,
+    "explicit:": lambda spec, body, blocks: _given_cuts(spec, spec_items(spec, body, "cut", int, 0), blocks),
+    "file:": lambda spec, path, blocks: _given_cuts(spec, read_numbers(path, "theta", int), blocks),
+}
+
+
 def make_lacunary(spec: str, blocks: int | None = None) -> LacunaryScheme:
     """Build a LacunaryScheme from a theta-spec string.
 
     Forms: ``powers2`` (k_r = 2^r), ``geometric:q`` with q > 1
     (k_r = max(k_{r-1}+1, ceil(q^r)), so small q still yields a valid scheme),
     ``explicit:k1,k2,...``, ``file:PATH`` (one cut per line).  ``blocks`` is
-    required for the generative forms and optionally truncates explicit ones.
+    required for the generative forms, whose cuts must stay within MAX_INDEX,
+    and optionally truncates explicit ones.
     """
-    spec = spec.strip()
-    if spec == "powers2":
-        if blocks is None or blocks < 1:
-            raise SpecError("powers2 scheme needs a block count >= 1")
-        return LacunaryScheme((0,) + tuple(2 ** r for r in range(1, blocks + 1)))
-    if spec.startswith("geometric:"):
-        try:
-            q = float(spec[len("geometric:"):])
-        except ValueError:
-            raise SpecError(f"malformed geometric spec {spec!r}") from None
-        if q <= 1.0:
-            raise SpecError(f"geometric ratio must be > 1, got {q}")
-        if blocks is None or blocks < 1:
-            raise SpecError("geometric scheme needs a block count >= 1")
-        cuts = [0]
-        for r in range(1, blocks + 1):
-            cuts.append(max(cuts[-1] + 1, math.ceil(q ** r)))
-        return LacunaryScheme(tuple(cuts))
-    if spec.startswith("explicit:") or spec.startswith("file:"):
-        if spec.startswith("explicit:"):
-            body = spec[len("explicit:"):]
-            tokens = [tok for tok in body.split(",") if tok.strip()]
-        else:
-            path = spec[len("file:"):]
-            tokens = list(read_numbers(path, "theta", f"non-integer cut in theta spec {spec!r}", int))
-        if not tokens:
-            raise SpecError(f"no cuts in theta spec {spec!r}")
-        try:
-            cuts = [int(tok) for tok in tokens]
-        except ValueError:
-            raise SpecError(f"non-integer cut in theta spec {spec!r}") from None
-        if cuts[0] != 0:
-            cuts = [0] + cuts
-        if blocks is not None:
-            if blocks < 1 or blocks > len(cuts) - 1:
-                raise SpecError(f"theta spec {spec!r} provides {len(cuts) - 1} blocks, requested {blocks}")
-            cuts = cuts[: blocks + 1]
-        return LacunaryScheme(tuple(cuts))
-    raise SpecError(f"unknown theta spec {spec!r}")
+    return parse_spec(spec, "theta", _THETA_FORMS, blocks)
 
 
 @dataclass(frozen=True)
@@ -423,5 +433,5 @@ class SequencePrefix:
 
     def prefix(self, n: int) -> "SequencePrefix":
         if not 1 <= n <= len(self):
-            raise TruncationError(f"prefix length {n} outside 1..{len(self)}")
+            raise TruncationError(f"prefix length {n} of {self.label!r} outside 1..{len(self)}")
         return SequencePrefix(self.values[:n], label=self.label)

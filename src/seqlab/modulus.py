@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SpecError
+from .core import parse_spec, spec_number
 
 DEFAULT_GRID = np.logspace(-6.0, 6.0, 49)
 _SLACK = 1e-12
@@ -42,28 +42,27 @@ class Modulus:
         return np.asarray(out, dtype=float)
 
 
+def _power(name: str, p: float) -> Modulus:
+    """The gauge t^p, named ``name``: a modulus for p <= 1, an Orlicz function for p >= 1."""
+    return Modulus(name, lambda t: np.power(t, p))
+
+
+_MODULUS_FORMS = {
+    "id": lambda spec, body: Modulus("id", lambda t: t),
+    "log1p": lambda spec, body: Modulus("log1p", np.log1p),
+    "pow:": lambda spec, body: _power(
+        spec, spec_number(spec, "p", body, lo=0.0, hi=1.0, open_lo=True, why="subadditivity")),
+    "bounded": lambda spec, body: Modulus("bounded", lambda t: t / (1.0 + t), unbounded=False),
+}
+
+
 def make_modulus(spec: str) -> Modulus:
     """Build a modulus from a modulus-spec string.
 
     Forms: ``id``, ``log1p``, ``pow:p`` with 0 < p <= 1, ``bounded``
     (x / (1 + x), the only built-in with unbounded=False).
     """
-    spec = spec.strip()
-    if spec == "id":
-        return Modulus("id", lambda t: t)
-    if spec == "log1p":
-        return Modulus("log1p", np.log1p)
-    if spec.startswith("pow:"):
-        try:
-            p = float(spec[len("pow:"):])
-        except ValueError:
-            raise SpecError(f"malformed pow spec {spec!r}") from None
-        if not 0.0 < p <= 1.0:
-            raise SpecError(f"pow modulus needs 0 < p <= 1 (subadditivity fails otherwise), got {p}")
-        return Modulus(spec, lambda t, _p=p: np.power(t, _p))
-    if spec == "bounded":
-        return Modulus("bounded", lambda t: t / (1.0 + t), unbounded=False)
-    raise SpecError(f"unknown modulus spec {spec!r}")
+    return parse_spec(spec, "modulus", _MODULUS_FORMS)
 
 
 @dataclass(frozen=True)

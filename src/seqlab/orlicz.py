@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LacunaryScheme, SequencePrefix, check_tol, parse_kv, read_floats
+from .core import (LacunaryScheme, SequencePrefix, check_tol, parse_kv, parse_spec, read_numbers,
+                   spec_number)
 from .errors import SpecError, TruncationError, UnboundedNormError
 from .modulus import (AxiomCheck, AxiomReport, Modulus, _axiom_grid, _monotone,
-                      _pairwise, _vanishes_at_zero)
+                      _pairwise, _power, _vanishes_at_zero)
 
 _SLACK = 1e-12
 
@@ -35,25 +36,19 @@ DEFAULT_ORLICZ_GRID = np.logspace(-6.0, 2.0, 33)
 OrliczFn = Modulus
 
 
+_ORLICZ_FORMS = {
+    "linear": lambda spec, body: OrliczFn("linear", lambda t: t),
+    "poly:": lambda spec, body: _power(spec, spec_number(spec, "p", body, lo=1.0, why="convexity")),
+    "explog": lambda spec, body: OrliczFn("explog", np.expm1),
+}
+
+
 def make_orlicz(spec: str) -> OrliczFn:
     """Build an Orlicz function from an orlicz-spec string.
 
     Forms: ``linear`` (t), ``poly:p`` (t^p with p >= 1), ``explog`` (e^t - 1).
     """
-    spec = spec.strip()
-    if spec == "linear":
-        return OrliczFn("linear", lambda t: t)
-    if spec.startswith("poly:"):
-        try:
-            p = float(spec[len("poly:"):])
-        except ValueError:
-            raise SpecError(f"malformed poly spec {spec!r}") from None
-        if p < 1.0:
-            raise SpecError(f"poly Orlicz function needs p >= 1 (convexity fails otherwise), got {p}")
-        return OrliczFn(spec, lambda t, _p=p: np.power(t, _p))
-    if spec == "explog":
-        return OrliczFn("explog", np.expm1)
-    raise SpecError(f"unknown orlicz spec {spec!r}")
+    return parse_spec(spec, "orlicz", _ORLICZ_FORMS)
 
 
 class OrliczFamily:
@@ -116,30 +111,33 @@ def table_family(fns: Sequence[OrliczFn], name: str = "table") -> OrliczFamily:
     return OrliczFamily("table", name, at, eval_many)
 
 
+def _weighted(spec: str, body: str) -> OrliczFamily:
+    parts = parse_kv(body, "weighted")
+    if "base" not in parts or "weights" not in parts:
+        raise SpecError(f"weighted spec needs base= and weights=, got {spec!r}")
+    base = make_orlicz(parts["base"])
+    path, w = parse_spec(parts["weights"], "weights",
+                         {"file:": lambda _, path: (path, read_numbers(path, "weight"))})
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise SpecError(f"weights in {path} must be positive and finite")
+
+    def weight(idx: np.ndarray) -> np.ndarray:
+        if idx.size and int(idx.max()) > w.size:
+            raise TruncationError(f"weight table covers 1..{w.size}, index {int(idx.max())} requested")
+        return w[idx - 1]
+
+    return weighted_family(base, weight, name=spec)
+
+
+_FAMILY_FORMS = {head: lambda spec, body, _build=build: uniform_family(_build(spec, body))
+                 for head, build in _ORLICZ_FORMS.items()}
+_FAMILY_FORMS["weighted:"] = _weighted
+
+
 def make_family(spec: str) -> OrliczFamily:
     """Family from a spec string: any orlicz-spec (uniform family), or
     ``weighted:base=SPEC,weights=file:PATH`` (one positive weight per line)."""
-    spec = spec.strip()
-    if spec.startswith("weighted:"):
-        parts = parse_kv(spec[len("weighted:"):], "weighted")
-        if "base" not in parts or "weights" not in parts:
-            raise SpecError(f"weighted spec needs base= and weights=, got {spec!r}")
-        base = make_orlicz(parts["base"])
-        wspec = parts["weights"]
-        if not wspec.startswith("file:"):
-            raise SpecError(f"weights must come from file:PATH, got {wspec!r}")
-        path = wspec[len("file:"):]
-        w = read_floats(path, "weight")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise SpecError(f"weights in {path} must be positive and finite")
-
-        def weight(idx: np.ndarray, _w=w) -> np.ndarray:
-            if idx.size and int(idx.max()) > _w.size:
-                raise TruncationError(f"weight table covers 1..{_w.size}, index {int(idx.max())} requested")
-            return _w[idx - 1]
-
-        return weighted_family(base, weight, name=spec)
-    return uniform_family(make_orlicz(spec))
+    return parse_spec(spec, "orlicz", _FAMILY_FORMS)
 
 
 @dataclass(frozen=True)
@@ -184,23 +182,15 @@ def const_rho(c: float = 1.0) -> RhoSchedule:
     return RhoSchedule("const", constant=float(c))
 
 
+_RHO_FORMS = {
+    "const:": lambda spec, body: const_rho(spec_number(spec, "c", body, lo=0.0, open_lo=True)),
+    "file:": lambda spec, path: RhoSchedule("table", table=read_numbers(path, "rho")),
+}
+
+
 def make_rho(spec: str) -> RhoSchedule:
-    """Rho-spec forms: ``const:c``, ``file:PATH`` (one positive value per line)."""
-    spec = spec.strip()
-    if spec.startswith("const:"):
-        try:
-            return const_rho(float(spec[len("const:"):]))
-        except ValueError:
-            raise SpecError(f"malformed rho spec {spec!r}") from None
-    if spec.startswith("file:"):
-        return RhoSchedule("table", table=read_floats(spec[len("file:"):], "rho"))
-    raise SpecError(f"unknown rho spec {spec!r}")
-
-
-@dataclass(frozen=True)
-class ModularValue:
-    value: float
-    overflow_index: int | None
+    """Rho-spec forms: ``const:c`` with c > 0, ``file:PATH`` (one positive value per line)."""
+    return parse_spec(spec, "rho", _RHO_FORMS)
 
 
 def _modular_arrays(family: OrliczFamily, idx: np.ndarray, absvals: np.ndarray) -> float:
@@ -210,22 +200,9 @@ def _modular_arrays(family: OrliczFamily, idx: np.ndarray, absvals: np.ndarray) 
     return total if math.isfinite(total) else math.inf
 
 
-def modular_report(family: OrliczFamily, x: SequencePrefix) -> ModularValue:
-    """The modular sum_k M_k(|x_k|), with the first overflowing index if any."""
-    idx = np.arange(1, len(x) + 1, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = family.eval_many(idx, np.abs(x.values))
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        return ModularValue(math.inf, int(bad[0]) + 1)
-    total = float(np.sum(terms))
-    if not math.isfinite(total):
-        return ModularValue(math.inf, None)
-    return ModularValue(total, None)
-
-
 def modular(family: OrliczFamily, x: SequencePrefix) -> float:
-    return modular_report(family, x).value
+    """The modular sum_k M_k(|x_k|); inf when a term or the sum overflows."""
+    return _modular_arrays(family, np.arange(1, len(x) + 1, dtype=np.int64), np.abs(x.values))
 
 
 # Doubling or halving a scale more than 2^50 times past max|x| gives up.
@@ -571,8 +548,9 @@ def block_mean_norm(x: SequencePrefix, scheme: LacunaryScheme) -> float:
         raise TruncationError(
             f"scheme extends to {scheme.k_max}, past truncation {len(x)}")
     a = np.abs(x.values[: scheme.k_max])
-    sums = np.add.reduceat(a, scheme.cuts_array[:-1])
-    return float(np.max(sums / scheme.h))
+    means = np.add.reduceat(a, scheme.cuts_array[:-1]) / scheme.h
+    # a mean that underflows rounds up, not to 0: the norm vanishes on x = 0 alone
+    return max(float(np.max(means)), math.ulp(0.0) if a.any() else 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import IndexSet, SequencePrefix, make_index_set, parse_kv
-from .errors import SpecError, TruncationError
+from .core import (MATERIALIZE_CAP, IndexSet, SequencePrefix, make_index_set, parse_kv, parse_spec,
+                   spec_items, spec_number)
+from .errors import SpecError
 
 
 def const_sequence(n: int, c: float) -> SequencePrefix:
@@ -61,10 +61,38 @@ def read_sequence_csv(path) -> SequencePrefix:
             raise SpecError(f"malformed row {row!r} in {path}") from None
         if i != pos:
             raise SpecError(f"sequence file {path} has a gap: expected index {pos}, got {i}")
-        if not math.isfinite(v):
-            raise SpecError(f"non-finite value at index {i} in {path}")
         values.append(v)
     return SequencePrefix(np.asarray(values), label=f"file:{path}")
+
+
+def _spike(spec: str, body: str, n: int) -> SequencePrefix:
+    parts = parse_kv(body, "spike")
+    if "set" not in parts:
+        raise SpecError(f"spike spec needs set=, got {spec!r}")
+    return spike_sequence(n, make_index_set(parts["set"]), spec_number(spec, "base", parts.get("base", "0")),
+                          spec_number(spec, "delta", parts.get("delta", "1")))
+
+
+def _generated(build):
+    """The builder of a sequence generated to length n, which it needs."""
+    def generate(spec: str, body: str, n: int | None) -> SequencePrefix:
+        if n is None:
+            raise SpecError(f"sequence spec {spec!r} needs a truncation length n")
+        return build(spec, body, n)
+    return generate
+
+
+_SEQUENCE_FORMS = {
+    "const:": _generated(lambda spec, body, n: const_sequence(n, spec_number(spec, "c", body))),
+    "spike:": _generated(_spike),
+    "alt": _generated(lambda spec, body, n: alternating_sequence(n)),
+    "alt:": _generated(lambda spec, body, n: alternating_sequence(
+        n, *(spec_number(spec, name, tok) for name, tok in zip("ab", body.partition(",")[::2])))),
+    "harmonic:": _generated(lambda spec, body, n: harmonic_sequence(n, spec_number(spec, "L", body))),
+    "list:": lambda spec, body, n: _fit_length(SequencePrefix(np.asarray(spec_items(spec, body, "value")),
+                                                              label=spec), n),
+    "file:": lambda spec, path, n: _fit_length(read_sequence_csv(path), n),
+}
 
 
 def make_sequence(spec: str, n: int | None = None) -> SequencePrefix:
@@ -72,66 +100,12 @@ def make_sequence(spec: str, n: int | None = None) -> SequencePrefix:
 
     Forms: ``const:c``, ``spike:set=SETSPEC,base=b,delta=d``, ``alt`` or
     ``alt:a,b``, ``harmonic:L``, ``list:v1,v2,...``, ``file:PATH`` (CSV with
-    header ``i,value``).  ``n`` sets the generated length; for list/file data
-    it may truncate but not extend.
+    header ``i,value``).  ``n``, if set, is 1..core.MATERIALIZE_CAP: it sets
+    the generated length, and for list/file data it may truncate but not extend.
     """
-    spec = spec.strip()
-    if spec.startswith("const:"):
-        if n is None:
-            raise SpecError("const sequence needs a truncation length")
-        try:
-            return const_sequence(n, float(spec[len("const:"):]))
-        except ValueError:
-            raise SpecError(f"malformed const spec {spec!r}") from None
-    if spec.startswith("spike:"):
-        if n is None:
-            raise SpecError("spike sequence needs a truncation length")
-        parts = parse_kv(spec[len("spike:"):], "spike")
-        if "set" not in parts:
-            raise SpecError(f"spike spec needs set=, got {spec!r}")
-        positions = make_index_set(parts["set"])
-        try:
-            base = float(parts.get("base", "0"))
-            delta = float(parts.get("delta", "1"))
-        except ValueError:
-            raise SpecError(f"malformed spike spec {spec!r}") from None
-        return spike_sequence(n, positions, base, delta)
-    if spec == "alt" or spec.startswith("alt:"):
-        if n is None:
-            raise SpecError("alternating sequence needs a truncation length")
-        if spec == "alt":
-            return alternating_sequence(n)
-        try:
-            a_str, b_str = spec[len("alt:"):].split(",")
-            return alternating_sequence(n, float(a_str), float(b_str))
-        except ValueError:
-            raise SpecError(f"malformed alt spec {spec!r}") from None
-    if spec.startswith("harmonic:"):
-        if n is None:
-            raise SpecError("harmonic sequence needs a truncation length")
-        try:
-            return harmonic_sequence(n, float(spec[len("harmonic:"):]))
-        except ValueError:
-            raise SpecError(f"malformed harmonic spec {spec!r}") from None
-    if spec.startswith("list:"):
-        body = spec[len("list:"):]
-        try:
-            values = [float(tok) for tok in body.split(",") if tok.strip()]
-        except ValueError:
-            raise SpecError(f"malformed list spec {spec!r}") from None
-        if not values:
-            raise SpecError(f"empty list spec {spec!r}")
-        seq = SequencePrefix(np.asarray(values), label=spec)
-        return _fit_length(seq, n)
-    if spec.startswith("file:"):
-        seq = read_sequence_csv(spec[len("file:"):])
-        return _fit_length(seq, n)
-    raise SpecError(f"unknown sequence spec {spec!r}")
+    return parse_spec(spec, "sequence", _SEQUENCE_FORMS,
+                      n if n is None else spec_number(spec, "n", n, int, 1, MATERIALIZE_CAP))
 
 
 def _fit_length(seq: SequencePrefix, n: int | None) -> SequencePrefix:
-    if n is None or n == len(seq):
-        return seq
-    if n > len(seq):
-        raise TruncationError(f"sequence {seq.label!r} has {len(seq)} values, {n} requested")
-    return seq.prefix(n)
+    return seq if n is None else seq.prefix(n)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexSet, LacunaryScheme, SequencePrefix
+from .core import MATERIALIZE_CAP, IndexSet, LacunaryScheme, SequencePrefix
 from .density import DensityEstimate, checkpoints, f_density
 from .errors import (CauchyConstructionError, GenerationError,
-                     WitnessExtractionError)
+                     TruncationError, WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
 from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
                          _block_report, _cauchy_search, _limit_estimate, block_trails,
@@ -315,6 +315,8 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme,
         raise ValueError("rho must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if scheme.k_max > MATERIALIZE_CAP:
+        raise TruncationError(f"block-spike scheme ends at {scheme.k_max}, past {MATERIALIZE_CAP} values")
     heights = []
     for r in range(1, scheme.blocks + 1):
         target = float(scheme.h[r - 1]) ** alpha
@@ -385,6 +387,8 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
     with norm convergence failing at truncation.
     """
     moduli = list(moduli)
+    if not moduli:
+        raise ValueError("the multi-modulus probe needs at least one modulus")
     for f in moduli:
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")

@@ -263,6 +263,35 @@ def test_truncation_past_int64_exits_one(capsys):
     assert err.count("\n") == 1 and "truncation must be <= 2^63 - 1" in err
 
 
+@pytest.mark.parametrize("spec, text", [("set", "1\n9223372036854775808\n"),
+                                        ("theta", "0\n4\n9223372036854775808\n")])
+def test_file_entry_past_int64_exits_one(capsys, tmp_path, spec, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, FILE_SPECS[spec](path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err and "2^63 - 1" in err
+
+
+def test_empty_probe_moduli_exits_one(capsys):
+    code, out, err = run(capsys, ["witness", "probe", "--seq", "const:1", "--probe-moduli", ",,",
+                                  "--n", "1000"])
+    assert code == 1
+    assert out == ""
+    assert err == "seqlab: error: the multi-modulus probe needs at least one modulus\n"
+
+
+@pytest.mark.parametrize("task, depth", [("cauchy", "-1"), ("cauchy", "0"), ("extract", "1")])
+@pytest.mark.parametrize("n", ["1000", "10000"])
+def test_depth_is_checked_before_the_data(capsys, task, depth, n):
+    # harmonic:0 passes the base Cauchy check at n = 10^4 but not at 10^3
+    code, out, err = run(capsys, ["witness", task, "--seq", "harmonic:0", "--depth", depth, "--n", n])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--depth" in err
+
+
 def test_squares_log1p_at_1e15(capsys):
     n = 10 ** 15
     payload = run_json(capsys, ["density", "--set", "squares", "--modulus", "log1p",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqlab.core import (MATERIALIZE_CAP, MAX_INDEX, IndexSet, SequencePrefix,
                          block_of, complement, make_index_set, make_lacunary,
-                         read_floats)
+                         read_numbers)
 from seqlab.errors import SpecError, TruncationError
 
 
@@ -27,7 +27,7 @@ class TestReadFloats:
     def test_matches_per_line_parse(self, tmp_path, text):
         path = tmp_path / "v.txt"
         path.write_text(text, newline="")
-        got = read_floats(path, "weight")
+        got = read_numbers(path, "weight")
         np.testing.assert_array_equal(got, per_line_floats(text))
         assert got.dtype == np.float64
 
@@ -38,20 +38,20 @@ class TestReadFloats:
         text = "".join(f"{p}{v!r}\n" for p, v in zip(pads, vals))
         path = tmp_path_factory.mktemp("floats") / "v.txt"
         path.write_text(text, newline="")
-        assert read_floats(path, "weight").tolist() == per_line_floats(text)
+        assert read_numbers(path, "weight").tolist() == per_line_floats(text)
 
     @pytest.mark.parametrize("text", ["1\ntwo\n", "1 2\n", "1\n0x10\n", "1\x002\n"])
     def test_non_numeric_names_the_path_as_given(self, tmp_path, monkeypatch, text):
         (tmp_path / "v.txt").write_text(text)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SpecError, match=r"^non-numeric rho value in \./v\.txt$"):
-            read_floats("./v.txt", "rho")
+            read_numbers("./v.txt", "rho")
 
     def test_empty(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text(" \n\n")
         with pytest.raises(SpecError, match=f"^empty rho file {path}$"):
-            read_floats(path, "rho")
+            read_numbers(path, "rho")
 
 
 class TestMakeIndexSet:

@@ -194,7 +194,7 @@ class TestMakeMatrix:
     def test_csv_header_only(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("i,k,a\n")
-        with pytest.raises(SpecError, match="^explicit matrix has no entries$"):
+        with pytest.raises(SpecError, match=f"^explicit matrix has no entries in {p}$"):
             make_matrix(f"file:{p}")
 
     @pytest.mark.parametrize("line", ["0,1,1.0", "1,0,1.0", "1,1,inf", "50000001,1,1.0",

@@ -11,7 +11,7 @@ from seqlab.errors import SpecError, TruncationError, UnboundedNormError
 from seqlab.orlicz import (OrliczFn, block_mean_norm, check_orlicz_axioms,
                            complementary, const_rho, delta2_check,
                            luxemburg_norm, make_family, make_orlicz, make_rho,
-                           modular, modular_report, orlicz_norm, table_family,
+                           modular, orlicz_norm, table_family,
                            uniform_family, weighted_family)
 from seqlab.sequences import make_sequence
 
@@ -72,9 +72,7 @@ class TestModular:
         assert modular(LINEAR, SequencePrefix(np.asarray([3.0, 4.0]))) == 7.0
 
     def test_overflow_reported(self):
-        rep = modular_report(EXPLOG, SequencePrefix(np.asarray([1.0, 1e6, 2.0])))
-        assert rep.value == math.inf
-        assert rep.overflow_index == 2
+        assert modular(EXPLOG, SequencePrefix(np.asarray([1.0, 1e6, 2.0]))) == math.inf
 
 
 class TestLuxemburg:

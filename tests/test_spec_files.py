@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab import core, matrices
-from seqlab.core import MAX_INDEX, make_index_set, make_lacunary, read_floats, read_table
+from seqlab.core import MAX_INDEX, make_index_set, make_lacunary, read_numbers, read_table
 from seqlab.matrices import make_matrix
 from seqlab.orlicz import make_family, make_rho
 from seqlab.errors import SpecError
@@ -34,7 +34,7 @@ GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "data"
 
 def _weights(path):
     make_family(f"weighted:base=linear,weights=file:{path}")  # its checks and errors
-    return read_floats(path, "weight")
+    return read_numbers(path, "weight")
 
 
 def _matrix(path):
@@ -252,4 +252,4 @@ def test_numpy_warning_falls_back_to_the_per_line_reader(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SpecError, match="^empty weight file"):
-            read_floats(path, "weight")
+            read_numbers(path, "weight")
