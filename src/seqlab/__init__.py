@@ -12,19 +12,16 @@ from .errors import (CauchyConstructionError, GenerationError, SeqlabError,
 from .matrices import (RegularityReport, SummabilityMatrix, apply_row,
                        make_matrix, regularity_check, transform_prefix)
 from .membership import (DEFAULT_EPS, DEFAULT_TOL, CauchyReport,
-                         InclusionProbe, MembershipReport, SpaceParams,
-                         block_membership, block_trails,
-                         boundedness_inclusion_probe, density_membership,
-                         pointwise_scores, stat_cauchy_check,
-                         stat_limit_estimate)
+                         MembershipReport, SpaceParams, block_membership,
+                         block_trails, density_membership, pointwise_scores,
+                         stat_cauchy_check, stat_limit_estimate)
 from .modulus import (AxiomCheck, Modulus, ModulusAxiomReport,
                       check_modulus_axioms, make_modulus)
-from .orlicz import (ComplementaryValue, Delta2Report, OrliczFn, OrliczFamily,
-                     OrliczAxiomReport, OrliczNormResult, RhoSchedule,
-                     block_mean_norm, check_orlicz_axioms, complementary,
-                     const_rho, delta2_check, luxemburg_norm, make_family,
-                     make_orlicz, make_rho, modular, orlicz_norm,
-                     table_family, uniform_family, weighted_family)
+from .orlicz import (Delta2Report, OrliczFn, OrliczFamily, OrliczAxiomReport,
+                     OrliczNormResult, RhoSchedule, block_mean_norm,
+                     check_orlicz_axioms, const_rho, delta2_check,
+                     luxemburg_norm, make_family, make_orlicz, make_rho,
+                     modular, orlicz_norm, uniform_family, weighted_family)
 from .sequences import (alternating_sequence, const_sequence,
                         harmonic_sequence, make_sequence, read_sequence_csv,
                         spike_sequence)

@@ -256,50 +256,3 @@ def _cauchy_search(y: np.ndarray, f: Modulus, eps: float, tol: float) -> CauchyR
         if dens.converged and dens.value <= tol:
             return CauchyReport(True, anchor, dens, tuple(trail))
     return CauchyReport(False, None, None, tuple(trail))
-
-
-@dataclass(frozen=True)
-class InclusionProbe:
-    """Empirical check that count-mode membership implies mean-mode membership
-    for bounded sequences when h_r / h_r^alpha stays near 1."""
-
-    hypothesis_met: bool
-    reason: str
-    count_report: MembershipReport | None
-    mean_report: MembershipReport | None
-    implication_holds: bool | None
-
-
-def boundedness_inclusion_probe(x: SequencePrefix, params: SpaceParams,
-                                tol: float = DEFAULT_TOL) -> InclusionProbe:
-    scheme = params.scheme
-    if scheme.k_max > len(x):
-        raise TruncationError(
-            f"scheme extends to {scheme.k_max}, past the sequence truncation {len(x)}")
-    absx = np.abs(x.values[: scheme.k_max])
-    maxima = np.maximum.reduceat(absx, scheme.cuts_array[:-1])
-    w = math.ceil(scheme.blocks / 3)
-    head_max = float(np.max(maxima[:w]))
-    tail_max = float(np.max(maxima[-w:]))
-    # finite truncation proxy for boundedness: block maxima must not grow
-    if tail_max > 2.0 * head_max + 1e-12:
-        return InclusionProbe(
-            False,
-            f"sequence magnitude grows across blocks (early max {head_max:g}, late max {tail_max:g})",
-            None, None, None,
-        )
-    ratio = scheme.h.astype(float) / scheme.h.astype(float) ** params.alpha
-    dev = float(np.max(np.abs(ratio[-w:] - 1.0)))
-    if dev > tol:
-        return InclusionProbe(
-            False,
-            f"h_r/h_r^alpha deviates from 1 by {dev:g} on the trailing blocks",
-            None, None, None,
-        )
-    trails = block_trails(x, params)
-    count_rep = _block_report(trails, params, "count", tol)
-    mean_rep = _block_report(trails, params, "mean", tol)
-    implication = None
-    if count_rep.verdict == MEMBER:
-        implication = mean_rep.verdict in (MEMBER, INCONCLUSIVE)
-    return InclusionProbe(True, "", count_rep, mean_rep, implication)

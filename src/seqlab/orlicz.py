@@ -1,5 +1,5 @@
-"""Orlicz machinery: modulars, Luxemburg and Orlicz norms, conjugates,
-doubling-growth checks, and the block-mean norm.
+"""Orlicz machinery: modulars, Luxemburg and Orlicz norms, doubling-growth
+checks, and the block-mean norm.
 
 The modular I(x) = sum_k M_k(|x_k|) is the gauge behind both norms, and each
 norm costs a handful of modular passes at any scale of x.  The Luxemburg norm
@@ -52,19 +52,13 @@ def make_orlicz(spec: str) -> OrliczFn:
 
 
 class OrliczFamily:
-    """An indexed family i -> M_i with a vectorized batch evaluator."""
+    """An indexed family i -> M_i, evaluated in batches by ``eval_many``."""
 
-    __slots__ = ("kind", "name", "_at", "_eval_many")
+    __slots__ = ("name", "_eval_many")
 
-    def __init__(self, kind: str, name: str, at: Callable[[int], OrliczFn],
-                 eval_many: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.kind = kind
+    def __init__(self, name: str, eval_many: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.name = name
-        self._at = at
         self._eval_many = eval_many
-
-    def at(self, i: int) -> OrliczFn:
-        return self._at(int(i))
 
     def eval_many(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """M_idx[j](t[j]) for aligned index/value arrays."""
@@ -76,39 +70,13 @@ class OrliczFamily:
 
 
 def uniform_family(base: OrliczFn) -> OrliczFamily:
-    return OrliczFamily("uniform", base.name, lambda i: base, lambda idx, t: base.fn(t))
+    return OrliczFamily(base.name, lambda idx, t: base.fn(t))
 
 
 def weighted_family(base: OrliczFn, weight: Callable[[np.ndarray], np.ndarray],
                     name: str | None = None) -> OrliczFamily:
     """M_i(t) = w_i * base(t) with w_i > 0; ``weight`` must accept index arrays."""
-
-    def at(i: int) -> OrliczFn:
-        w = float(weight(np.asarray([i], dtype=np.int64))[0])
-        if w <= 0:
-            raise SpecError(f"family weight at index {i} must be positive, got {w}")
-        return OrliczFn(f"{w:g}*{base.name}", lambda t, _w=w: _w * base.fn(np.asarray(t, dtype=float)))
-
-    return OrliczFamily(
-        "weighted",
-        name or f"weighted({base.name})",
-        at,
-        lambda idx, t: weight(idx) * base.fn(t),
-    )
-
-
-def table_family(fns: Sequence[OrliczFn], name: str = "table") -> OrliczFamily:
-    fns = list(fns)
-
-    def at(i: int) -> OrliczFn:
-        if not 1 <= i <= len(fns):
-            raise TruncationError(f"family table covers indices 1..{len(fns)}, got {i}")
-        return fns[i - 1]
-
-    def eval_many(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.asarray([at(int(i))(float(v)) for i, v in zip(idx, t)])
-
-    return OrliczFamily("table", name, at, eval_many)
+    return OrliczFamily(name or f"weighted({base.name})", lambda idx, t: weight(idx) * base.fn(t))
 
 
 def _weighted(spec: str, body: str) -> OrliczFamily:
@@ -161,13 +129,6 @@ class RhoSchedule:
             object.__setattr__(self, "table", t)
         else:
             raise SpecError(f"unknown rho kind {self.kind!r}")
-
-    def at(self, i: int) -> float:
-        if self.kind == "const":
-            return self.constant
-        if not 1 <= i <= self.table.size:
-            raise TruncationError(f"rho table covers 1..{self.table.size}, got {i}")
-        return float(self.table[i - 1])
 
     def values(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
@@ -322,8 +283,9 @@ def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -
     """inf{k > 0 : modular(x / k) <= 1}, to relative tolerance ``tol``.
 
     The result k satisfies k* / (1 + tol) <= k <= k* (1 + tol) for the true
-    norm k*, at every scale of x (a tol finer than float resolution stops at
-    adjacent floats).  One modular pass at k0 = max|x| brackets
+    norm k*, at every scale of x, but only to the float grid: a tol finer than
+    float resolution stops at adjacent floats, and a subnormal k is off by up
+    to half its ulp (k* = 1.44 ulp(0) returns 1 ulp(0)).  One modular pass at k0 = max|x| brackets
     k* by convexity; Illinois regula falsi on (log k, log modular), exact in
     one step for ``poly:p`` and ``linear``, narrows the bracket until its
     width is at most tol times its lower end.  Doubling or halving takes over
@@ -416,6 +378,9 @@ def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> O
     width near 0.1 sqrt(tol); the value error is quadratic in that width and
     stays far inside ``tol``.  When g is still falling at a k with 1/k below
     its float resolution, the result is that g(k) with ``attained="edge"``.
+    Like the Luxemburg norm it holds at every scale only to the float grid:
+    a subnormal value is off by up to half its ulp, so the order
+    Luxemburg <= Orlicz <= 2 Luxemburg can fail between the returned floats.
     """
     check_tol(tol)
     if not np.any(x.values):
@@ -448,51 +413,6 @@ def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> O
 
 
 @dataclass(frozen=True)
-class ComplementaryValue:
-    value: float
-    maximizer: float
-    diverged: bool
-
-
-def complementary(family: OrliczFamily, i: int, v: float, u_max: float,
-                  grid: int = 2000) -> ComplementaryValue:
-    """Conjugate value sup_{0 <= u <= u_max} (|v| u - M_i(u)) by grid + refinement.
-
-    Grid search plus local zooming keeps nonsmooth gauges supported.  When the
-    maximizer sits at u_max with the objective still rising, the supremum is
-    flagged divergent rather than trusted.
-    """
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    if grid < 1000:
-        raise ValueError("grid must have at least 1000 points")
-    m = family.at(i)
-    av = abs(float(v))
-
-    def objective(us: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return av * us - np.asarray(m.fn(us), dtype=float)
-
-    us = np.linspace(0.0, float(u_max), grid)
-    obj = objective(us)
-    j = int(np.nanargmax(obj))
-    diverged = j == grid - 1 and obj[-1] > obj[-2]
-    best_u, best = float(us[j]), float(obj[j])
-    if not diverged:
-        lo = float(us[max(j - 1, 0)])
-        hi = float(us[min(j + 1, grid - 1)])
-        for _ in range(3):
-            us = np.linspace(lo, hi, grid)
-            obj = objective(us)
-            j = int(np.nanargmax(obj))
-            if obj[j] > best:
-                best, best_u = float(obj[j]), float(us[j])
-            lo = float(us[max(j - 1, 0)])
-            hi = float(us[min(j + 1, grid - 1)])
-    return ComplementaryValue(max(best, 0.0), best_u, bool(diverged))
-
-
-@dataclass(frozen=True)
 class Delta2Report:
     passed: bool
     witness: tuple | None  # (k, u, lhs, rhs)
@@ -515,7 +435,7 @@ def delta2_check(family: OrliczFamily, a: float, big_k: float, c,
     us_arr = np.asarray(list(us), dtype=float)
     if us_arr.size == 0 or np.any(us_arr < 0):
         raise ValueError("u sample must be nonnegative and nonempty")
-    pairs = 0
+    pairs, witness = 0, None
     for k in ks:
         ck = float(c_at(k))
         if ck < 0:
@@ -529,14 +449,10 @@ def delta2_check(family: OrliczFamily, a: float, big_k: float, c,
         viol = np.flatnonzero(mask & (m_2u > big_k * m_u + ck + _SLACK))
         if viol.size:
             j = int(viol[0])
-            return Delta2Report(
-                False,
-                witness=(k, float(us_arr[j]), float(m_2u[j]), float(big_k * m_u[j] + ck)),
-                c_sum=math.fsum(float(c_at(i)) for i in range(1, max(ks) + 1)),
-                pairs_checked=pairs,
-            )
+            witness = (k, float(us_arr[j]), float(m_2u[j]), float(big_k * m_u[j] + ck))
+            break
     return Delta2Report(
-        True, None,
+        witness is None, witness,
         c_sum=math.fsum(float(c_at(i)) for i in range(1, max(ks) + 1)),
         pairs_checked=pairs,
     )

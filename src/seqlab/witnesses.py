@@ -206,10 +206,12 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
         raise ValueError("rho must be positive")
     if blocks < 6:
         raise ValueError("need at least 6 blocks")
-    ratio = nu / rho
+    # a ratio past the budget fails at block 1 either way; clamped, the exact
+    # ldexp below stops at the budget check long before it could overflow
+    ratio = min(nu / rho, _CUT_BUDGET)
     cuts = [0]
     for r in range(1, blocks + 1):
-        cuts.append(max(cuts[-1] + 2, math.ceil(ratio * 2.0 ** r)))
+        cuts.append(max(cuts[-1] + 2, math.ceil(math.ldexp(ratio, r))))
         if cuts[-1] > _CUT_BUDGET:
             raise GenerationError(
                 f"plateau cuts exceed the truncation budget ({_CUT_BUDGET}) at block {r}")

@@ -334,6 +334,20 @@ class TestWitnessCommand:
         assert r["mean"]["verdict"] == "member"
         assert r["count"]["verdict"] == "non-member"
 
+    def test_half_plateau_zero_height_past_2_to_1023(self, capsys):
+        payload = run_json(capsys, ["witness", "half-plateau", "--nu", "0", "--blocks", "2000"])
+        assert payload["results"]["cuts"][-1] == 4000
+
+    @pytest.mark.parametrize("nu, rho, blocks, block", [("1e-320", "1", "1100", 1087),
+                                                        ("1e308", "1", "8", 1),
+                                                        ("1e308", "0.5", "8", 1)])
+    def test_half_plateau_cuts_past_budget(self, capsys, nu, rho, blocks, block):
+        code, out, err = run(capsys, ["witness", "half-plateau", "--nu", nu,
+                                      "--rho-value", rho, "--blocks", blocks])
+        assert code == 1
+        assert out == ""
+        assert err == f"seqlab: error: plateau cuts exceed the truncation budget (10000000) at block {block}\n"
+
     def test_block_spike_discrepancy_warning(self, capsys):
         payload = run_json(capsys, ["witness", "block-spike", "--blocks", "12"])
         assert payload["results"]["residuals_at_least_one"]

@@ -6,9 +6,8 @@ from seqlab.errors import TruncationError
 from seqlab.matrices import make_matrix
 from seqlab.membership import (INCONCLUSIVE, MEMBER, NON_MEMBER, SpaceParams,
                                block_membership, block_trails,
-                               boundedness_inclusion_probe, density_membership,
-                               pointwise_scores, stat_cauchy_check,
-                               stat_limit_estimate)
+                               density_membership, pointwise_scores,
+                               stat_cauchy_check, stat_limit_estimate)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import const_rho, make_orlicz, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
@@ -241,35 +240,3 @@ class TestCauchy:
         x = SequencePrefix(np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308))
         with pytest.raises(ValueError, match="non-finite"):
             stat_cauchy_check(x, reduction_params(limit=None), ID_MOD)
-
-
-class TestInclusionProbe:
-    def test_growing_spikes_fail_hypothesis(self):
-        from seqlab.witnesses import gen_block_spike_instance
-        inst = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12))
-        probe = boundedness_inclusion_probe(inst.x, inst.params)
-        assert not probe.hypothesis_met
-        assert "grows" in probe.reason
-
-    def test_alpha_below_one_fails_hypothesis(self):
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 8), alpha=0.5, limit=0.0)
-        probe = boundedness_inclusion_probe(const_sequence(256, 0.5), p)
-        assert not probe.hypothesis_met
-        assert "alpha" in probe.reason
-
-    def test_bounded_square_spikes_pass_and_agree(self):
-        n = 2 ** 18
-        x = spike_sequence(n, make_index_set("squares"), base=0.0, delta=1.0)
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 18), limit=0.0)
-        probe = boundedness_inclusion_probe(x, p)
-        assert probe.hypothesis_met
-        assert probe.count_report.verdict == MEMBER
-        assert probe.mean_report.verdict == MEMBER
-        assert probe.implication_holds
-
-    def test_constant(self):
-        probe = boundedness_inclusion_probe(const_sequence(64, 2.0), reduction_params(limit=2.0))
-        assert probe.hypothesis_met
-        assert probe.count_report.verdict == MEMBER
-        assert probe.mean_report.verdict == MEMBER
-        assert probe.implication_holds
