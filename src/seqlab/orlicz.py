@@ -76,7 +76,8 @@ def uniform_family(base: OrliczFn) -> OrliczFamily:
 def weighted_family(base: OrliczFn, weight: Callable[[np.ndarray], np.ndarray],
                     name: str | None = None) -> OrliczFamily:
     """M_i(t) = w_i * base(t) with w_i > 0; ``weight`` must accept index arrays."""
-    return OrliczFamily(name or f"weighted({base.name})", lambda idx, t: weight(idx) * base.fn(t))
+    return OrliczFamily(name or f"weighted({base.name})",
+                        lambda idx, t: weight(idx) * base.fn(t))
 
 
 def _weighted(spec: str, body: str) -> OrliczFamily:
@@ -285,12 +286,13 @@ def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -
     The result k satisfies k* / (1 + tol) <= k <= k* (1 + tol) for the true
     norm k*, at every scale of x, but only to the float grid: a tol finer than
     float resolution stops at adjacent floats, and a subnormal k is off by up
-    to half its ulp (k* = 1.44 ulp(0) returns 1 ulp(0)).  One modular pass at k0 = max|x| brackets
-    k* by convexity; Illinois regula falsi on (log k, log modular), exact in
-    one step for ``poly:p`` and ``linear``, narrows the bracket until its
-    width is at most tol times its lower end.  Doubling or halving takes over
-    where the modular underflows, overflows or the gauge is not convex, and
-    raises UnboundedNormError past 2^50 times max|x| either way.
+    to half its ulp (k* = 1.44 ulp(0) returns 1 ulp(0)).  One modular pass
+    at k0 = max|x| brackets k* by convexity; Illinois regula falsi on
+    (log k, log modular), exact in one step for ``poly:p`` and ``linear``,
+    narrows the bracket until its width is at most tol times its lower end.
+    Doubling or halving takes over where the modular underflows, overflows or
+    the gauge is not convex, and raises UnboundedNormError past 2^50 times
+    max|x| either way.
     """
     check_tol(tol)
     if not np.any(x.values):
