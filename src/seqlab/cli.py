@@ -46,6 +46,8 @@ from .orlicz import (block_mean_norm, check_orlicz_axioms, luxemburg_norm,
 from .sequences import make_sequence
 
 SCHEMA_VERSION = "seqlab/1"
+# Largest --depth of witness extract and cauchy, whose time grows with it.
+MAX_DEPTH = 1000
 
 
 # -----------------------------
@@ -139,10 +141,9 @@ def _report(subcommand: str, inputs: dict, results, warnings=()) -> dict:
 
 
 def _membership_payload(rep) -> dict:
-    """A MembershipReport's fields, less the trails its mode left unset and
-    its warnings, which go to the report's top-level list."""
+    """A MembershipReport's fields, less the trails its mode left unset."""
     return {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
-            if getattr(rep, fld.name) is not None and fld.name != "warnings"}
+            if getattr(rep, fld.name) is not None}
 
 
 def _pair_payload(rep, **extra) -> dict:
@@ -152,6 +153,18 @@ def _pair_payload(rep, **extra) -> dict:
            if fld.name not in ("mean_report", "count_report", "warnings")}
     return {**out, "mean": _membership_payload(rep.mean_report),
             "count": _membership_payload(rep.count_report), **extra}
+
+
+def _witness_instance(kind: str, args):
+    """The generated ``half-plateau`` or ``block-spike`` instance as ``(x,
+    params, spike)``: ``spike`` is the block-spike instance, None for
+    half-plateau.  Without ``--blocks`` it has 10 blocks, or 12 for block-spike."""
+    blocks = args.blocks if args.blocks is not None else (10 if kind == "half-plateau" else 12)
+    if kind == "half-plateau":
+        return (*witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks), None)
+    spike = witnesses_mod.gen_block_spike_instance(
+        make_orlicz(args.orlicz), make_lacunary(args.theta, blocks), args.rho_value, args.alpha)
+    return spike.x, spike.params, spike
 
 
 def _space_params(args, scheme) -> SpaceParams:
@@ -182,17 +195,8 @@ def _cmd_density(args) -> dict:
 
 
 def _resolve_membership(args):
-    warnings: list[str] = []
     if args.witness:
-        if args.witness == "half-plateau":
-            x, params = witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, args.blocks)
-        else:
-            scheme = make_lacunary(args.theta, args.blocks)
-            inst = witnesses_mod.gen_block_spike_instance(
-                make_orlicz(args.orlicz), scheme, args.rho_value, args.alpha)
-            x, params = inst.x, inst.params
-            warnings.append(witnesses_mod.BLOCK_SPIKE_DISCREPANCY)
-        return x, params, warnings
+        return _witness_instance(args.witness, args)[:2]
     if args.seq is None:
         raise SeqlabError("membership needs --seq or --witness")
     scheme = make_lacunary(args.theta, args.blocks)
@@ -213,11 +217,11 @@ def _resolve_membership(args):
         params = dataclasses.replace(params, limit=est)
     elif params.limit is None:
         raise SeqlabError("membership needs --limit or --estimate-limit")
-    return x, params, warnings
+    return x, params
 
 
 def _cmd_membership(args) -> dict:
-    x, params, warnings = _resolve_membership(args)
+    x, params = _resolve_membership(args)
     if args.mode == "density":
         f = make_modulus(args.modulus or "id")
         rep = membership_mod.density_membership(x, params, f, args.tol)
@@ -230,7 +234,8 @@ def _cmd_membership(args) -> dict:
         "limit": params.limit, "eps": params.eps, "tol": args.tol,
         "modulus": args.modulus, "n": len(x),
     }
-    return _report("membership", inputs, _membership_payload(rep), warnings + list(rep.warnings))
+    warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if args.witness == "block-spike" else []
+    return _report("membership", inputs, _membership_payload(rep), warnings)
 
 
 def _cmd_norm(args) -> dict:
@@ -263,27 +268,22 @@ def _cmd_witness(args) -> dict:
         "tol": args.tol, "n": args.n, "probe_moduli": args.probe_moduli,
     }
 
-    if args.task == "half-plateau":
-        x, params = witnesses_mod.gen_half_plateau_instance(
-            args.nu, args.rho_value, args.blocks if args.blocks is not None else 10)
-        rep = witnesses_mod.half_plateau_report(x, params, args.tol)
-        results = _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps)
-        return _report("witness", inputs, results)
-
-    if args.task == "block-spike":
-        scheme = make_lacunary(args.theta, args.blocks if args.blocks is not None else 12)
-        inst = witnesses_mod.gen_block_spike_instance(
-            make_orlicz(args.orlicz), scheme, args.rho_value, args.alpha)
-        rep = witnesses_mod.block_spike_report(inst, args.tol)
-        results = _pair_payload(rep, cuts=scheme.cuts, spike_heights=inst.spike_heights)
+    if args.task in ("half-plateau", "block-spike"):
+        x, params, spike = _witness_instance(args.task, args)
+        if spike is None:
+            rep = witnesses_mod.half_plateau_report(x, params, args.tol)
+            return _report("witness", inputs, _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps))
+        rep = witnesses_mod.block_spike_report(spike, args.tol)
+        results = _pair_payload(rep, cuts=params.scheme.cuts, spike_heights=spike.spike_heights)
         return _report("witness", inputs, results, rep.warnings)
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
     depth = {"extract": 5, "cauchy": 10}.get(args.task) if args.depth is None else args.depth
     least = 2 if args.task == "extract" else 1
-    if args.task != "probe" and depth < least:  # before any computation, so the data cannot decide
-        raise SeqlabError(f"witness {args.task} needs --depth >= {least}, got {depth}")
+    # before any computation, so the data cannot decide
+    if args.task != "probe" and not least <= depth <= MAX_DEPTH:
+        raise SeqlabError(f"witness {args.task} needs --depth in [{least}, {MAX_DEPTH}], got {depth}")
     n = args.n if args.n is not None else 100_000
     x = make_sequence(args.seq, n)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
@@ -368,26 +368,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-2)
     _add_common(p)
 
-    p = sub.add_parser("membership", help="block membership diagnostics")
-    p.add_argument("--seq", default=None)
+    # the sequence, space and witness-instance flags of membership and witness
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--seq", default=None)
+    space.add_argument("--modulus", default=None)
+    space.add_argument("--matrix", default="identity")
+    space.add_argument("--orlicz", default="linear")
+    space.add_argument("--theta", default="powers2")
+    space.add_argument("--alpha", type=float, default=1.0)
+    space.add_argument("--rho", default="const:1")
+    space.add_argument("--nu", type=float, default=1.0)
+    space.add_argument("--rho-value", type=float, default=1.0,
+                       help="scalar rho for generated witness instances")
+    space.add_argument("--limit", type=float, default=None, help="candidate limit L")
+    space.add_argument("--eps", type=float, default=0.1)
+    space.add_argument("--tol", type=float, default=1e-2)
+    space.add_argument("--n", type=int, default=None)
+    _add_common(space)
+
+    p = sub.add_parser("membership", parents=[space], help="block membership diagnostics")
     p.add_argument("--witness", choices=("half-plateau", "block-spike"), default=None)
     p.add_argument("--mode", choices=("mean", "count", "density"), required=True)
-    p.add_argument("--matrix", default="identity")
-    p.add_argument("--orlicz", default="linear")
-    p.add_argument("--theta", default="powers2")
     p.add_argument("--blocks", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--rho", default="const:1")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--rho-value", type=float, default=1.0,
-                   help="scalar rho for generated witness instances")
-    p.add_argument("--limit", type=float, default=None, help="candidate limit L")
     p.add_argument("--estimate-limit", action="store_true")
-    p.add_argument("--modulus", default=None)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
 
     p = sub.add_parser("norm", help="Luxemburg, Orlicz, or block-mean norm")
     p.add_argument("--kind", choices=("luxemburg", "orlicz", "block-mean"), required=True)
@@ -399,25 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("witness", help="constructions and probes")
+    p = sub.add_parser("witness", parents=[space], help="constructions and probes")
     p.add_argument("task", choices=("extract", "cauchy", "half-plateau", "block-spike", "probe"))
-    p.add_argument("--seq", default=None)
-    p.add_argument("--modulus", default=None)
     p.add_argument("--probe-moduli", default=None, help="comma list, e.g. id,log1p,pow:0.5")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--rho", default="const:1")
-    p.add_argument("--rho-value", type=float, default=1.0)
+    p.add_argument("--depth", type=int, default=None,
+                   help=f"extract: 2..{MAX_DEPTH} (default 5), cauchy: 1..{MAX_DEPTH} (default 10)")
     p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--theta", default="powers2")
-    p.add_argument("--orlicz", default="linear")
-    p.add_argument("--matrix", default="identity")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--limit", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
 
     p = sub.add_parser("check", help="sampled axiom checks for moduli and Orlicz functions")
     p.add_argument("--modulus", default=None)

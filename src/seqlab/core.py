@@ -246,9 +246,6 @@ class IndexSet:
     def count(self, n: int) -> int:
         return int(self.counts(np.asarray([n]))[0])
 
-    def complement_count(self, n: int) -> int:
-        return int(n) - self.count(n)
-
     def contains(self, i: int) -> bool:
         before, upto = self.counts(np.asarray([int(i) - 1, int(i)]))
         return bool(upto - before == 1)
@@ -340,13 +337,6 @@ class LacunaryScheme:
         arr.flags.writeable = False
         return arr
 
-    @cached_property
-    def ratios(self) -> np.ndarray:
-        """phi_r = k_r / k_{r-1} for r = 2..R."""
-        arr = self.cuts_array[2:] / self.cuts_array[1:-1]
-        arr.flags.writeable = False
-        return arr
-
     @property
     def blocks(self) -> int:
         return len(self.cuts) - 1
@@ -360,18 +350,6 @@ class LacunaryScheme:
         if not 1 <= r <= self.blocks:
             raise ValueError(f"block {r} out of range 1..{self.blocks}")
         return self.cuts[r - 1], self.cuts[r]
-
-    def block_indices(self, r: int) -> np.ndarray:
-        lo, hi = self.block(r)
-        return np.arange(lo + 1, hi + 1, dtype=np.int64)
-
-
-def block_of(scheme: LacunaryScheme, i: int) -> int:
-    """Return the unique r with i in J_r = (k_{r-1}, k_r]."""
-    i = int(i)
-    if not 0 < i <= scheme.k_max:
-        raise TruncationError(f"index {i} outside the covered range (0, {scheme.k_max}]")
-    return int(np.searchsorted(scheme.cuts_array, i, side="left"))
 
 
 def _geometric(spec: str, body: str, blocks) -> LacunaryScheme:

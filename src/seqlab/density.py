@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_INDEX, IndexSet, SequencePrefix, check_tol
-from .modulus import Modulus
+from .modulus import Modulus, make_modulus
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -46,10 +46,6 @@ class DensityEstimate:
     @property
     def converged(self) -> bool:
         return self.verdict == CONVERGED
-
-    @property
-    def final_ratio(self) -> float:
-        return self.ratios[-1]
 
 
 def checkpoints(n: int, floor: int = _CHECKPOINT_FLOOR) -> np.ndarray:
@@ -125,19 +121,16 @@ def _validated_checkpoints(n: int) -> np.ndarray:
 
 
 def natural_density(a: IndexSet, n: int, tol: float = 1e-2) -> DensityEstimate:
-    """Estimate lim |A(n)|/n from the prefix ratio trail."""
-    check_tol(tol)
-    ns = _validated_checkpoints(int(n))
-    counts = a.counts(ns)
-    return _estimate(ns, counts / ns, tol)
+    """Estimate lim |A(n)|/n from the prefix ratio trail: the f = id case of
+    ``f_density``."""
+    return f_density(a, make_modulus("id"), n, tol)
 
 
 def f_density(a: IndexSet, f: Modulus, n: int, tol: float = 1e-2) -> DensityEstimate:
     """Estimate lim f(|A(n)|)/f(n) for an unbounded modulus f.
 
-    With the identity modulus the ratio trail equals the natural-density
-    trail exactly.  A bounded modulus is rejected: the limit the trail is
-    chasing is not defined for it.
+    A bounded modulus is rejected: the limit the trail is chasing is not
+    defined for it.
     """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: density ratios need an unbounded modulus")

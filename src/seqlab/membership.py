@@ -67,7 +67,6 @@ class MembershipReport:
     exceedance_counts: tuple[int, ...] | None = None
     density: DensityEstimate | None = None
     evidence: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
 
 def pointwise_scores(x: SequencePrefix, params: SpaceParams,
@@ -190,7 +189,6 @@ def _density_verdict(s: SequencePrefix, eps: float, f: Modulus,
 
 
 def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                        eps: float | None = None,
                         tol: float = DEFAULT_TOL) -> float | None:
     """Scan histogram modes of the transformed values for a limit candidate.
 
@@ -198,9 +196,8 @@ def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
     or None when no candidate passes (e.g. an alternating sequence leaves
     exceedance density 1/2 around either value).
     """
-    eps = params.eps if eps is None else eps
     y = transform_prefix(params.matrix, x, len(x)).values
-    return _limit_estimate(y, x.label, params, f, eps, tol)
+    return _limit_estimate(y, x.label, params, f, params.eps, tol)
 
 
 def _limit_estimate(y: np.ndarray, label: str, params: SpaceParams, f: Modulus,
@@ -229,15 +226,13 @@ class CauchyReport:
 
 
 def stat_cauchy_check(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                      eps: float | None = None,
                       tol: float = DEFAULT_TOL) -> CauchyReport:
     """Search anchor rows N* making {i : |A_i(x) - A_{N*}(x)| > eps} density-null.
 
     Anchors are tried at geometric checkpoint positions, largest first; the
     first anchor whose exceedance density converges to <= tol wins.
     """
-    eps = params.eps if eps is None else eps
-    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, eps, tol)
+    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, params.eps, tol)
 
 
 def _cauchy_search(y: np.ndarray, f: Modulus, eps: float, tol: float) -> CauchyReport:

@@ -111,29 +111,27 @@ def make_family(spec: str) -> OrliczFamily:
 
 @dataclass(frozen=True)
 class RhoSchedule:
-    """Per-index positive scale rho^(i): constant or an explicit table."""
+    """Per-index positive scale rho^(i): the ``constant``, if set, else the
+    explicit ``table``."""
 
-    kind: str
     constant: float | None = None
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "const":
-            if self.constant is None or self.constant <= 0 or not math.isfinite(self.constant):
+        if self.constant is not None:
+            if self.constant <= 0 or not math.isfinite(self.constant):
                 raise SpecError(f"rho constant must be positive and finite, got {self.constant}")
-        elif self.kind == "table":
+        else:
             t = np.asarray(self.table, dtype=float)
             if t.ndim != 1 or t.size == 0 or np.any(t <= 0) or not np.all(np.isfinite(t)):
                 raise SpecError("rho table must be a nonempty list of positive finite reals")
             t = t.copy()
             t.flags.writeable = False
             object.__setattr__(self, "table", t)
-        else:
-            raise SpecError(f"unknown rho kind {self.kind!r}")
 
     def values(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        if self.kind == "const":
+        if self.constant is not None:
             return np.full(idx.shape, self.constant)
         if idx.size and int(idx.max()) > self.table.size:
             raise TruncationError(f"rho table covers 1..{self.table.size}, index {int(idx.max())} requested")
@@ -141,12 +139,12 @@ class RhoSchedule:
 
 
 def const_rho(c: float = 1.0) -> RhoSchedule:
-    return RhoSchedule("const", constant=float(c))
+    return RhoSchedule(constant=float(c))
 
 
 _RHO_FORMS = {
     "const:": lambda spec, body: const_rho(spec_number(spec, "c", body, lo=0.0, open_lo=True)),
-    "file:": lambda spec, path: RhoSchedule("table", table=read_numbers(path, "rho")),
+    "file:": lambda spec, path: RhoSchedule(table=read_numbers(path, "rho")),
 }
 
 
@@ -430,10 +428,13 @@ def delta2_check(family: OrliczFamily, a: float, big_k: float, c,
     constant or a callable k -> c_k >= 0; the reported c_sum totals c_k over
     k = 1..max(ks).
     """
-    if a <= 0 or big_k <= 0:
-        raise ValueError("thresholds a and K must be positive")
+    for name, v in (("a", a), ("big_k", big_k)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     c_at = (lambda k: float(c)) if np.isscalar(c) else c
     ks = [int(k) for k in ks]
+    if not ks or min(ks) < 1:
+        raise ValueError(f"ks must be nonempty with every k >= 1, got smallest {min(ks, default=None)}")
     us_arr = np.asarray(list(us), dtype=float)
     if us_arr.size == 0 or np.any(us_arr < 0):
         raise ValueError("u sample must be nonnegative and nonempty")

@@ -282,7 +282,9 @@ def test_empty_probe_moduli_exits_one(capsys):
     assert err == "seqlab: error: the multi-modulus probe needs at least one modulus\n"
 
 
-@pytest.mark.parametrize("task, depth", [("cauchy", "-1"), ("cauchy", "0"), ("extract", "1")])
+@pytest.mark.parametrize("task, depth", [("cauchy", "-1"), ("cauchy", "0"), ("extract", "1"),
+                                         ("cauchy", "1001"), ("extract", "1001"),
+                                         ("cauchy", "9223372036854775807")])
 @pytest.mark.parametrize("n", ["1000", "10000"])
 def test_depth_is_checked_before_the_data(capsys, task, depth, n):
     # harmonic:0 passes the base Cauchy check at n = 10^4 but not at 10^3
@@ -290,6 +292,12 @@ def test_depth_is_checked_before_the_data(capsys, task, depth, n):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "--depth" in err
+
+
+def test_depth_at_the_cap_runs(capsys):
+    payload = run_json(capsys, ["witness", "cauchy", "--seq", "const:1", "--n", "1000", "--depth", "1000"])
+    assert payload["results"]["cauchy"] is True
+    assert len(payload["results"]["anchors"]) == 1000
 
 
 def test_squares_log1p_at_1e15(capsys):

@@ -50,7 +50,7 @@ class TestNaturalDensity:
         d = natural_density(make_index_set("squares"), 10 ** 6, tol=1e-2)
         assert d.converged
         assert d.value == 0.0
-        assert d.final_ratio == pytest.approx(1e-3)
+        assert d.ratios[-1] == pytest.approx(1e-3)
 
     def test_full_set(self):
         d = natural_density(make_index_set("arith:1,1"), 1000)

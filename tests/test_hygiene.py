@@ -3,7 +3,10 @@
 * every name a module imports is used in that module (``__init__.py``, which
   imports to re-export, is exempt);
 * every module-level ``_private`` function, class or constant is referenced
-  somewhere in the package.
+  somewhere in the package;
+* every module-level public function or class is referenced somewhere in the
+  package outside ``__init__.py`` or in ``perfbench/``, or is kept on purpose
+  in ``KEEP``, so unserved API does not grow back.
 """
 
 import ast
@@ -11,9 +14,22 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "seqlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "seqlab"
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
+BENCH_TREES = [ast.parse(path.read_text(), filename=str(path))
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Public names that nothing in the package or the benchmark calls, each with
+# the reason it stays.
+KEEP = {
+    "core.complement": "the complement-density property tests are written against it",
+    "matrices.apply_row": "the math.fsum reference the transform tests compare against; "
+                          "perfbench/tracing.py names it only as a string",
+    "orlicz.modular": "the modular sum_k M_k(|x_k|) both norms are defined by; the acceptance tests use it",
+    "orlicz.delta2_check": "waits to serve check --orlicz as a sampled doubling verdict",
+}
 
 
 def _imported(tree):
@@ -63,3 +79,14 @@ def test_no_unreferenced_private_names():
     stranded = sorted(f"{module}.{name}" for module, tree in TREES.items()
                       for name in _private_defs(tree) - referenced)
     assert stranded == []
+
+
+def test_no_unserved_public_api():
+    referenced = set()
+    for tree in [t for module, t in TREES.items() if module != "__init__"] + BENCH_TREES:
+        referenced |= _loaded(tree) | _imported(tree)
+    unserved = {f"{module}.{node.name}" for module, tree in TREES.items() if module != "__init__"
+                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in referenced}
+    assert sorted(unserved - set(KEEP)) == []
+    assert sorted(set(KEEP) - unserved) == []  # a kept name that gained a caller leaves KEEP

@@ -205,8 +205,8 @@ class TestLimitEstimate:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="positive and finite"):
-            stat_limit_estimate(const_sequence(1000, 3.0), reduction_params(limit=None),
-                                ID_MOD, eps=eps)
+            stat_limit_estimate(const_sequence(1000, 3.0), reduction_params(limit=None, eps=eps),
+                                ID_MOD)
 
 
 class TestCauchy:
@@ -224,16 +224,16 @@ class TestCauchy:
         assert not make_index_set("squares").contains(rep.anchor)
 
     def test_alternating_not_cauchy(self):
-        rep = stat_cauchy_check(alternating_sequence(1000), reduction_params(limit=None),
-                                ID_MOD, eps=0.5)
+        rep = stat_cauchy_check(alternating_sequence(1000), reduction_params(limit=None, eps=0.5),
+                                ID_MOD)
         assert not rep.cauchy
         assert rep.anchor is None
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="positive and finite"):
-            stat_cauchy_check(harmonic_sequence(1000), reduction_params(limit=None),
-                              ID_MOD, eps=eps)
+            stat_cauchy_check(harmonic_sequence(1000), reduction_params(limit=None, eps=eps),
+                              ID_MOD)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_deviation_rejected(self):

@@ -318,6 +318,18 @@ class TestDelta2:
                            ks=[1, 2, 4], us=[0.1, 0.5])
         assert rep.c_sum == pytest.approx(1.0 + 0.25 + 1.0 / 9.0 + 1.0 / 16.0)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("a", {"a": math.nan}), ("a", {"a": math.inf}), ("a", {"a": 0.0}), ("a", {"a": -1.0}),
+        ("big_k", {"big_k": math.nan}), ("big_k", {"big_k": math.inf}), ("big_k", {"big_k": 0.0}),
+        ("ks", {"ks": []}), ("ks", {"ks": [0]}), ("ks", {"ks": [3, -1, 2]}),
+    ])
+    def test_bad_parameter_named(self, name, kwargs):
+        # a = nan once passed with no pair checked, ks = [] raised a bare
+        # max() error and ks = [0] read index 0 of a family indexed from 1
+        args = {"a": 1.0, "big_k": 4.0, "c": 0.0, "ks": range(1, 9), "us": [0.1, 0.5], **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            delta2_check(POLY2, **args)
+
 
 class TestBlockMeanNorm:
     def test_ones(self):
