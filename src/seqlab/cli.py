@@ -38,7 +38,7 @@ from . import witnesses as witnesses_mod
 from .core import make_index_set, make_lacunary
 from .errors import (CauchyConstructionError, SeqlabError,
                      WitnessExtractionError)
-from .matrices import make_matrix
+from .matrices import make_matrix, transform_prefix
 from .membership import SpaceParams
 from .modulus import check_modulus_axioms, make_modulus
 from .orlicz import (block_mean_norm, check_orlicz_axioms, luxemburg_norm,
@@ -150,7 +150,7 @@ def _pair_payload(rep, **extra) -> dict:
     """A half-plateau or block-spike report's fields, with its two membership
     reports under ``mean`` and ``count``."""
     out = {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
-           if fld.name not in ("mean_report", "count_report", "warnings")}
+           if fld.name not in ("mean_report", "count_report")}
     return {**out, "mean": _membership_payload(rep.mean_report),
             "count": _membership_payload(rep.count_report), **extra}
 
@@ -275,7 +275,7 @@ def _cmd_witness(args) -> dict:
             return _report("witness", inputs, _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps))
         rep = witnesses_mod.block_spike_report(spike, args.tol)
         results = _pair_payload(rep, cuts=params.scheme.cuts, spike_heights=spike.spike_heights)
-        return _report("witness", inputs, results, rep.warnings)
+        return _report("witness", inputs, results, [witnesses_mod.BLOCK_SPIKE_DISCREPANCY])
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
@@ -295,18 +295,22 @@ def _cmd_witness(args) -> dict:
 
     f = make_modulus(args.modulus or "id")
     if args.task == "extract":
+        # the scores are computed once, against the given or the estimated limit
         if params.limit is None:
-            est = membership_mod.stat_limit_estimate(x, params, f, tol=args.tol)
+            (est,), s = membership_mod._limit_estimate(
+                transform_prefix(params.matrix, x, len(x)).values, x.label, params, [f], args.tol)
             if est is None:
                 raise SeqlabError("no candidate limit found; supply --limit")
             params = dataclasses.replace(params, limit=est)
+        else:
+            s = membership_mod.pointwise_scores(x, params).values
         try:
-            ws = witnesses_mod.extract_witness_set(x, params, f, depth, args.tol)
+            ws = witnesses_mod.extract_witness_set(x, params, f, depth, args.tol, scores=s)
         except WitnessExtractionError as exc:
             results = {"failure": {"stuck_level": exc.stuck_level, "message": str(exc)},
                        "limit": params.limit}
             return _report("witness", inputs, results)
-        off = witnesses_mod.converge_off_witness(x, params, ws.members, 1.0 / depth)
+        off = witnesses_mod.converge_off_witness(x, params, ws.members, 1.0 / depth, scores=s)
         members = ws.members.members_upto(len(x))
         results = {
             "limit": params.limit,

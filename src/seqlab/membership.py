@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LacunaryScheme, SequencePrefix, check_tol
+from .core import IndexSet, LacunaryScheme, SequencePrefix, check_tol
 from .density import DensityEstimate, _exceedances, checkpoints, exceedance_set, f_density
 from .errors import TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
@@ -159,7 +159,7 @@ def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     s = pointwise_scores(x, params)
-    dens, verdict = _density_verdict(s, params.eps, f, tol)
+    dens, verdict = _density_verdict(exceedance_set(s, params.eps), len(s), f, tol)
     t = c = counts = None
     if params.scheme.k_max <= len(x):
         t_arr, c_arr, n_arr = _block_trails(s.values[: params.scheme.k_max], params)
@@ -177,10 +177,10 @@ def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
     )
 
 
-def _density_verdict(s: SequencePrefix, eps: float, f: Modulus,
+def _density_verdict(above: IndexSet, n: int, f: Modulus,
                      tol: float) -> tuple[DensityEstimate, str]:
-    """Density of {i : s_i > eps} under f and the membership verdict it gives."""
-    dens = f_density(exceedance_set(s, eps), f, len(s), tol)
+    """Density of the exceedance set ``above`` under f and the membership verdict it gives."""
+    dens = f_density(above, f, n, tol)
     if dens.converged and dens.value <= tol:
         return dens, MEMBER
     if dens.converged and dens.value >= 2.0 * tol:
@@ -197,24 +197,38 @@ def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
     exceedance density 1/2 around either value).
     """
     y = transform_prefix(params.matrix, x, len(x)).values
-    return _limit_estimate(y, x.label, params, f, params.eps, tol)
+    return _limit_estimate(y, x.label, params, [f], tol)[0][0]
 
 
-def _limit_estimate(y: np.ndarray, label: str, params: SpaceParams, f: Modulus,
-                    eps: float, tol: float) -> float | None:
-    """``stat_limit_estimate`` over the transformed prefix ``y``."""
-    if not f.unbounded:
-        raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
-    width = max(eps, 1e-12)
+def _limit_estimate(y: np.ndarray, label: str, params: SpaceParams, moduli: list[Modulus],
+                    tol: float) -> tuple[list[float | None], np.ndarray | None]:
+    """``stat_limit_estimate`` under each modulus over the transformed prefix ``y``.
+
+    The values are binned once, and each of the at most five candidates is
+    scored and thresholded once for all moduli; the scan stops when every
+    modulus has its first passing candidate.  Also returns the scores against
+    the last candidate scored, which are the winner's when every modulus
+    found one.
+    """
+    for f in moduli:
+        if not f.unbounded:
+            raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
+    width = max(params.eps, 1e-12)
     bins = np.floor((y - float(y.min())) / width).astype(np.int64)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
+    limits: list[float | None] = [None] * len(moduli)
+    s = None
     for b in uniq[order][:5]:
         candidate = float(np.median(y[bins == b]))
-        s = _scores(y, replace(params, limit=candidate, eps=eps), label)
-        if _density_verdict(s, eps, f, tol)[1] == MEMBER:
-            return candidate
-    return None
+        s = _scores(y, replace(params, limit=candidate), label)
+        above = exceedance_set(s, params.eps)
+        for i, f in enumerate(moduli):
+            if limits[i] is None and _density_verdict(above, len(y), f, tol)[1] == MEMBER:
+                limits[i] = candidate
+        if None not in limits:
+            break
+    return limits, None if s is None else s.values
 
 
 @dataclass(frozen=True)
@@ -232,22 +246,32 @@ def stat_cauchy_check(x: SequencePrefix, params: SpaceParams, f: Modulus,
     Anchors are tried at geometric checkpoint positions, largest first; the
     first anchor whose exceedance density converges to <= tol wins.
     """
-    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, params.eps, tol)
+    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, [params.eps], tol)[0]
 
 
-def _cauchy_search(y: np.ndarray, f: Modulus, eps: float, tol: float) -> CauchyReport:
-    """``stat_cauchy_check`` over the transformed prefix ``y``."""
+def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) -> list[CauchyReport]:
+    """``stat_cauchy_check`` at each radius over the transformed prefix ``y``.
+
+    The anchors are walked once, largest first: each deviation |y - y[N*]| is
+    built once and tested at every radius that has no anchor yet, so each
+    radius keeps its first passing anchor.
+    """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the Cauchy check needs an unbounded modulus")
-    trail = []
+    trails: list[list] = [[] for _ in radii]
+    found: list[CauchyReport | None] = [None] * len(radii)
     for anchor in checkpoints(len(y))[::-1]:
+        pending = [i for i, rep in enumerate(found) if rep is None]
+        if not pending:
+            break
         anchor = int(anchor)
         dev = np.abs(y - y[anchor - 1])
         # y is finite, so the deviation is NaN-free and only overflow can make it infinite
         if not math.isfinite(float(dev.max())):
             raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
-        dens = f_density(_exceedances(dev, eps, f"dev@{anchor}"), f, len(y), tol)
-        trail.append((anchor, dens.verdict, dens.value))
-        if dens.converged and dens.value <= tol:
-            return CauchyReport(True, anchor, dens, tuple(trail))
-    return CauchyReport(False, None, None, tuple(trail))
+        for i in pending:
+            dens = f_density(_exceedances(dev, radii[i], f"dev@{anchor}"), f, len(y), tol)
+            trails[i].append((anchor, dens.verdict, dens.value))
+            if dens.converged and dens.value <= tol:
+                found[i] = CauchyReport(True, anchor, dens, tuple(trails[i]))
+    return [rep or CauchyReport(False, None, None, tuple(trail)) for rep, trail in zip(found, trails)]

@@ -52,7 +52,8 @@ class WitnessSet:
 
 
 def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                        depth: int = 5, tol: float = DEFAULT_TOL) -> WitnessSet:
+                        depth: int = 5, tol: float = DEFAULT_TOL,
+                        scores: np.ndarray | None = None) -> WitnessSet:
     """Build X = union_j ([r_j, r_{j+1}) intersect B_j) with B_j = {i : s_i > 1/j}.
 
     Each threshold r_j is the first index past r_{j-1} after which
@@ -60,15 +61,15 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
     leave at least half the truncation as verification tail, otherwise the
     construction is declared stuck at that level.  On success the scores off
     X beyond r_depth stay <= 1/depth by construction (verified and reported).
+    ``scores``, when given, are the scores of x against ``params.limit``.
     """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: witness extraction needs an unbounded modulus")
     if depth < 2:
         raise ValueError("witness depth must be >= 2")
-    s = pointwise_scores(x, params).values
+    s = pointwise_scores(x, params).values if scores is None else scores
     n = len(s)
-    ns = np.arange(1, n + 1, dtype=np.int64)
-    f_all = f(ns)
+    f_all = f(np.arange(1, n + 1, dtype=np.int64))
     cps = checkpoints(n)
 
     thresholds: list[int] = []
@@ -76,10 +77,10 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
     level_counts: dict[int, tuple] = {}
     r_prev = 0
     for j in range(1, depth + 1):
-        above = s > 1.0 / j
-        members = np.flatnonzero(above) + 1
+        members = np.flatnonzero(s > 1.0 / j) + 1
         level_members[j] = members
-        counts = np.cumsum(above)  # counts[i - 1] = |B_j(i)|
+        # counts[i - 1] = |B_j(i)|: the count k holds from the k-th member up to the next
+        counts = np.repeat(np.arange(members.size + 1), np.diff(members, prepend=1, append=n + 1))
         level_counts[j] = tuple((int(cp), int(counts[cp - 1])) for cp in cps)
         if j == 1:
             r_j = int(members[0]) if members.size else 1
@@ -110,8 +111,8 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
     off = np.ones(n, dtype=bool)
     if x_members.size:
         off[x_members - 1] = False
-    tail_mask = off & (ns >= thresholds[-1])
-    off_sup = float(s[tail_mask].max()) if np.any(tail_mask) else 0.0
+    tail = s[thresholds[-1] - 1:][off[thresholds[-1] - 1:]]
+    off_sup = float(tail.max()) if tail.size else 0.0
     return WitnessSet(witness, tuple(thresholds), level_counts, dens, off_sup)
 
 
@@ -123,15 +124,16 @@ class OffWitnessCheck:
     n_off: int
 
 
-def converge_off_witness(x: SequencePrefix, params: SpaceParams,
-                         witness: IndexSet, tol: float) -> OffWitnessCheck:
+def converge_off_witness(x: SequencePrefix, params: SpaceParams, witness: IndexSet,
+                         tol: float, scores: np.ndarray | None = None) -> OffWitnessCheck:
     """Check the scores restricted to the complement of the witness set.
 
     Passes when the trailing third of off-witness scores stays <= tol.  Also
     reports the smallest i0 with {i : s_i > eps} contained in X union {1..i0}
-    (i0 = 0 when the exceedances are exactly covered).
+    (i0 = 0 when the exceedances are exactly covered).  ``scores``, when
+    given, are the scores of x against ``params.limit``.
     """
-    s = pointwise_scores(x, params).values
+    s = pointwise_scores(x, params).values if scores is None else scores
     n = len(s)
     members = witness.members_upto(n)
     off = np.ones(n, dtype=bool)
@@ -166,11 +168,11 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     if depth < 1:
         raise ValueError("depth must be >= 1")
     y = transform_prefix(params.matrix, x, len(x)).values
+    reports = _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol)
     anchors = []
     lo = -math.inf
     hi = math.inf
-    for k in range(1, depth + 1):
-        report = _cauchy_search(y, f, 1.0 / k, tol)
+    for k, report in enumerate(reports, start=1):
         if not report.cauchy:
             raise CauchyConstructionError(
                 k, f"no anchor realizes the Cauchy condition at radius 1/{k}")
@@ -348,7 +350,6 @@ class BlockSpikeReport:
     mean_report: MembershipReport
     count_report: MembershipReport
     matches_expected: bool  # count member, mean non-member
-    warnings: tuple[str, ...]
 
 
 def block_spike_report(instance: BlockSpikeInstance,
@@ -367,7 +368,6 @@ def block_spike_report(instance: BlockSpikeInstance,
         mean_report=mean_rep,
         count_report=count_rep,
         matches_expected=(count_rep.verdict == MEMBER and mean_rep.verdict == NON_MEMBER),
-        warnings=(BLOCK_SPIKE_DISCREPANCY,),
     )
 
 
@@ -395,7 +395,7 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")
     y = transform_prefix(params.matrix, x, len(x)).values
-    limits = {f.name: _limit_estimate(y, x.label, params, f, params.eps, tol) for f in moduli}
+    limits = dict(zip((f.name for f in moduli), _limit_estimate(y, x.label, params, moduli, tol)[0]))
     found = [v for v in limits.values() if v is not None]
     all_agree = len(found) == len(moduli) and (
         not found or max(found) - min(found) <= 1e-9)

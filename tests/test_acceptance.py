@@ -19,9 +19,10 @@ from seqlab.modulus import Modulus, check_modulus_axioms, make_modulus
 from seqlab.orlicz import (OrliczFn, check_orlicz_axioms, luxemburg_norm,
                            make_orlicz, modular, orlicz_norm, uniform_family)
 from seqlab.sequences import alternating_sequence, spike_sequence
-from seqlab.witnesses import (block_spike_report, converge_off_witness,
-                              extract_witness_set, gen_block_spike_instance,
-                              gen_half_plateau_instance, multi_modulus_probe)
+from seqlab.witnesses import (BLOCK_SPIKE_DISCREPANCY, block_spike_report,
+                              converge_off_witness, extract_witness_set,
+                              gen_block_spike_instance, gen_half_plateau_instance,
+                              multi_modulus_probe)
 
 IDENTITY = make_matrix("identity")
 LINEAR_FAMILY = uniform_family(make_orlicz("linear"))
@@ -46,7 +47,7 @@ def test_criterion_1_half_plateau_reproduction():
            f"elapsed {elapsed:.2f}s")
 
 
-def test_criterion_2_block_spike_reproduction():
+def test_criterion_2_block_spike_reproduction(capsys):
     started = time.monotonic()
     inst = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12),
                                     rho=1.0, alpha=1.0)
@@ -57,11 +58,14 @@ def test_criterion_2_block_spike_reproduction():
     t_ok = bool(np.all(t >= 1.0 - 1e-9))
     c_exact = bool(np.array_equal(c, 1.0 / h)) and rep.one_spike_per_block
     c12_ok = c[-1] < 1e-3
-    warned = len(rep.warnings) > 0
+    # the discrepancy warning is the CLI report's, for the same instance
+    cli_main(["witness", "block-spike", "--theta", "powers2", "--blocks", "12", "--orlicz", "linear"])
+    warned = BLOCK_SPIKE_DISCREPANCY in json.loads(capsys.readouterr().out)["warnings"]
     elapsed = time.monotonic() - started
-    report(2, t_ok and c_exact and c12_ok and warned and elapsed < 10.0,
-           f"residuals >= 1: {t_ok}, ratios exactly 1/h_r: {c_exact}, "
-           f"c_12={c[-1]:.6f}, discrepancy warning: {warned}, elapsed {elapsed:.2f}s")
+    with capsys.disabled():
+        report(2, t_ok and c_exact and c12_ok and warned and elapsed < 10.0,
+               f"residuals >= 1: {t_ok}, ratios exactly 1/h_r: {c_exact}, "
+               f"c_12={c[-1]:.6f}, discrepancy warning: {warned}, elapsed {elapsed:.2f}s")
 
 
 def test_criterion_3_density_oracles():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqlab.cli import main
+from seqlab.witnesses import BLOCK_SPIKE_DISCREPANCY
 
 
 def run(capsys, argv):
@@ -360,7 +361,7 @@ class TestWitnessCommand:
         payload = run_json(capsys, ["witness", "block-spike", "--blocks", "12"])
         assert payload["results"]["residuals_at_least_one"]
         assert payload["results"]["one_spike_per_block"]
-        assert payload["warnings"]
+        assert payload["warnings"] == [BLOCK_SPIKE_DISCREPANCY]
 
     def test_block_spike_bounded_gauge_exits_one(self, capsys):
         code, _, err = run(capsys, ["witness", "block-spike", "--blocks", "8",

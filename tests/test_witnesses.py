@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqlab.core import make_index_set, make_lacunary
+from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.errors import (CauchyConstructionError, GenerationError,
                            WitnessExtractionError)
 from seqlab.matrices import make_matrix
@@ -12,11 +12,10 @@ from seqlab.modulus import make_modulus
 from seqlab.orlicz import OrliczFn, make_orlicz, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
                               harmonic_sequence, spike_sequence)
-from seqlab.witnesses import (BLOCK_SPIKE_DISCREPANCY, block_spike_report,
-                              cauchy_limit_construction, converge_off_witness,
-                              extract_witness_set, gen_block_spike_instance,
-                              gen_half_plateau_instance, half_plateau_report,
-                              multi_modulus_probe)
+from seqlab.witnesses import (block_spike_report, cauchy_limit_construction,
+                              converge_off_witness, extract_witness_set,
+                              gen_block_spike_instance, gen_half_plateau_instance,
+                              half_plateau_report, multi_modulus_probe)
 
 IDENTITY = make_matrix("identity")
 LINEAR = uniform_family(make_orlicz("linear"))
@@ -127,7 +126,6 @@ class TestBlockSpike:
         assert rep.count_report.verdict == MEMBER
         assert rep.mean_report.verdict == NON_MEMBER
         assert rep.matches_expected
-        assert BLOCK_SPIKE_DISCREPANCY in rep.warnings
 
     def test_bounded_gauge_rejected(self):
         sat = OrliczFn("sat", lambda t: t / (1.0 + t))
@@ -239,6 +237,12 @@ class TestCauchyConstruction:
         p = identity_params(9, limit=None)
         with pytest.raises(CauchyConstructionError):
             cauchy_limit_construction(x, p, ID_MOD, depth=5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_deviation_rejected(self):
+        x = SequencePrefix(np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308))
+        with pytest.raises(ValueError, match=r"^sequence 'dev@1000' contains non-finite values$"):
+            cauchy_limit_construction(x, identity_params(9, limit=None), ID_MOD, depth=5)
 
 
 class TestMultiModulusProbe:
