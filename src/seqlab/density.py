@@ -23,9 +23,11 @@ UNDETERMINED = "undetermined"
 
 _SLACK = 1e-12
 _CHECKPOINT_FLOOR = 10
-# Indices per block of the complement check.  A block's few float arrays then
-# fit in a 2 MB L2 cache; 2^20-index blocks ran the check 2.2x slower.
-_CHUNK = 1 << 16
+# Indices per block of the complement check.  A 2^14 block's arrays take
+# 128 KB each and one scan holds six to eight at once: at n = 2^20 + 3 a scan
+# peaks at 0.79-1.05 MB under tracemalloc, inside a 2 MB L2 cache.  2^16 blocks
+# peaked at 3.67 MB and took 1.9x as long at n = 1e7.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,21 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
 
     Subadditive moduli satisfy this exactly; the check scans all n with a
     1e-12 slack and reports the first violating n.  It scans in blocks of
-    2^16 indices, so memory stays O(block) whatever the truncation; a set
-    without a count rule is re-enumerated up to each block's end.
+    2^14 indices and sums each right-hand side into one buffer, so memory
+    stays O(block) whatever the truncation; a set without a count rule is
+    re-enumerated up to each block's end.  ``n`` is an integer in
+    [1, 2^63 - 1].
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_INDEX:
+        raise ValueError(f"truncation must be an integer in [1, 2^63 - 1], got {n!r}")
     n = int(n)
+    buf = np.empty(min(n, _CHUNK))
     for lo in range(1, n + 1, _CHUNK):
         ns = np.arange(lo, min(lo + _CHUNK, n + 1), dtype=np.int64)
         counts = a.counts(ns)
-        viol = np.flatnonzero(f(ns) > f(counts) + f(ns - counts) + _SLACK)
+        rhs = np.add(f(counts), f(ns - counts), out=buf[:len(ns)])
+        rhs += _SLACK
+        viol = np.flatnonzero(f(ns) > rhs)
         if viol.size:
             return ComplementCheck(False, int(ns[viol[0]]), n)
     return ComplementCheck(True, None, n)

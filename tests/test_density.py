@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import MAX_INDEX, IndexSet, SequencePrefix, complement, make_index_set
-from seqlab.density import (ComplementCheck, checkpoints, complement_inequality_check,
+from seqlab.density import (_CHUNK, ComplementCheck, checkpoints, complement_inequality_check,
                             exceedance_set, f_density, natural_density)
 from seqlab.modulus import Modulus, make_modulus
 
@@ -199,10 +200,11 @@ def _unchunked_complement_check(a, f, n):
 
 
 SQUARE_FN = Modulus("sq", lambda t: t ** 2)
+POW_1_7 = Modulus("pow1.7", lambda t: np.power(t, 1.7))
 
 
 class TestChunkedComplementCheck:
-    N = 2 ** 21 + 3  # 32 full blocks of 2^16 and a ragged 33rd
+    N = 2 ** 21 + 3  # full blocks and a ragged last one
 
     @pytest.mark.parametrize("set_spec,f", [
         ("arith:2000000,1", SQUARE_FN),
@@ -229,9 +231,66 @@ class TestChunkedComplementCheck:
 
         evens = Recording("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
                           count_rule=lambda ns: ns // 2)
-        res = complement_inequality_check(evens, make_modulus("id"), self.N)
-        assert res.passed and res.n_checked == self.N
-        assert sizes == [2 ** 16] * 32 + [3]
+        n = 32 * _CHUNK + 3
+        res = complement_inequality_check(evens, make_modulus("id"), n)
+        assert res.passed and res.n_checked == n
+        assert sizes == [_CHUNK] * 32 + [3]
+
+    @pytest.mark.parametrize("m", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_first_violation_at_block_edges(self, m):
+        # A = {m, m+1, ...}: below m the two sides are equal, and at m the
+        # superadditive t^1.7 gives m^1.7 > 1 + (m-1)^1.7
+        res = complement_inequality_check(make_index_set(f"arith:{m},1"), POW_1_7, 3 * _CHUNK)
+        assert res == ComplementCheck(False, m, 3 * _CHUNK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(set_spec=st.one_of(
+               st.lists(st.integers(1, 3 * _CHUNK), min_size=1, max_size=40).map(
+                   lambda xs: "list:" + ",".join(map(str, xs))),
+               st.sampled_from(["evens", "odds", "squares"]),
+               st.builds("arith:{},{}".format, st.integers(1, 3 * _CHUNK), st.integers(1, 50))),
+           f=st.sampled_from([make_modulus("id"), make_modulus("log1p"), make_modulus("pow:0.5"),
+                              SQUARE_FN, POW_1_7]),
+           n=st.one_of(st.integers(1, 3 * _CHUNK + 2),
+                       st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1])))
+    def test_random_sets_equal_unchunked_reference(self, set_spec, f, n):
+        a = make_index_set(set_spec)
+        assert complement_inequality_check(a, f, n) == _unchunked_complement_check(a, f, n)
+
+    def test_read_only_gauge_output(self):
+        def sqrt_read_only(t):
+            out = np.sqrt(t)
+            out.flags.writeable = False
+            return out
+
+        f = Modulus("sqrt-ro", sqrt_read_only)
+        for spec in ("squares", "list:5,70000"):
+            a = make_index_set(spec)
+            assert complement_inequality_check(a, f, self.N) == _unchunked_complement_check(a, f, self.N)
+
+    def test_peak_memory_bounded_by_block(self):
+        a, f = make_index_set("evens"), make_modulus("pow:0.5")
+        tracemalloc.start()
+        try:
+            res = complement_inequality_check(a, f, 2 ** 20 + 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+        assert peak <= 1.5e6, f"one scan peaked at {peak / 1e6:.2f} MB"
+
+
+class TestComplementCheckTruncation:
+    @pytest.mark.parametrize("n", [-5, 0, 2.7, 2.0, True, False, math.nan, math.inf, -math.inf,
+                                   MAX_INDEX + 1, "10", None])
+    def test_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^truncation must be an integer in \[1, 2\^63 - 1\], got "):
+            complement_inequality_check(make_index_set("evens"), make_modulus("id"), n)
+
+    @pytest.mark.parametrize("n", [1, np.int64(7), np.uint8(200)])
+    def test_accepted(self, n):
+        res = complement_inequality_check(make_index_set("evens"), make_modulus("id"), n)
+        assert res == ComplementCheck(True, None, int(n))
 
 
 class TestExceedance:
