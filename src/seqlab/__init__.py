@@ -25,9 +25,8 @@ from .orlicz import (Delta2Report, OrliczFn, OrliczFamily, OrliczAxiomReport,
 from .sequences import (alternating_sequence, const_sequence,
                         harmonic_sequence, make_sequence, read_sequence_csv,
                         spike_sequence)
-from .witnesses import (BLOCK_SPIKE_DISCREPANCY, BlockSpikeInstance,
-                        BlockSpikeReport, HalfPlateauReport,
-                        ModulusProbeReport, NestedLimit, OffWitnessCheck,
+from .witnesses import (BLOCK_SPIKE_DISCREPANCY, ModulusProbeReport,
+                        NestedLimit, OffWitnessCheck, PairReport,
                         WitnessSet, block_spike_report,
                         cauchy_limit_construction, converge_off_witness,
                         extract_witness_set, gen_block_spike_instance,

@@ -147,24 +147,33 @@ def _membership_payload(rep) -> dict:
 
 
 def _pair_payload(rep, **extra) -> dict:
-    """A half-plateau or block-spike report's fields, with its two membership
-    reports under ``mean`` and ``count``."""
-    out = {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
-           if fld.name not in ("mean_report", "count_report")}
-    return {**out, "mean": _membership_payload(rep.mean_report),
+    """A PairReport's checks and mean trails, with its two membership reports
+    under ``mean`` and ``count``."""
+    return {**rep.checks, "residuals": rep.mean_report.block_residuals,
+            "exceedance_ratios": rep.mean_report.exceedance_ratios,
+            "matches_expected": rep.matches_expected, "mean": _membership_payload(rep.mean_report),
             "count": _membership_payload(rep.count_report), **extra}
 
 
 def _witness_instance(kind: str, args):
-    """The generated ``half-plateau`` or ``block-spike`` instance as ``(x,
-    params, spike)``: ``spike`` is the block-spike instance, None for
-    half-plateau.  Without ``--blocks`` it has 10 blocks, or 12 for block-spike."""
+    """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, spike_heights)``,
+    heights None for half-plateau.  Unset ``--blocks`` (``witness`` only: ``membership``
+    defaults it to 10) means 10 blocks, or 12 for block-spike."""
     blocks = args.blocks if args.blocks is not None else (10 if kind == "half-plateau" else 12)
     if kind == "half-plateau":
         return (*witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks), None)
-    spike = witnesses_mod.gen_block_spike_instance(
+    return witnesses_mod.gen_block_spike_instance(
         make_orlicz(args.orlicz), make_lacunary(args.theta, blocks), args.rho_value, args.alpha)
-    return spike.x, spike.params, spike
+
+
+# the flags membership and witness both echo in their inputs
+_SPACE_ECHO = ("seq", "modulus", "theta", "blocks", "orlicz", "alpha", "rho", "limit", "eps", "tol", "n")
+
+
+def _echo(args, names, **resolved) -> dict:
+    """A report's ``inputs``: each flag in ``names`` as given, then ``resolved``
+    values, which override flags of the same name."""
+    return {**{name: getattr(args, name) for name in names}, **resolved}
 
 
 def _space_params(args, scheme) -> SpaceParams:
@@ -190,8 +199,7 @@ def _cmd_density(args) -> dict:
         est = density_mod.f_density(a, f, args.n, args.tol)
     else:
         est = density_mod.natural_density(a, args.n, args.tol)
-    inputs = {"set": args.set, "modulus": args.modulus, "n": args.n, "tol": args.tol}
-    return _report("density", inputs, est)
+    return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
 
 
 def _resolve_membership(args):
@@ -227,23 +235,15 @@ def _cmd_membership(args) -> dict:
         rep = membership_mod.density_membership(x, params, f, args.tol)
     else:
         rep = membership_mod.block_membership(x, params, args.mode, args.tol)
-    inputs = {
-        "seq": args.seq, "witness": args.witness, "mode": args.mode,
-        "matrix": args.matrix, "orlicz": args.orlicz, "theta": args.theta,
-        "blocks": args.blocks, "alpha": args.alpha, "rho": args.rho,
-        "limit": params.limit, "eps": params.eps, "tol": args.tol,
-        "modulus": args.modulus, "n": len(x),
-    }
+    inputs = _echo(args, _SPACE_ECHO + ("witness", "mode", "matrix"),
+                   limit=params.limit, eps=params.eps, n=len(x))
     warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if args.witness == "block-spike" else []
     return _report("membership", inputs, _membership_payload(rep), warnings)
 
 
 def _cmd_norm(args) -> dict:
     x = make_sequence(args.seq, args.n)
-    inputs = {
-        "kind": args.kind, "orlicz": args.orlicz, "seq": args.seq,
-        "theta": args.theta, "blocks": args.blocks, "n": len(x),
-    }
+    inputs = _echo(args, ("kind", "orlicz", "seq", "theta", "blocks"), n=len(x))
     if args.kind == "block-mean":
         scheme = make_lacunary(args.theta, args.blocks)
         return _report("norm", inputs, {"value": block_mean_norm(x, scheme), "cuts": scheme.cuts})
@@ -260,21 +260,15 @@ def _cmd_norm(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    inputs = {
-        "task": args.task, "seq": args.seq, "modulus": args.modulus,
-        "depth": args.depth, "nu": args.nu, "rho": args.rho,
-        "blocks": args.blocks, "theta": args.theta, "orlicz": args.orlicz,
-        "alpha": args.alpha, "limit": args.limit, "eps": args.eps,
-        "tol": args.tol, "n": args.n, "probe_moduli": args.probe_moduli,
-    }
+    inputs = _echo(args, _SPACE_ECHO + ("task", "depth", "nu", "probe_moduli"))
 
     if args.task in ("half-plateau", "block-spike"):
-        x, params, spike = _witness_instance(args.task, args)
-        if spike is None:
+        x, params, heights = _witness_instance(args.task, args)
+        if heights is None:
             rep = witnesses_mod.half_plateau_report(x, params, args.tol)
             return _report("witness", inputs, _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps))
-        rep = witnesses_mod.block_spike_report(spike, args.tol)
-        results = _pair_payload(rep, cuts=params.scheme.cuts, spike_heights=spike.spike_heights)
+        rep = witnesses_mod.block_spike_report(x, params, args.tol)
+        results = _pair_payload(rep, cuts=params.scheme.cuts, spike_heights=heights)
         return _report("witness", inputs, results, [witnesses_mod.BLOCK_SPIKE_DISCREPANCY])
 
     if args.seq is None:
@@ -347,8 +341,7 @@ def _cmd_check(args) -> dict:
         report = check_orlicz_axioms(make_orlicz(args.orlicz))
         kind, name = "orlicz", args.orlicz
     results = {"kind": kind, "name": name, "passed": report.passed, "axioms": report.checks()}
-    inputs = {"modulus": args.modulus, "orlicz": args.orlicz}
-    return _report("check", inputs, results)
+    return _report("check", _echo(args, ("modulus", "orlicz")), results)
 
 
 # -----------------------------

@@ -246,10 +246,6 @@ class IndexSet:
     def count(self, n: int) -> int:
         return int(self.counts(np.asarray([n]))[0])
 
-    def contains(self, i: int) -> bool:
-        before, upto = self.counts(np.asarray([int(i) - 1, int(i)]))
-        return bool(upto - before == 1)
-
     def __repr__(self) -> str:
         return f"IndexSet({self.name!r})"
 

@@ -243,39 +243,34 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
 
 
 @dataclass(frozen=True)
-class HalfPlateauReport:
-    residuals: tuple[float, ...]
-    residual_bounds: tuple[float, ...]
-    bound_satisfied: bool
-    exceedance_ratios: tuple[float, ...]
+class PairReport:
+    """Both block verdicts on one scoring of a generated instance, with its own checks."""
+
     mean_report: MembershipReport
     count_report: MembershipReport
-    matches_expected: bool  # mean member, count non-member
+    checks: dict
+    matches_expected: bool  # the (mean, count) verdicts are the ones the instance is built to give
+
+
+def _pair_report(x: SequencePrefix, params: SpaceParams, tol: float,
+                 expected: tuple[str, str], checks) -> PairReport:
+    """Judge both modes on one ``block_trails`` scoring against the ``expected``
+    (mean, count) verdicts; ``checks(t, counts)`` gives the instance's own checks."""
+    trails = block_trails(x, params)
+    mean_rep = _block_report(trails, params, "mean", tol)
+    count_rep = _block_report(trails, params, "count", tol)
+    return PairReport(mean_rep, count_rep, checks(trails[0], trails[2]),
+                      (mean_rep.verdict, count_rep.verdict) == expected)
 
 
 def half_plateau_report(x: SequencePrefix, params: SpaceParams,
-                        tol: float = DEFAULT_TOL) -> HalfPlateauReport:
-    trails = block_trails(x, params)
-    t, c, _ = trails
+                        tol: float = DEFAULT_TOL) -> PairReport:
+    """Expected mean member, count non-member; checks that t_r <= 2^-r."""
     bounds = 2.0 ** -np.arange(1, params.scheme.blocks + 1, dtype=float)
-    mean_rep = _block_report(trails, params, "mean", tol)
-    count_rep = _block_report(trails, params, "count", tol)
-    return HalfPlateauReport(
-        residuals=tuple(float(v) for v in t),
-        residual_bounds=tuple(float(v) for v in bounds),
-        bound_satisfied=bool(np.all(t <= bounds + _SLACK)),
-        exceedance_ratios=tuple(float(v) for v in c),
-        mean_report=mean_rep,
-        count_report=count_rep,
-        matches_expected=(mean_rep.verdict == MEMBER and count_rep.verdict == NON_MEMBER),
-    )
-
-
-@dataclass(frozen=True)
-class BlockSpikeInstance:
-    x: SequencePrefix
-    params: SpaceParams
-    spike_heights: tuple[float, ...]
+    return _pair_report(x, params, tol, (MEMBER, NON_MEMBER), lambda t, counts: {
+        "residual_bounds": tuple(float(v) for v in bounds),
+        "bound_satisfied": bool(np.all(t <= bounds + _SLACK)),
+    })
 
 
 def _solve_min_height(base: OrliczFn, rho: float, target: float) -> float:
@@ -304,9 +299,10 @@ def _solve_min_height(base: OrliczFn, rho: float, target: float) -> float:
     return hi
 
 
-def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme,
-                             rho: float = 1.0, alpha: float = 1.0) -> BlockSpikeInstance:
-    """One spike per block at i = k_r, sized so base(nu_r/rho) >= h_r^alpha.
+def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme, rho: float = 1.0,
+                             alpha: float = 1.0) -> tuple[SequencePrefix, SpaceParams, tuple]:
+    """One spike per block at i = k_r, sized so base(nu_r/rho) >= h_r^alpha,
+    as ``(x, params, spike_heights)``.
 
     With the uniform family built from ``base``, the spike score matches the
     block normalizer: mean residuals stay >= 1 while exceedance ratios are
@@ -337,38 +333,18 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme,
         limit=0.0,
     )
     x = SequencePrefix(values, label=f"block-spike({base.name},R={scheme.blocks})")
-    return BlockSpikeInstance(x, params, tuple(heights))
+    return x, params, tuple(heights)
 
 
-@dataclass(frozen=True)
-class BlockSpikeReport:
-    residuals: tuple[float, ...]
-    residuals_at_least_one: bool
-    exceedance_ratios: tuple[float, ...]
-    exceedance_counts: tuple[int, ...]
-    one_spike_per_block: bool
-    mean_report: MembershipReport
-    count_report: MembershipReport
-    matches_expected: bool  # count member, mean non-member
-
-
-def block_spike_report(instance: BlockSpikeInstance,
-                       tol: float = DEFAULT_TOL) -> BlockSpikeReport:
-    x, params = instance.x, instance.params
-    trails = block_trails(x, params)
-    t, c, counts = trails
-    mean_rep = _block_report(trails, params, "mean", tol)
-    count_rep = _block_report(trails, params, "count", tol)
-    return BlockSpikeReport(
-        residuals=tuple(float(v) for v in t),
-        residuals_at_least_one=bool(np.all(t >= 1.0 - 1e-9)),
-        exceedance_ratios=tuple(float(v) for v in c),
-        exceedance_counts=tuple(int(v) for v in counts),
-        one_spike_per_block=bool(np.all(counts == 1)),
-        mean_report=mean_rep,
-        count_report=count_rep,
-        matches_expected=(count_rep.verdict == MEMBER and mean_rep.verdict == NON_MEMBER),
-    )
+def block_spike_report(x: SequencePrefix, params: SpaceParams,
+                       tol: float = DEFAULT_TOL) -> PairReport:
+    """Expected count member, mean non-member; checks for one spike per block
+    and residuals >= 1."""
+    return _pair_report(x, params, tol, (NON_MEMBER, MEMBER), lambda t, counts: {
+        "exceedance_counts": tuple(int(v) for v in counts),
+        "residuals_at_least_one": bool(np.all(t >= 1.0 - 1e-9)),
+        "one_spike_per_block": bool(np.all(counts == 1)),
+    })
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,8 @@ class TestMakeIndexSet:
 
     def test_contains(self):
         a = make_index_set("squares")
-        assert a.contains(16)
-        assert not a.contains(15)
+        assert np.diff(a.counts([15, 16])).tolist() == [1]  # 16 is a member
+        assert np.diff(a.counts([14, 15])).tolist() == [0]  # 15 is not
 
 
 rule_specs = st.one_of(
@@ -177,7 +177,7 @@ class TestCountRules:
     def test_counts_past_the_cap_without_materializing(self):
         a = make_index_set("evens")
         assert a.count(10 ** 15) == 5 * 10 ** 14
-        assert a.contains(10 ** 15) and not a.contains(10 ** 15 + 1)
+        assert np.diff(a.counts([10 ** 15 - 1, 10 ** 15, 10 ** 15 + 1])).tolist() == [1, 0]
         with pytest.raises(TruncationError, match="cannot materialize"):
             a.members_upto(MATERIALIZE_CAP + 1)
 
@@ -187,7 +187,7 @@ class TestCountRules:
 
     def test_contains_on_complement(self):
         c = complement(make_index_set("squares"))
-        assert [i for i in range(1, 20) if c.contains(i)] == [
+        assert (np.flatnonzero(np.diff(c.counts(np.arange(20)))) + 1).tolist() == [
             2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 18, 19]
 
     def test_arith_spec_past_int64_rejected(self):

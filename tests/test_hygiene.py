@@ -4,9 +4,10 @@
   imports to re-export, is exempt);
 * every module-level ``_private`` function, class or constant is referenced
   somewhere in the package;
-* every module-level public function or class is referenced somewhere in the
-  package outside ``__init__.py`` or in ``perfbench/``, or is kept on purpose
-  in ``KEEP``, so unserved API does not grow back.
+* every module-level public function or class, and every public method or
+  property of such a class, is referenced somewhere in the package outside
+  ``__init__.py`` or in ``perfbench/``, or is kept on purpose in ``KEEP``, so
+  unserved API does not grow back.
 """
 
 import ast
@@ -81,12 +82,23 @@ def test_no_unreferenced_private_names():
     assert stranded == []
 
 
+def _public_defs(tree):
+    """Module-level public functions and classes, and the public methods and
+    properties of those classes, as dotted names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
 def test_no_unserved_public_api():
     referenced = set()
     for tree in [t for module, t in TREES.items() if module != "__init__"] + BENCH_TREES:
         referenced |= _loaded(tree) | _imported(tree)
-    unserved = {f"{module}.{node.name}" for module, tree in TREES.items() if module != "__init__"
-                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_") and node.name not in referenced}
+    unserved = {f"{module}.{dotted}" for module, tree in TREES.items() if module != "__init__"
+                for dotted, name in _public_defs(tree) if name not in referenced}
     assert sorted(unserved - set(KEEP)) == []
     assert sorted(set(KEEP) - unserved) == []  # a kept name that gained a caller leaves KEEP

@@ -221,7 +221,7 @@ class TestCauchy:
         p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 13), limit=None)
         rep = stat_cauchy_check(x, p, ID_MOD, tol=0.02)
         assert rep.cauchy
-        assert not make_index_set("squares").contains(rep.anchor)
+        assert np.diff(make_index_set("squares").counts([rep.anchor - 1, rep.anchor]))[0] == 0
 
     def test_alternating_not_cauchy(self):
         rep = stat_cauchy_check(alternating_sequence(1000), reduction_params(limit=None, eps=0.5),

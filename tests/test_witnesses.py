@@ -64,7 +64,7 @@ class TestHalfPlateau:
         rep = half_plateau_report(x, p)
         assert rep.mean_report.verdict == MEMBER
         assert rep.count_report.verdict == NON_MEMBER
-        assert rep.bound_satisfied
+        assert rep.checks["bound_satisfied"]
         assert rep.matches_expected
 
     def test_degenerate_zero_height(self):
@@ -100,29 +100,29 @@ def test_both_block_verdicts_from_one_transform(monkeypatch, report):
     if report == "half-plateau":
         half_plateau_report(*gen_half_plateau_instance(1.0, 1.0, 10))
     else:
-        block_spike_report(gen_block_spike_instance(make_orlicz("linear"),
-                                                    make_lacunary("powers2", 12)))
+        block_spike_report(*gen_block_spike_instance(make_orlicz("linear"),
+                                                     make_lacunary("powers2", 12))[:2])
     assert len(calls) == 1
 
 
 class TestBlockSpike:
     def test_linear_heights_equal_block_lengths(self):
-        inst = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12))
-        np.testing.assert_allclose(inst.spike_heights, inst.params.scheme.h, rtol=1e-9)
+        _, p, heights = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12))
+        np.testing.assert_allclose(heights, p.scheme.h, rtol=1e-9)
 
     def test_quadratic_heights_are_square_roots(self):
         rho = 2.0
-        inst = gen_block_spike_instance(make_orlicz("poly:2"), make_lacunary("powers2", 10), rho=rho)
-        expected = rho * np.sqrt(inst.params.scheme.h.astype(float))
-        np.testing.assert_allclose(inst.spike_heights, expected, rtol=1e-9)
+        _, p, heights = gen_block_spike_instance(make_orlicz("poly:2"), make_lacunary("powers2", 10), rho=rho)
+        expected = rho * np.sqrt(p.scheme.h.astype(float))
+        np.testing.assert_allclose(heights, expected, rtol=1e-9)
 
     def test_trails(self):
-        inst = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12))
-        rep = block_spike_report(inst)
-        assert rep.residuals_at_least_one
-        assert rep.one_spike_per_block
-        h = inst.params.scheme.h.astype(float)
-        assert rep.exceedance_ratios == tuple(1.0 / h)
+        x, p, _ = gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 12))
+        rep = block_spike_report(x, p)
+        assert rep.checks["residuals_at_least_one"]
+        assert rep.checks["one_spike_per_block"]
+        h = p.scheme.h.astype(float)
+        assert rep.mean_report.exceedance_ratios == tuple(1.0 / h)
         assert rep.count_report.verdict == MEMBER
         assert rep.mean_report.verdict == NON_MEMBER
         assert rep.matches_expected
