@@ -219,7 +219,8 @@ def _resolve_membership(args):
     params = _space_params(args, scheme)
     if args.estimate_limit:
         f = make_modulus(args.modulus or "id")
-        est = membership_mod.stat_limit_estimate(x, params, f, tol=args.tol)
+        (est,), _ = membership_mod.stat_limit_estimate(
+            transform_prefix(params.matrix, x, len(x)), params, [f], tol=args.tol)
         if est is None:
             raise SeqlabError("no candidate limit passed the density test; supply --limit")
         params = dataclasses.replace(params, limit=est)
@@ -290,21 +291,21 @@ def _cmd_witness(args) -> dict:
     f = make_modulus(args.modulus or "id")
     if args.task == "extract":
         # the scores are computed once, against the given or the estimated limit
+        y = transform_prefix(params.matrix, x, len(x))
         if params.limit is None:
-            (est,), s = membership_mod._limit_estimate(
-                transform_prefix(params.matrix, x, len(x)).values, x.label, params, [f], args.tol)
+            (est,), s = membership_mod.stat_limit_estimate(y, params, [f], args.tol)
             if est is None:
                 raise SeqlabError("no candidate limit found; supply --limit")
             params = dataclasses.replace(params, limit=est)
         else:
-            s = membership_mod.pointwise_scores(x, params).values
+            s = membership_mod.pointwise_scores(y, params)
         try:
-            ws = witnesses_mod.extract_witness_set(x, params, f, depth, args.tol, scores=s)
+            ws = witnesses_mod.extract_witness_set(s, f, depth, args.tol)
         except WitnessExtractionError as exc:
             results = {"failure": {"stuck_level": exc.stuck_level, "message": str(exc)},
                        "limit": params.limit}
             return _report("witness", inputs, results)
-        off = witnesses_mod.converge_off_witness(x, params, ws.members, 1.0 / depth, scores=s)
+        off = witnesses_mod.converge_off_witness(s, ws.members, params.eps, 1.0 / depth)
         members = ws.members.members_upto(len(x))
         results = {
             "limit": params.limit,

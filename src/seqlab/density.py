@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_INDEX, IndexSet, SequencePrefix, check_tol
+from .core import MAX_INDEX, IndexSet, check_tol
 from .modulus import Modulus, make_modulus
 
 CONVERGED = "converged"
@@ -174,14 +174,9 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
     return ComplementCheck(True, None, n)
 
 
-def exceedance_set(s: SequencePrefix, eps: float) -> IndexSet:
-    """The explicit index set {i <= N : s_i > eps}."""
-    return _exceedances(s.values, eps, s.label or "seq")
-
-
-def _exceedances(values: np.ndarray, eps: float, label: str) -> IndexSet:
-    """{i : values_i > eps} for finite ``values``; the positions arrive sorted."""
+def exceedance_set(values: np.ndarray, eps: float) -> IndexSet:
+    """The explicit index set {i : values_i > eps} of finite ``values``."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"threshold eps must be positive and finite, got {eps}")
     members = np.flatnonzero(values > eps) + 1
-    return IndexSet.from_members(f"exceedances({label};eps={eps:g})", members)
+    return IndexSet.from_members(f"exceedances(eps={eps:g})", members)

@@ -163,24 +163,25 @@ def apply_row(matrix: SummabilityMatrix, x: SequencePrefix, i: int) -> float:
     return out
 
 
-def transform_prefix(matrix: SummabilityMatrix, x: SequencePrefix, upto: int) -> SequencePrefix:
-    """The prefix (A_1(x), ..., A_upto(x)); label records the matrix kind."""
+def transform_prefix(matrix: SummabilityMatrix, x: SequencePrefix, upto: int) -> np.ndarray:
+    """The read-only array (A_1(x), ..., A_upto(x)); for the identity, a view of ``x.values``."""
     upto = int(upto)
     if upto < 1:
         raise ValueError(f"row count must be >= 1, got {upto}")
     _check_rows(matrix, 1, upto, len(x))
-    label = f"{matrix.kind}:{x.label}" if x.label else matrix.kind
     if matrix.kind == "identity":
-        return SequencePrefix(x.values[:upto], label=label)
-    if matrix.kind == "explicit":
-        end = matrix.indptr[upto]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
+        return x.values[:upto]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
+        if matrix.kind == "explicit":
+            end = matrix.indptr[upto]
             out = np.add.reduceat(matrix.coefs[:end] * x.values[matrix.cols[:end] - 1], matrix.indptr[:upto])
-        if not np.all(np.isfinite(out)):
-            raise ArithmeticError(f"non-finite accumulation at row {int(np.argmin(np.isfinite(out))) + 1}")
-        return SequencePrefix(out, label=label)
-    w, p = _weights(matrix, upto)
-    return SequencePrefix(np.cumsum(w * x.values[:upto]) / p, label=label)
+        else:
+            w, p = _weights(matrix, upto)
+            out = np.cumsum(w * x.values[:upto]) / p
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(f"non-finite accumulation at row {int(np.argmin(np.isfinite(out))) + 1}")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import IndexSet, LacunaryScheme, SequencePrefix, check_tol
-from .density import DensityEstimate, _exceedances, checkpoints, exceedance_set, f_density
+from .density import DensityEstimate, checkpoints, exceedance_set, f_density
 from .errors import TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
 from .modulus import Modulus
@@ -69,35 +69,28 @@ class MembershipReport:
     evidence: dict = field(default_factory=dict)
 
 
-def pointwise_scores(x: SequencePrefix, params: SpaceParams,
-                     upto: int | None = None) -> SequencePrefix:
-    """s_i = M_i(|A_i(x) - L| / rho_i) for i = 1..upto (default: full prefix)."""
+def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
+    """The read-only scores s_i = M_i(|y_i - L| / rho_i) of the transformed prefix y_i = A_i(x)."""
     if params.limit is None:
         raise ValueError("a candidate limit L is required to compute scores")
-    n = len(x) if upto is None else int(upto)
-    return _scores(transform_prefix(params.matrix, x, n).values, params, x.label)
-
-
-def _scores(y: np.ndarray, params: SpaceParams, label: str) -> SequencePrefix:
-    """Scores of the transformed prefix ``y`` against ``params.limit``."""
     idx = np.arange(1, y.size + 1, dtype=np.int64)
-    dev = np.abs(y - params.limit) / params.rho.values(idx)
-    s = params.family.eval_many(idx, dev)
-    return SequencePrefix(s, label=f"scores[{label}]" if label else "scores")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+        dev = np.abs(y - params.limit)
+        dev /= params.rho.values(idx)  # in place: one n-array fewer at the peak
+        s = params.family.eval_many(idx, dev)
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"non-finite score at index {int(np.argmin(np.isfinite(s))) + 1}")
+    s.flags.writeable = False
+    return s
 
 
-def block_trails(x: SequencePrefix, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block residuals t_r, exceedance ratios c_r, and raw exceedance counts."""
+def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block residuals t_r, exceedance ratios c_r and raw counts from scores s_1..s_N, N >= k_max."""
     scheme = params.scheme
-    if scheme.k_max > len(x):
+    if scheme.k_max > len(s):
         raise TruncationError(
-            f"scheme extends to {scheme.k_max}, past the sequence truncation {len(x)}")
-    return _block_trails(pointwise_scores(x, params, upto=scheme.k_max).values, params)
-
-
-def _block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block trails from the scores s_1..s_{k_max}."""
-    scheme = params.scheme
+            f"scheme extends to {scheme.k_max}, past the sequence truncation {len(s)}")
+    s = s[:scheme.k_max]
     starts = scheme.cuts_array[:-1]
     sums = np.add.reduceat(s, starts)
     counts = np.add.reduceat((s >= params.eps).astype(np.int64), starts)
@@ -126,7 +119,9 @@ def block_membership(x: SequencePrefix, params: SpaceParams, mode: str,
     exceedance ratio trail c_r (mode ``count``) tends to 0."""
     if mode not in ("mean", "count"):
         raise ValueError(f"block mode must be 'mean' or 'count', got {mode!r}")
-    return _block_report(block_trails(x, params), params, mode, tol)
+    # rows past len(x) are left to block_trails, which names the scheme
+    y = transform_prefix(params.matrix, x, min(params.scheme.k_max, len(x)))
+    return _block_report(block_trails(pointwise_scores(y, params), params), params, mode, tol)
 
 
 def _block_report(trails: tuple[np.ndarray, np.ndarray, np.ndarray], params: SpaceParams,
@@ -158,11 +153,11 @@ def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
     modulus-weighted density converging to <= tol."""
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
-    s = pointwise_scores(x, params)
+    s = pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
     dens, verdict = _density_verdict(exceedance_set(s, params.eps), len(s), f, tol)
     t = c = counts = None
     if params.scheme.k_max <= len(x):
-        t_arr, c_arr, n_arr = _block_trails(s.values[: params.scheme.k_max], params)
+        t_arr, c_arr, n_arr = block_trails(s, params)
         t = tuple(float(v) for v in t_arr)
         c = tuple(float(v) for v in c_arr)
         counts = tuple(int(v) for v in n_arr)
@@ -188,47 +183,42 @@ def _density_verdict(above: IndexSet, n: int, f: Modulus,
     return dens, INCONCLUSIVE
 
 
-def stat_limit_estimate(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                        tol: float = DEFAULT_TOL) -> float | None:
-    """Scan histogram modes of the transformed values for a limit candidate.
-
-    Returns the first candidate whose density-mode verdict is ``member``,
-    or None when no candidate passes (e.g. an alternating sequence leaves
-    exceedance density 1/2 around either value).
-    """
-    y = transform_prefix(params.matrix, x, len(x)).values
-    return _limit_estimate(y, x.label, params, [f], tol)[0][0]
-
-
-def _limit_estimate(y: np.ndarray, label: str, params: SpaceParams, moduli: list[Modulus],
-                    tol: float) -> tuple[list[float | None], np.ndarray | None]:
-    """``stat_limit_estimate`` under each modulus over the transformed prefix ``y``.
-
-    The values are binned once, and each of the at most five candidates is
-    scored and thresholded once for all moduli; the scan stops when every
-    modulus has its first passing candidate.  Also returns the scores against
-    the last candidate scored, which are the winner's when every modulus
-    found one.
+def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus],
+                        tol: float = DEFAULT_TOL) -> tuple[list[float | None], np.ndarray | None]:
+    """Scan histogram modes of the transformed prefix ``y`` for a limit under
+    each modulus: the first candidate whose density-mode verdict is ``member``,
+    or None when none passes (an alternating sequence leaves exceedance density
+    1/2 around either value).  The values are binned once, and each of the at
+    most five candidates is scored and thresholded once for all moduli.  Also
+    returns the scores against the last candidate scored: the winner's when
+    every modulus found one.
     """
     for f in moduli:
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     width = max(params.eps, 1e-12)
-    bins = np.floor((y - float(y.min())) / width).astype(np.int64)
+    lo = float(y.min())
+    if not math.isfinite((float(y.max()) - lo) / width):
+        raise ValueError("the transformed values spread past the float range; supply --limit")
+    # float bins: exact integers here, with no int64 cast to overflow
+    bins = np.floor((y - lo) / width)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
     limits: list[float | None] = [None] * len(moduli)
     s = None
     for b in uniq[order][:5]:
-        candidate = float(np.median(y[bins == b]))
-        s = _scores(y, replace(params, limit=candidate), label)
+        with np.errstate(over="ignore"):  # two middle values near 1e308 overflow when averaged
+            candidate = float(np.median(y[bins == b]))
+        if not math.isfinite(candidate):
+            candidate = 2.0 * float(np.median(y[bins == b] / 2.0))  # halving is exact at this size
+        s = pointwise_scores(y, replace(params, limit=candidate))
         above = exceedance_set(s, params.eps)
         for i, f in enumerate(moduli):
             if limits[i] is None and _density_verdict(above, len(y), f, tol)[1] == MEMBER:
                 limits[i] = candidate
         if None not in limits:
             break
-    return limits, None if s is None else s.values
+    return limits, s
 
 
 @dataclass(frozen=True)
@@ -246,7 +236,7 @@ def stat_cauchy_check(x: SequencePrefix, params: SpaceParams, f: Modulus,
     Anchors are tried at geometric checkpoint positions, largest first; the
     first anchor whose exceedance density converges to <= tol wins.
     """
-    return _cauchy_search(transform_prefix(params.matrix, x, len(x)).values, f, [params.eps], tol)[0]
+    return _cauchy_search(transform_prefix(params.matrix, x, len(x)), f, [params.eps], tol)[0]
 
 
 def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) -> list[CauchyReport]:
@@ -265,12 +255,13 @@ def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) ->
         if not pending:
             break
         anchor = int(anchor)
-        dev = np.abs(y - y[anchor - 1])
         # y is finite, so the deviation is NaN-free and only overflow can make it infinite
+        with np.errstate(over="ignore"):
+            dev = np.abs(y - y[anchor - 1])
         if not math.isfinite(float(dev.max())):
             raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
         for i in pending:
-            dens = f_density(_exceedances(dev, radii[i], f"dev@{anchor}"), f, len(y), tol)
+            dens = f_density(exceedance_set(dev, radii[i]), f, len(y), tol)
             trails[i].append((anchor, dens.verdict, dens.value))
             if dens.converged and dens.value <= tol:
                 found[i] = CauchyReport(True, anchor, dens, tuple(trails[i]))

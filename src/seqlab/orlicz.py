@@ -467,7 +467,9 @@ def block_mean_norm(x: SequencePrefix, scheme: LacunaryScheme) -> float:
         raise TruncationError(
             f"scheme extends to {scheme.k_max}, past truncation {len(x)}")
     a = np.abs(x.values[: scheme.k_max])
-    means = np.add.reduceat(a, scheme.cuts_array[:-1]) / scheme.h
+    # scaled by 2^-e, e the exponent of max|x|, no block sum overflows; exact for normal floats
+    e = int(np.frexp(a.max())[1])
+    means = np.ldexp(np.add.reduceat(np.ldexp(a, -e), scheme.cuts_array[:-1]) / scheme.h, e)
     # a mean that underflows rounds up, not to 0: the norm vanishes on x = 0 alone
     return max(float(np.max(means)), math.ulp(0.0) if a.any() else 0.0)
 

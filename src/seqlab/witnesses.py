@@ -24,8 +24,8 @@ from .errors import (CauchyConstructionError, GenerationError,
                      TruncationError, WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
 from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
-                         _block_report, _cauchy_search, _limit_estimate, block_trails,
-                         pointwise_scores)
+                         _block_report, _cauchy_search, block_trails, pointwise_scores,
+                         stat_limit_estimate)
 from .modulus import Modulus
 from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
@@ -51,23 +51,20 @@ class WitnessSet:
     off_tail_sup: float
 
 
-def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                        depth: int = 5, tol: float = DEFAULT_TOL,
-                        scores: np.ndarray | None = None) -> WitnessSet:
-    """Build X = union_j ([r_j, r_{j+1}) intersect B_j) with B_j = {i : s_i > 1/j}.
+def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
+                        tol: float = DEFAULT_TOL) -> WitnessSet:
+    """Build X = union_j ([r_j, r_{j+1}) intersect B_j), B_j = {i : s_i > 1/j}, from scores s.
 
     Each threshold r_j is the first index past r_{j-1} after which
     f(|B_j(i)|)/f(i) <= 1/j holds through the truncation; a threshold must
     leave at least half the truncation as verification tail, otherwise the
     construction is declared stuck at that level.  On success the scores off
     X beyond r_depth stay <= 1/depth by construction (verified and reported).
-    ``scores``, when given, are the scores of x against ``params.limit``.
     """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: witness extraction needs an unbounded modulus")
     if depth < 2:
         raise ValueError("witness depth must be >= 2")
-    s = pointwise_scores(x, params).values if scores is None else scores
     n = len(s)
     f_all = f(np.arange(1, n + 1, dtype=np.int64))
     cps = checkpoints(n)
@@ -105,7 +102,7 @@ def extract_witness_set(x: SequencePrefix, params: SpaceParams, f: Modulus,
         m = level_members[j]
         parts.append(m[(m >= lo) & (m < hi)])
     x_members = np.concatenate(parts)  # disjoint ascending slices: sorted and unique
-    witness = IndexSet.from_members(f"witness({x.label or 'x'})", x_members)
+    witness = IndexSet.from_members("witness", x_members)
 
     dens = f_density(witness, f, n, tol)
     off = np.ones(n, dtype=bool)
@@ -124,16 +121,14 @@ class OffWitnessCheck:
     n_off: int
 
 
-def converge_off_witness(x: SequencePrefix, params: SpaceParams, witness: IndexSet,
-                         tol: float, scores: np.ndarray | None = None) -> OffWitnessCheck:
-    """Check the scores restricted to the complement of the witness set.
+def converge_off_witness(s: np.ndarray, witness: IndexSet, eps: float,
+                         tol: float) -> OffWitnessCheck:
+    """Check the scores s_1..s_n restricted to the complement of the witness set.
 
     Passes when the trailing third of off-witness scores stays <= tol.  Also
     reports the smallest i0 with {i : s_i > eps} contained in X union {1..i0}
-    (i0 = 0 when the exceedances are exactly covered).  ``scores``, when
-    given, are the scores of x against ``params.limit``.
+    (i0 = 0 when the exceedances are exactly covered).
     """
-    s = pointwise_scores(x, params).values if scores is None else scores
     n = len(s)
     members = witness.members_upto(n)
     off = np.ones(n, dtype=bool)
@@ -144,7 +139,7 @@ def converge_off_witness(x: SequencePrefix, params: SpaceParams, witness: IndexS
         return OffWitnessCheck(True, 0, 0.0, 0)
     w = math.ceil(off_idx.size / 3)
     tail_max = float(s[off_idx[-w:] - 1].max())
-    exceed_off = off_idx[s[off_idx - 1] > params.eps]
+    exceed_off = off_idx[s[off_idx - 1] > eps]
     i0 = int(exceed_off.max()) if exceed_off.size else 0
     return OffWitnessCheck(tail_max <= tol + _SLACK, i0, tail_max, int(off_idx.size))
 
@@ -167,7 +162,7 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    y = transform_prefix(params.matrix, x, len(x)).values
+    y = transform_prefix(params.matrix, x, len(x))
     reports = _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol)
     anchors = []
     lo = -math.inf
@@ -256,7 +251,8 @@ def _pair_report(x: SequencePrefix, params: SpaceParams, tol: float,
                  expected: tuple[str, str], checks) -> PairReport:
     """Judge both modes on one ``block_trails`` scoring against the ``expected``
     (mean, count) verdicts; ``checks(t, counts)`` gives the instance's own checks."""
-    trails = block_trails(x, params)
+    y = transform_prefix(params.matrix, x, min(params.scheme.k_max, len(x)))
+    trails = block_trails(pointwise_scores(y, params), params)
     mean_rep = _block_report(trails, params, "mean", tol)
     count_rep = _block_report(trails, params, "count", tol)
     return PairReport(mean_rep, count_rep, checks(trails[0], trails[2]),
@@ -370,8 +366,8 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
     for f in moduli:
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")
-    y = transform_prefix(params.matrix, x, len(x)).values
-    limits = dict(zip((f.name for f in moduli), _limit_estimate(y, x.label, params, moduli, tol)[0]))
+    y = transform_prefix(params.matrix, x, len(x))
+    limits = dict(zip((f.name for f in moduli), stat_limit_estimate(y, params, moduli, tol)[0]))
     found = [v for v in limits.values() if v is not None]
     all_agree = len(found) == len(moduli) and (
         not found or max(found) - min(found) <= 1e-9)

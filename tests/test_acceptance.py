@@ -13,7 +13,7 @@ from seqlab.cli import main as cli_main
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.density import complement_inequality_check, f_density, natural_density
 from seqlab.errors import WitnessExtractionError
-from seqlab.matrices import make_matrix
+from seqlab.matrices import make_matrix, transform_prefix
 from seqlab.membership import SpaceParams, block_trails, pointwise_scores
 from seqlab.modulus import Modulus, check_modulus_axioms, make_modulus
 from seqlab.orlicz import (OrliczFn, check_orlicz_axioms, luxemburg_norm,
@@ -29,6 +29,10 @@ LINEAR_FAMILY = uniform_family(make_orlicz("linear"))
 POLY2_FAMILY = uniform_family(make_orlicz("poly:2"))
 
 
+def scores(x, params):
+    return pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
+
+
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE CRITERION {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -37,7 +41,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_half_plateau_reproduction():
     started = time.monotonic()
     x, params = gen_half_plateau_instance(nu=1.0, rho=1.0, blocks=10)
-    t, c, _ = block_trails(x, params)
+    t, c, _ = block_trails(scores(x, params), params)
     bounds = 2.0 ** -np.arange(1, 11, dtype=float)
     bound_ok = bool(np.all(t <= bounds + 1e-12))
     ratios_ok = bool(np.all(np.abs(c[7:10] - 0.5) <= 0.05))
@@ -138,14 +142,15 @@ def test_criterion_6_witness_round_trip():
     x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
     params = SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 16), limit=2.0)
     f = make_modulus("id")
-    ws = extract_witness_set(x, params, f, depth=5)
+    s = scores(x, params)
+    ws = extract_witness_set(s, f, depth=5)
     dens_ok = ws.density.converged and ws.density.value <= 0.01
-    off = converge_off_witness(x, params, ws.members, tol=1.0 / 5)
+    off = converge_off_witness(s, ws.members, params.eps, tol=1.0 / 5)
     stuck = None
     try:
-        extract_witness_set(alternating_sequence(10_000),
-                            SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 13),
-                                        limit=0.0),
+        extract_witness_set(scores(alternating_sequence(10_000),
+                                   SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 13),
+                                               limit=0.0)),
                             f, depth=5)
     except WitnessExtractionError as exc:
         stuck = exc.stuck_level
@@ -166,10 +171,10 @@ def test_criterion_7_reduction_identities():
         params = SpaceParams(IDENTITY, LINEAR_FAMILY, scheme, alpha=1.0,
                              limit=limit, eps=eps)
         x = SequencePrefix(vals)
-        s = pointwise_scores(x, params).values
+        s = scores(x, params)
         if not np.array_equal(s, np.abs(vals - limit)):
             bitwise_ok = False
-        _, _, counts = block_trails(x, params)
+        _, _, counts = block_trails(s, params)
         for r in range(1, scheme.blocks + 1):
             lo, hi = scheme.block(r)
             brute = sum(1 for i in range(lo + 1, hi + 1) if abs(vals[i - 1] - limit) >= eps)

@@ -79,6 +79,13 @@ class TestMembershipCommand:
         assert payload["inputs"]["limit"] == 7.0
         assert payload["results"]["verdict"] == "member"
 
+    def test_estimate_limit_at_the_float_range(self, capsys):
+        # averaging the two middle values of 1e308 would overflow
+        payload = run_json(capsys, ["membership", "--seq", "const:1e308", "--estimate-limit",
+                                    "--mode", "density", "--n", "1000"])
+        assert payload["inputs"]["limit"] == 1e308
+        assert payload["results"]["verdict"] == "member"
+
     def test_missing_limit_exits_one(self, capsys):
         code, _, err = run(capsys, ["membership", "--seq", "const:3", "--mode", "mean"])
         assert code == 1
@@ -130,6 +137,32 @@ def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "seqlab: error: non-finite accumulation at row 2\n"
+
+
+OVERFLOWING = ",".join(["1.5e308,-1.5e308"] * 60)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["membership", "--seq", "const:1e300", "--limit", "0", "--mode", "mean", "--orlicz", "poly:2",
+      "--blocks", "6"], "non-finite score at index 1"),
+    (["membership", "--seq", "const:1e300", "--limit", "0", "--mode", "density", "--orlicz", "poly:2",
+      "--blocks", "6", "--n", "1000"], "non-finite score at index 1"),
+    (["witness", "extract", "--seq", "const:1e300", "--limit", "0", "--orlicz", "poly:2", "--n", "1000"],
+     "non-finite score at index 1"),
+    (["membership", "--seq", "list:1e308,1e308,1,1,1,1,1,1", "--limit", "0", "--mode", "mean",
+      "--matrix", "cesaro", "--theta", "explicit:1,2,3,4,5,6,7", "--blocks", "6"],
+     "non-finite accumulation at row 2"),
+    (["witness", "cauchy", "--seq", f"list:{OVERFLOWING}", "--n", "120"],
+     "sequence 'dev@120' contains non-finite values"),
+    (["membership", "--seq", f"list:{OVERFLOWING}", "--mode", "density", "--estimate-limit", "--n", "120"],
+     "the transformed values spread past the float range; supply --limit"),
+], ids=["mean-score", "density-score", "extract-score", "cesaro-row", "cauchy-dev", "estimate-spread"])
+def test_overflow_exits_one_with_one_line(capsys, argv, message):
+    # the ini setting turns any RuntimeWarning into an error, so none may precede the line
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"seqlab: error: {message}\n"
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf"])
@@ -332,6 +365,12 @@ class TestNormCommand:
                                     "--blocks", "4", "--seq", "const:1", "--n", "16"])
         assert payload["results"]["value"] == 1.0
 
+    def test_block_mean_past_the_float_range_sum(self, capsys):
+        # the block sum 2e308 overflows; the block mean does not
+        payload = run_json(capsys, ["norm", "--kind", "block-mean", "--theta", "explicit:2",
+                                    "--seq", "list:1e308,1e308"])
+        assert payload["results"]["value"] == 1e308
+
 
 class TestWitnessCommand:
     def test_half_plateau(self, capsys):
@@ -399,6 +438,11 @@ class TestWitnessCommand:
         assert r["limits"]["log1p"] is None
         assert not r["all_agree"]
         assert not r["norm_convergence"]
+
+    def test_probe_spread_past_int64_bins(self, capsys):
+        payload = run_json(capsys, ["witness", "probe", "--seq", "alt:0,1e19",
+                                    "--probe-moduli", "id", "--n", "100000"])
+        assert payload["results"]["limits"] == {"id": None}
 
 
 class TestCheckCommand:

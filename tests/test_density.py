@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.core import MAX_INDEX, IndexSet, SequencePrefix, complement, make_index_set
+from seqlab.core import MAX_INDEX, IndexSet, complement, make_index_set
 from seqlab.density import (_CHUNK, ComplementCheck, checkpoints, complement_inequality_check,
                             exceedance_set, f_density, natural_density)
 from seqlab.modulus import Modulus, make_modulus
@@ -295,42 +295,40 @@ class TestComplementCheckTruncation:
 
 class TestExceedance:
     def test_zero_scores(self):
-        s = SequencePrefix(np.zeros(100), label="zeros")
-        assert exceedance_set(s, 0.1).count(100) == 0
+        assert exceedance_set(np.zeros(100), 0.1).count(100) == 0
 
     def test_indicator_of_squares(self):
         n = 400
         vals = np.zeros(n)
         squares = make_index_set("squares").members_upto(n)
         vals[squares - 1] = 1.0
-        e = exceedance_set(SequencePrefix(vals), 0.5)
+        e = exceedance_set(vals, 0.5)
         assert list(e.members_upto(n)) == list(squares)
 
     def test_harmonic_threshold(self):
         # 1/i > 0.01 iff i < 100
         vals = 1.0 / np.arange(1, 201, dtype=float)
-        e = exceedance_set(SequencePrefix(vals), 0.01)
+        e = exceedance_set(vals, 0.01)
         assert list(e.members_upto(200)) == list(range(1, 100))
 
     def test_strictness(self):
-        s = SequencePrefix(np.asarray([0.5, 0.6]))
-        assert list(exceedance_set(s, 0.5).members_upto(2)) == [2]
+        assert list(exceedance_set(np.asarray([0.5, 0.6]), 0.5).members_upto(2)) == [2]
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            exceedance_set(SequencePrefix([1.0]), 0.0)
+            exceedance_set(np.ones(1), 0.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
     def test_eps_must_be_positive_and_finite(self, eps):
         with pytest.raises(ValueError, match="positive and finite"):
-            exceedance_set(SequencePrefix([1.0]), eps)
+            exceedance_set(np.ones(1), eps)
 
 
 @settings(max_examples=60)
 @given(vals=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=80),
        eps=st.floats(min_value=1e-3, max_value=2.0))
 def test_exceedance_set_matches_brute_force(vals, eps):
-    e = exceedance_set(SequencePrefix(vals), eps)
+    e = exceedance_set(np.asarray(vals), eps)
     brute = [i for i, v in enumerate(vals, start=1) if v > eps]
     assert list(e.members_upto(len(vals))) == brute
     assert list(e.counts(np.arange(1, len(vals) + 1))) == [

@@ -56,20 +56,28 @@ class TestTransformPrefix:
     def test_identity_exact(self):
         x = SequencePrefix(np.asarray([0.1, -2.5, 3.75]))
         y = transform_prefix(make_matrix("identity"), x, 3)
-        assert np.array_equal(y.values, x.values)
+        assert np.array_equal(y, x.values)
+
+    def test_identity_is_a_view(self):
+        x = SequencePrefix(np.arange(1.0, 11.0))
+        assert np.shares_memory(transform_prefix(make_matrix("identity"), x, 7), x.values)
+
+    def test_read_only(self):
+        x = SequencePrefix(np.random.default_rng(8).normal(size=60))
+        for m in (make_matrix("identity"), make_matrix("cesaro"), RIESZ, make_matrix(f"file:{BAND}")):
+            y = transform_prefix(m, x, 60)
+            assert not y.flags.writeable, m.kind
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = 0.0
 
     def test_cesaro_of_ones(self):
         y = transform_prefix(make_matrix("cesaro"), SequencePrefix(np.ones(50)), 50)
-        assert np.all(y.values == 1.0)
+        assert np.all(y == 1.0)
 
     def test_cesaro_alternating_bound(self):
         y = transform_prefix(make_matrix("cesaro"), alternating(100), 100)
         bound = 1.0 / np.arange(1, 101)
-        assert np.all(np.abs(y.values) <= bound + 1e-12)
-
-    def test_label_records_kind(self):
-        y = transform_prefix(make_matrix("cesaro"), SequencePrefix(np.ones(3), label="u"), 3)
-        assert y.label == "cesaro:u"
+        assert np.all(np.abs(y) <= bound + 1e-12)
 
     def test_matches_apply_row(self):
         rng = np.random.default_rng(7)
@@ -77,7 +85,7 @@ class TestTransformPrefix:
         for m in (make_matrix("identity"), make_matrix("cesaro"), RIESZ, make_matrix(f"file:{BAND}")):
             y = transform_prefix(m, x, 60)
             rows = np.asarray([apply_row(m, x, i) for i in range(1, 61)])
-            np.testing.assert_allclose(y.values, rows, rtol=1e-12, atol=1e-12, err_msg=m.kind)
+            np.testing.assert_allclose(y, rows, rtol=1e-12, atol=1e-12, err_msg=m.kind)
 
     def test_cesaro_tracks_limit(self):
         # x_k = L + 1/k; |A_i(x) - L| <= (1 + ln i)/i
@@ -86,7 +94,7 @@ class TestTransformPrefix:
         x = SequencePrefix(L + 1.0 / np.arange(1.0, n + 1))
         y = transform_prefix(make_matrix("cesaro"), x, n)
         i = np.arange(1.0, n + 1)
-        assert np.all(np.abs(y.values - L) <= (1.0 + np.log(i)) / i + 1e-12)
+        assert np.all(np.abs(y - L) <= (1.0 + np.log(i)) / i + 1e-12)
 
     def test_row_checks_run_in_row_order(self):
         # row 2 reaches column 9 past n = 5, row 3 is undefined
@@ -120,6 +128,9 @@ class TestTransformPrefix:
             transform_prefix(m, x, 2)
         with pytest.raises(ArithmeticError, match="overflow"):  # math.fsum's own OverflowError
             apply_row(m, x, 2)
+        # the weighted means share the explicit sum's check and wording
+        with pytest.raises(ArithmeticError, match="^non-finite accumulation at row 2$"):
+            transform_prefix(make_matrix("cesaro"), SequencePrefix(np.full(3, 1e308)), 3)
 
     def test_error_propagates_row_index(self):
         m = SummabilityMatrix("explicit", indptr=[0, 1], cols=[1], coefs=[1.0])
@@ -220,7 +231,7 @@ class TestCsr:
 
     def test_duplicate_across_rows_allowed(self):
         m = SummabilityMatrix("explicit", indptr=[0, 1, 2], cols=[1, 1], coefs=[1.0, 1.0])
-        assert transform_prefix(m, SequencePrefix(np.asarray([3.0, 4.0])), 2).values.tolist() == [3.0, 3.0]
+        assert transform_prefix(m, SequencePrefix(np.asarray([3.0, 4.0])), 2).tolist() == [3.0, 3.0]
 
     def test_columns_must_ascend(self):
         with pytest.raises(SpecError, match="ascend in row 1"):

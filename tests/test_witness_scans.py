@@ -1,7 +1,7 @@
 """The witness routes' shared scans against reference copies of the loops they
 replaced.
 
-``_limit_estimate`` bins the transformed prefix once and scores each candidate
+``stat_limit_estimate`` bins the transformed prefix once and scores each candidate
 once for every modulus; ``_cauchy_search`` builds one deviation per anchor for
 every radius; ``witness extract`` reuses the limit estimate's scores.  The
 references below are the per-modulus and per-radius loops, kept verbatim in
@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
-from seqlab.density import _exceedances, checkpoints, exceedance_set, f_density
+from seqlab.density import checkpoints, exceedance_set, f_density
 from seqlab.errors import CauchyConstructionError, WitnessExtractionError
 from seqlab.matrices import make_matrix, transform_prefix
-from seqlab.membership import (CauchyReport, SpaceParams, _limit_estimate, _scores,
-                               pointwise_scores, stat_cauchy_check, stat_limit_estimate)
+from seqlab.membership import (CauchyReport, SpaceParams, pointwise_scores, stat_cauchy_check,
+                               stat_limit_estimate)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import make_family
 from seqlab.sequences import alternating_sequence, harmonic_sequence, spike_sequence
@@ -34,17 +34,19 @@ _SLACK = 1e-12
 
 # -- references: the loops as they were before the shared scans -------------
 
-def reference_limit_estimate(y, label, params, f, eps, tol):
+def reference_limit_estimate(y, params, f, eps, tol):
     """One modulus: bin, then score candidates until one is a density member."""
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     width = max(eps, 1e-12)
+    if not math.isfinite((float(y.max()) - float(y.min())) / width):
+        raise ValueError("the transformed values spread past the float range; supply --limit")
     bins = np.floor((y - float(y.min())) / width).astype(np.int64)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
     for b in uniq[order][:5]:
         candidate = float(np.median(y[bins == b]))
-        s = _scores(y, replace(params, limit=candidate, eps=eps), label)
+        s = pointwise_scores(y, replace(params, limit=candidate, eps=eps))
         dens = f_density(exceedance_set(s, eps), f, len(s), tol)
         if dens.converged and dens.value <= tol:
             return candidate
@@ -61,7 +63,7 @@ def reference_cauchy_search(y, f, eps, tol):
         dev = np.abs(y - y[anchor - 1])
         if not math.isfinite(float(dev.max())):
             raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
-        dens = f_density(_exceedances(dev, eps, f"dev@{anchor}"), f, len(y), tol)
+        dens = f_density(exceedance_set(dev, eps), f, len(y), tol)
         trail.append((anchor, dens.verdict, dens.value))
         if dens.converged and dens.value <= tol:
             return CauchyReport(True, anchor, dens, tuple(trail))
@@ -70,7 +72,7 @@ def reference_cauchy_search(y, f, eps, tol):
 
 def reference_cauchy_construction(x, params, f, depth, tol):
     """The nested intervals, one anchor search per radius 1/k."""
-    y = transform_prefix(params.matrix, x, len(x)).values
+    y = transform_prefix(params.matrix, x, len(x))
     anchors = []
     lo, hi = -math.inf, math.inf
     for k in range(1, depth + 1):
@@ -165,15 +167,15 @@ quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(inst=instances(), moduli=moduli_lists)
 def test_limit_estimate_matches_per_modulus_scan(inst, moduli):
     x, params, tol = inst
-    y = transform_prefix(params.matrix, x, len(x)).values
-    want = outcome(lambda: [reference_limit_estimate(y, x.label, params, f, params.eps, tol)
+    y = transform_prefix(params.matrix, x, len(x))
+    want = outcome(lambda: [reference_limit_estimate(y, params, f, params.eps, tol)
                             for f in moduli])
-    got = outcome(lambda: _limit_estimate(y, x.label, params, moduli, tol)[0])
+    got = outcome(lambda: stat_limit_estimate(y, params, moduli, tol)[0])
     assert got == want
     if want[0] == "ok":
         probe = multi_modulus_probe(x, params, moduli, tol)
         assert probe.limits == dict(zip((f.name for f in moduli), want[1]))
-        assert stat_limit_estimate(x, params, moduli[0], tol) == want[1][0]
+        assert stat_limit_estimate(y, params, moduli[:1], tol)[0] == want[1][:1]
 
 
 @quiet
@@ -188,7 +190,7 @@ def test_cauchy_sweep_matches_per_radius_search(inst, modulus, depth):
     if got[0] == "ok":
         got = ("ok", (got[1].value, got[1].width, got[1].anchors))
     assert got == want
-    y = transform_prefix(params.matrix, x, len(x)).values
+    y = transform_prefix(params.matrix, x, len(x))
     assert (outcome(stat_cauchy_check, x, params, f, tol)
             == outcome(reference_cauchy_search, y, f, params.eps, tol))
 
@@ -200,30 +202,31 @@ def test_cauchy_sweep_matches_per_radius_search(inst, modulus, depth):
 def test_extract_on_reused_scores_matches_rescored(inst, modulus, depth):
     x, params, tol = inst
     f = MODULI[modulus]
-    y = transform_prefix(params.matrix, x, len(x)).values
-    got = outcome(_limit_estimate, y, x.label, params, [f], tol)
+    y = transform_prefix(params.matrix, x, len(x))
+    got = outcome(stat_limit_estimate, y, params, [f], tol)
     if got[0] != "ok" or got[1][0][0] is None:
         return
     (est,), s = got[1]
     at_est = replace(params, limit=est)
-    assert np.array_equal(s, pointwise_scores(x, at_est).values)
+    rescored_s = pointwise_scores(y, at_est)
+    assert np.array_equal(s, rescored_s)
     want_thresholds, want_counts = reference_thresholds(s, f, depth)
     if isinstance(want_thresholds[0], str):
         with pytest.raises(WitnessExtractionError) as fed:
-            extract_witness_set(x, at_est, f, depth, tol, scores=s)
+            extract_witness_set(s, f, depth, tol)
         with pytest.raises(WitnessExtractionError) as rescored:
-            extract_witness_set(x, at_est, f, depth, tol)
+            extract_witness_set(rescored_s, f, depth, tol)
         assert fed.value.stuck_level == rescored.value.stuck_level == want_thresholds[1]
         assert str(fed.value) == str(rescored.value)
         return
-    fed = extract_witness_set(x, at_est, f, depth, tol, scores=s)
-    rescored = extract_witness_set(x, at_est, f, depth, tol)
+    fed = extract_witness_set(s, f, depth, tol)
+    rescored = extract_witness_set(rescored_s, f, depth, tol)
     assert fed.thresholds == rescored.thresholds == want_thresholds
     assert fed.level_counts == rescored.level_counts == want_counts
     assert np.array_equal(fed.members.members_upto(len(x)), rescored.members.members_upto(len(x)))
     assert (fed.density, fed.off_tail_sup) == (rescored.density, rescored.off_tail_sup)
-    assert (converge_off_witness(x, at_est, fed.members, 1.0 / depth, scores=s)
-            == converge_off_witness(x, at_est, fed.members, 1.0 / depth))
+    assert (converge_off_witness(s, fed.members, at_est.eps, 1.0 / depth)
+            == converge_off_witness(rescored_s, fed.members, at_est.eps, 1.0 / depth))
 
 
 def test_each_modulus_keeps_its_own_first_candidate():
@@ -240,6 +243,6 @@ def test_each_modulus_keeps_its_own_first_candidate():
     params = SpaceParams(make_matrix("identity"), make_family("linear"),
                          make_lacunary("powers2", 4), eps=1.0)
     names = ["id", "log1p", "id", "pow:0.5"]
-    want = [reference_limit_estimate(y, "three-level", params, MODULI[m], 1.0, 0.05) for m in names]
+    want = [reference_limit_estimate(y, params, MODULI[m], 1.0, 0.05) for m in names]
     assert want == [0.95, 1.05, 0.95, 1.05]
-    assert _limit_estimate(y, "three-level", params, [MODULI[m] for m in names], 0.05)[0] == want
+    assert stat_limit_estimate(y, params, [MODULI[m] for m in names], 0.05)[0] == want

@@ -6,8 +6,8 @@ import pytest
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.errors import (CauchyConstructionError, GenerationError,
                            WitnessExtractionError)
-from seqlab.matrices import make_matrix
-from seqlab.membership import MEMBER, NON_MEMBER, SpaceParams, block_trails
+from seqlab.matrices import make_matrix, transform_prefix
+from seqlab.membership import MEMBER, NON_MEMBER, SpaceParams, block_trails, pointwise_scores
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import OrliczFn, make_orlicz, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
@@ -21,6 +21,10 @@ IDENTITY = make_matrix("identity")
 LINEAR = uniform_family(make_orlicz("linear"))
 ID_MOD = make_modulus("id")
 LOG_MOD = make_modulus("log1p")
+
+
+def scores(x, params):
+    return pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
 
 
 def identity_params(blocks, limit, n=None):
@@ -44,7 +48,7 @@ class TestHalfPlateau:
 
     def test_residual_bound_and_ratio_half(self):
         x, p = gen_half_plateau_instance(1.0, 1.0, 10)
-        t, c, _ = block_trails(x, p)
+        t, c, _ = block_trails(scores(x, p), p)
         bounds = 2.0 ** -np.arange(1, 11, dtype=float)
         assert np.all(t <= bounds + 1e-12)
         assert np.all(np.abs(c - 0.5) <= 1e-12)
@@ -52,7 +56,7 @@ class TestHalfPlateau:
     def test_residuals_match_direct_summation(self):
         nu, rho = 1.0, 1.0
         x, p = gen_half_plateau_instance(nu, rho, 8)
-        t, _, _ = block_trails(x, p)
+        t, _, _ = block_trails(scores(x, p), p)
         for r in range(1, 9):
             lo, hi = p.scheme.block(r)
             expected = sum((nu / rho) / i for i in range(lo + 1, hi + 1) if x.values[i - 1] != 0.0)
@@ -91,11 +95,11 @@ class TestHalfPlateau:
 
 @pytest.mark.parametrize("report", ["half-plateau", "block-spike"])
 def test_both_block_verdicts_from_one_transform(monkeypatch, report):
-    import seqlab.membership as membership_mod
+    import seqlab.witnesses as witnesses_mod
 
     calls = []
-    transform = membership_mod.transform_prefix
-    monkeypatch.setattr(membership_mod, "transform_prefix",
+    transform = witnesses_mod.transform_prefix
+    monkeypatch.setattr(witnesses_mod, "transform_prefix",
                         lambda *args: calls.append(args) or transform(*args))
     if report == "half-plateau":
         half_plateau_report(*gen_half_plateau_instance(1.0, 1.0, 10))
@@ -141,7 +145,7 @@ class TestBlockSpike:
 class TestWitnessExtraction:
     def test_spike_on_squares(self):
         x, p = spike_instance(100_000)
-        ws = extract_witness_set(x, p, ID_MOD, depth=5)
+        ws = extract_witness_set(scores(x, p), ID_MOD, depth=5)
         members = ws.members.members_upto(len(x))
         squares = make_index_set("squares").members_upto(len(x))
         assert np.all(np.isin(members, squares))
@@ -151,8 +155,9 @@ class TestWitnessExtraction:
 
     def test_round_trip(self):
         x, p = spike_instance(100_000)
-        ws = extract_witness_set(x, p, ID_MOD, depth=5)
-        off = converge_off_witness(x, p, ws.members, tol=1.0 / 5)
+        s = scores(x, p)
+        ws = extract_witness_set(s, ID_MOD, depth=5)
+        off = converge_off_witness(s, ws.members, p.eps, tol=1.0 / 5)
         assert off.passed
         # index 1 is a square the construction never reaches (thresholds start past it)
         assert off.i0 == 1
@@ -160,7 +165,7 @@ class TestWitnessExtraction:
     def test_norm_convergent_gives_small_witness(self):
         x = harmonic_sequence(10_000, level=2.0)
         p = identity_params(13, limit=2.0)
-        ws = extract_witness_set(x, p, ID_MOD, depth=5)
+        ws = extract_witness_set(scores(x, p), ID_MOD, depth=5)
         members = ws.members.members_upto(len(x))
         # every score above 1/5 lives below index 5
         assert members.size <= 5
@@ -170,12 +175,12 @@ class TestWitnessExtraction:
         x = alternating_sequence(10_000)  # 1, 0, 1, 0, ...
         p = identity_params(13, limit=0.0)
         with pytest.raises(WitnessExtractionError) as err:
-            extract_witness_set(x, p, ID_MOD, depth=5)
+            extract_witness_set(scores(x, p), ID_MOD, depth=5)
         assert err.value.stuck_level == 2
 
     def test_level_counts_match_brute_force(self):
         x, p = spike_instance(10_000, delta=0.3)
-        ws = extract_witness_set(x, p, ID_MOD, depth=4)
+        ws = extract_witness_set(scores(x, p), ID_MOD, depth=4)
         s = np.abs(x.values - 2.0)
         for j, trail in ws.level_counts.items():
             for cp, count in trail:
@@ -184,13 +189,13 @@ class TestWitnessExtraction:
     def test_depth_floor(self):
         x, p = spike_instance(10_000)
         with pytest.raises(ValueError):
-            extract_witness_set(x, p, ID_MOD, depth=1)
+            extract_witness_set(scores(x, p), ID_MOD, depth=1)
 
 
 class TestOffWitness:
     def test_explicit_squares_cover_exactly(self):
         x, p = spike_instance(10_000)
-        off = converge_off_witness(x, p, make_index_set("squares"), tol=0.2)
+        off = converge_off_witness(scores(x, p), make_index_set("squares"), p.eps, tol=0.2)
         assert off.passed
         assert off.i0 == 0
 
@@ -198,14 +203,14 @@ class TestOffWitness:
         from seqlab.core import IndexSet
         x = harmonic_sequence(10_000, level=0.0)
         p = identity_params(13, limit=0.0)
-        off = converge_off_witness(x, p, IndexSet.from_members("empty", []), tol=0.2)
+        off = converge_off_witness(scores(x, p), IndexSet.from_members("empty", []), p.eps, tol=0.2)
         assert off.passed
         assert off.n_off == 10_000
 
     def test_evens_carry_all_deviation(self):
         x = alternating_sequence(10_000, first=0.0, second=1.0)  # ones on evens
         p = identity_params(13, limit=0.0)
-        off = converge_off_witness(x, p, make_index_set("evens"), tol=1e-9)
+        off = converge_off_witness(scores(x, p), make_index_set("evens"), p.eps, tol=1e-9)
         assert off.passed
         assert off.i0 == 0
 
@@ -238,7 +243,6 @@ class TestCauchyConstruction:
         with pytest.raises(CauchyConstructionError):
             cauchy_limit_construction(x, p, ID_MOD, depth=5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_deviation_rejected(self):
         x = SequencePrefix(np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308))
         with pytest.raises(ValueError, match=r"^sequence 'dev@1000' contains non-finite values$"):
