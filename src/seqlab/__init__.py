@@ -7,8 +7,8 @@ from .density import (DensityEstimate, ComplementCheck, checkpoints,
                       complement_inequality_check, exceedance_set, f_density,
                       natural_density)
 from .errors import (CauchyConstructionError, GenerationError, SeqlabError,
-                     SpecError, TruncationError, UnboundedNormError,
-                     WitnessExtractionError)
+                     SpecError, SpreadError, TruncationError,
+                     UnboundedNormError, WitnessExtractionError)
 from .matrices import (RegularityReport, SummabilityMatrix, apply_row,
                        make_matrix, regularity_check, transform_prefix)
 from .membership import (DEFAULT_EPS, DEFAULT_TOL, CauchyReport,
@@ -28,7 +28,8 @@ from .sequences import (alternating_sequence, const_sequence,
 from .witnesses import (BLOCK_SPIKE_DISCREPANCY, ModulusProbeReport,
                         NestedLimit, OffWitnessCheck, PairReport,
                         WitnessSet, block_spike_report,
-                        cauchy_limit_construction, converge_off_witness,
+                        cauchy_limit_construction, cauchy_witness,
+                        converge_off_witness,
                         extract_witness_set, gen_block_spike_instance,
                         gen_half_plateau_instance, half_plateau_report,
                         multi_modulus_probe)

@@ -175,8 +175,19 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
 
 
 def exceedance_set(values: np.ndarray, eps: float) -> IndexSet:
-    """The explicit index set {i : values_i > eps} of finite ``values``."""
+    """The index set {i : values_i > eps} of finite ``values``, held as a
+    read-only bool mask (one byte per index).  Its count rule counts the mask
+    between the sorted truncation points; members are listed only on request."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"threshold eps must be positive and finite, got {eps}")
-    members = np.flatnonzero(values > eps) + 1
-    return IndexSet.from_members(f"exceedances(eps={eps:g})", members)
+    mask = values > eps
+    mask.flags.writeable = False
+
+    def count(ns: np.ndarray) -> np.ndarray:
+        cut = np.minimum(ns, mask.size)
+        bounds = np.union1d(0, cut)  # ascending and distinct
+        segments = [np.count_nonzero(mask[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.cumsum([0] + segments, dtype=np.int64)[np.searchsorted(bounds, cut)]
+
+    return IndexSet(f"exceedances(eps={eps:g})", lambda n: np.flatnonzero(mask[:n]) + 1,
+                    explicit=True, count_rule=count)

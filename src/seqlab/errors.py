@@ -17,6 +17,10 @@ class UnboundedNormError(SeqlabError, ArithmeticError):
     """The Luxemburg bracket search escaped its growth cap."""
 
 
+class SpreadError(SeqlabError, ValueError):
+    """Values to be binned spread past the float range, so no limit can be estimated."""
+
+
 class GenerationError(SeqlabError, ValueError):
     """A constructive generator cannot satisfy its defining inequality."""
 

@@ -175,6 +175,9 @@ def transform_prefix(matrix: SummabilityMatrix, x: SequencePrefix, upto: int) ->
         if matrix.kind == "explicit":
             end = matrix.indptr[upto]
             out = np.add.reduceat(matrix.coefs[:end] * x.values[matrix.cols[:end] - 1], matrix.indptr[:upto])
+        elif matrix.kind == "cesaro":  # unit weights: 1.0 * x_k = x_k, so no weight array is made
+            out = np.cumsum(x.values[:upto])
+            out /= np.arange(1.0, upto + 1)
         else:
             w, p = _weights(matrix, upto)
             out = np.cumsum(w * x.values[:upto]) / p

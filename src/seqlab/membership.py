@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import IndexSet, LacunaryScheme, SequencePrefix, check_tol
 from .density import DensityEstimate, checkpoints, exceedance_set, f_density
-from .errors import TruncationError
+from .errors import SpreadError, TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
 from .modulus import Modulus
 from .orlicz import OrliczFamily, RhoSchedule, const_rho
@@ -31,6 +31,8 @@ from .orlicz import OrliczFamily, RhoSchedule, const_rho
 DEFAULT_TOL = 1e-2
 DEFAULT_EPS = 0.1
 MIN_BLOCKS = 6
+# Indices per block of the scores: a 2^16 block's temporaries take 512 KB each.
+_CHUNK = 1 << 16
 
 MEMBER = "member"
 NON_MEMBER = "non-member"
@@ -70,14 +72,20 @@ class MembershipReport:
 
 
 def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
-    """The read-only scores s_i = M_i(|y_i - L| / rho_i) of the transformed prefix y_i = A_i(x)."""
+    """The read-only scores s_i = M_i(|y_i - L| / rho_i) of the transformed prefix y_i = A_i(x),
+    made in blocks of ``_CHUNK`` indices into one array, so no other n-length array is made."""
     if params.limit is None:
         raise ValueError("a candidate limit L is required to compute scores")
-    idx = np.arange(1, y.size + 1, dtype=np.int64)
+    s = np.empty(y.size)
+    starts = range(0, y.size, _CHUNK)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
-        dev = np.abs(y - params.limit)
-        dev /= params.rho.values(idx)  # in place: one n-array fewer at the peak
-        s = params.family.eval_many(idx, dev)
+        # the last block first, so that a rho or weight table short of n names index n
+        for lo in (*starts[-1:], *starts[:-1]):
+            idx = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=np.int64)
+            dev = y[lo:lo + _CHUNK] - params.limit
+            np.abs(dev, out=dev)
+            dev /= params.rho.values(idx)
+            s[lo:lo + _CHUNK] = params.family.eval_many(idx, dev)
     if not np.all(np.isfinite(s)):
         raise ValueError(f"non-finite score at index {int(np.argmin(np.isfinite(s))) + 1}")
     s.flags.writeable = False
@@ -199,18 +207,23 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
     width = max(params.eps, 1e-12)
     lo = float(y.min())
     if not math.isfinite((float(y.max()) - lo) / width):
-        raise ValueError("the transformed values spread past the float range; supply --limit")
-    # float bins: exact integers here, with no int64 cast to overflow
-    bins = np.floor((y - lo) / width)
+        raise SpreadError("the transformed values spread past the float range; supply --limit")
+    # float bins, floor((y - lo) / width) in place: exact integers here, with no int64 cast to overflow
+    bins = y - lo
+    bins /= width
+    np.floor(bins, out=bins)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
     limits: list[float | None] = [None] * len(moduli)
     s = None
     for b in uniq[order][:5]:
+        members = y[bins == b]  # a copy of the bin, which the median may reorder
         with np.errstate(over="ignore"):  # two middle values near 1e308 overflow when averaged
-            candidate = float(np.median(y[bins == b]))
+            candidate = float(np.median(members, overwrite_input=True))
         if not math.isfinite(candidate):
-            candidate = 2.0 * float(np.median(y[bins == b] / 2.0))  # halving is exact at this size
+            members /= 2.0  # halving is exact at this size
+            candidate = 2.0 * float(np.median(members, overwrite_input=True))
+        s = above = members = None  # dropped before the next candidate's scores are made
         s = pointwise_scores(y, replace(params, limit=candidate))
         above = exceedance_set(s, params.eps)
         for i, f in enumerate(moduli):
@@ -257,7 +270,8 @@ def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) ->
         anchor = int(anchor)
         # y is finite, so the deviation is NaN-free and only overflow can make it infinite
         with np.errstate(over="ignore"):
-            dev = np.abs(y - y[anchor - 1])
+            dev = y - y[anchor - 1]
+            np.abs(dev, out=dev)
         if not math.isfinite(float(dev.max())):
             raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
         for i in pending:

@@ -13,6 +13,7 @@ The two generators deliberately split the membership modes:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -20,12 +21,12 @@ import numpy as np
 
 from .core import MATERIALIZE_CAP, IndexSet, LacunaryScheme, SequencePrefix
 from .density import DensityEstimate, checkpoints, f_density
-from .errors import (CauchyConstructionError, GenerationError,
+from .errors import (CauchyConstructionError, GenerationError, SpreadError,
                      TruncationError, WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
-from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
-                         _block_report, _cauchy_search, block_trails, pointwise_scores,
-                         stat_limit_estimate)
+from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, CauchyReport, MembershipReport,
+                         SpaceParams, _block_report, _cauchy_search, block_trails,
+                         pointwise_scores, stat_limit_estimate)
 from .modulus import Modulus
 from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
@@ -51,6 +52,23 @@ class WitnessSet:
     off_tail_sup: float
 
 
+def _last_bad(members: np.ndarray, n: int, f: Modulus, bound: float) -> int:
+    """The last i in 1..n with f(|B(i)|)/f(i) > bound, or 0, where B(i) holds the sorted
+    ``members`` up to i.  Along a run of constant count k the ratio f(k)/f(i) does not
+    increase, so it is taken at each run's first index and the last failing run is bisected.
+    """
+    starts = np.concatenate(([1], members))  # run k holds the count k from starts[k]
+    ends = np.append(members - 1, n)
+    counts = np.arange(starts.size)
+    bad = np.flatnonzero(f(counts) / f(starts) > bound)  # f(0) = 0, so an empty run 0 never fails
+    if not bad.size:
+        return 0
+    k = int(bad[-1])
+    run, f_k = range(int(starts[k]), int(ends[k]) + 1), f(counts[k:k + 1])
+    # the run's first index fails, so the first that passes comes after it
+    return run[bisect.bisect_left(run, True, key=lambda i: bool(f_k / f(np.array([i])) <= bound)) - 1]
+
+
 def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
                         tol: float = DEFAULT_TOL) -> WitnessSet:
     """Build X = union_j ([r_j, r_{j+1}) intersect B_j), B_j = {i : s_i > 1/j}, from scores s.
@@ -60,32 +78,27 @@ def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
     leave at least half the truncation as verification tail, otherwise the
     construction is declared stuck at that level.  On success the scores off
     X beyond r_depth stay <= 1/depth by construction (verified and reported).
+    Each level B_j is filtered from B_depth and worked from its members.
     """
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: witness extraction needs an unbounded modulus")
     if depth < 2:
         raise ValueError("witness depth must be >= 2")
     n = len(s)
-    f_all = f(np.arange(1, n + 1, dtype=np.int64))
     cps = checkpoints(n)
+    deepest = np.flatnonzero(s > 1.0 / depth) + 1
 
     thresholds: list[int] = []
     level_members: dict[int, np.ndarray] = {}
     level_counts: dict[int, tuple] = {}
-    r_prev = 0
     for j in range(1, depth + 1):
-        members = np.flatnonzero(s > 1.0 / j) + 1
-        level_members[j] = members
-        # counts[i - 1] = |B_j(i)|: the count k holds from the k-th member up to the next
-        counts = np.repeat(np.arange(members.size + 1), np.diff(members, prepend=1, append=n + 1))
-        level_counts[j] = tuple((int(cp), int(counts[cp - 1])) for cp in cps)
+        members = level_members[j] = deepest[s[deepest - 1] > 1.0 / j]
+        level_counts[j] = tuple(zip(cps.tolist(), np.searchsorted(members, cps, side="right").tolist()))
         if j == 1:
             r_j = int(members[0]) if members.size else 1
         else:
-            ratios = f(counts) / f_all
-            bad = np.flatnonzero(ratios > 1.0 / j + _SLACK)
-            last_bad = int(bad[-1]) + 1 if bad.size else 0
-            r_j = max(last_bad + 1, r_prev + 1)
+            last_bad = _last_bad(members, n, f, 1.0 / j + _SLACK)
+            r_j = max(last_bad, thresholds[-1]) + 1
             if r_j > n // 2:
                 raise WitnessExtractionError(
                     j,
@@ -93,23 +106,15 @@ def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
                     f"1/{j} through index {last_bad} of {n}",
                 )
         thresholds.append(r_j)
-        r_prev = r_j
 
-    parts = []
-    for j in range(1, depth + 1):
-        lo = thresholds[j - 1]
-        hi = thresholds[j] if j < depth else n + 1
-        m = level_members[j]
-        parts.append(m[(m >= lo) & (m < hi)])
-    x_members = np.concatenate(parts)  # disjoint ascending slices: sorted and unique
+    cuts = thresholds + [n + 1]  # X takes B_j on [r_j, r_{j+1}): disjoint ascending slices
+    x_members = np.concatenate([m[(m >= cuts[j - 1]) & (m < cuts[j])] for j, m in level_members.items()])
     witness = IndexSet.from_members("witness", x_members)
 
     dens = f_density(witness, f, n, tol)
-    off = np.ones(n, dtype=bool)
-    if x_members.size:
-        off[x_members - 1] = False
-    tail = s[thresholds[-1] - 1:][off[thresholds[-1] - 1:]]
-    off_sup = float(tail.max()) if tail.size else 0.0
+    # past r_depth the witness set is B_depth, so the scores off it are those <= 1/depth
+    tail = s[thresholds[-1] - 1:]
+    off_sup = float(np.max(tail, where=tail <= 1.0 / depth, initial=0.0))  # scores are >= 0
     return WitnessSet(witness, tuple(thresholds), level_counts, dens, off_sup)
 
 
@@ -127,21 +132,24 @@ def converge_off_witness(s: np.ndarray, witness: IndexSet, eps: float,
 
     Passes when the trailing third of off-witness scores stays <= tol.  Also
     reports the smallest i0 with {i : s_i > eps} contained in X union {1..i0}
-    (i0 = 0 when the exceedances are exactly covered).
+    (i0 = 0 when the exceedances are exactly covered).  Only the trailing third gets a mask.
     """
     n = len(s)
     members = witness.members_upto(n)
-    off = np.ones(n, dtype=bool)
-    if members.size:
-        off[members - 1] = False
-    off_idx = np.flatnonzero(off) + 1
-    if off_idx.size == 0:
+    n_off = n - members.size
+    if n_off == 0:
         return OffWitnessCheck(True, 0, 0.0, 0)
-    w = math.ceil(off_idx.size / 3)
-    tail_max = float(s[off_idx[-w:] - 1].max())
-    exceed_off = off_idx[s[off_idx - 1] > eps]
-    i0 = int(exceed_off.max()) if exceed_off.size else 0
-    return OffWitnessCheck(tail_max <= tol + _SLACK, i0, tail_max, int(off_idx.size))
+    # the trailing third starts at the k-th off index: k plus the number of
+    # members m_r (the r-th smallest) with m_r - r < k
+    k = n_off - math.ceil(n_off / 3) + 1
+    start = k + int(np.searchsorted(members - np.arange(1, members.size + 1), k))
+    tail = s[start - 1:]
+    off = np.ones(tail.size, dtype=bool)
+    off[members[np.searchsorted(members, start):] - start] = False
+    tail_max = float(np.max(tail, where=off, initial=-np.inf))
+    exceed_off = np.setdiff1d(np.flatnonzero(s > eps) + 1, members, assume_unique=True)
+    i0 = int(exceed_off[-1]) if exceed_off.size else 0
+    return OffWitnessCheck(tail_max <= tol + _SLACK, i0, tail_max, n_off)
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,26 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     if depth < 1:
         raise ValueError("depth must be >= 1")
     y = transform_prefix(params.matrix, x, len(x))
-    reports = _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol)
+    return _nested_limit(y, _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol))
+
+
+def cauchy_witness(x: SequencePrefix, params: SpaceParams, f: Modulus, depth: int = 10, tol: float = DEFAULT_TOL
+                   ) -> tuple[CauchyReport, NestedLimit | CauchyConstructionError | None]:
+    """``stat_cauchy_check`` at ``params.eps`` and, when it passes, ``cauchy_limit_construction``
+    to ``depth``, from one walk over the anchors: the check, and the construction, the error it
+    raised, or None when the check failed."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    y = transform_prefix(params.matrix, x, len(x))
+    check, *reports = _cauchy_search(y, f, [params.eps] + [1.0 / k for k in range(1, depth + 1)], tol)
+    try:
+        return check, _nested_limit(y, reports) if check.cauchy else None
+    except CauchyConstructionError as exc:
+        return check, exc
+
+
+def _nested_limit(y: np.ndarray, reports: list[CauchyReport]) -> NestedLimit:
+    """The intervals of radius 1/k about y at each report's anchor, k = 1, 2, ..., intersected."""
     anchors = []
     lo = -math.inf
     hi = math.inf
@@ -277,21 +304,22 @@ def _solve_min_height(base: OrliczFn, rho: float, target: float) -> float:
     """
     hi = 1.0
     doublings = 0
-    while float(base(hi / rho)) < target:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 400:
-            raise GenerationError(
-                f"gauge {base.name!r} never reaches {target:g}; is it bounded above?")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if float(base(mid / rho)) >= target:
-            hi = mid
-        else:
-            lo = mid
+    with np.errstate(over="ignore"):  # a gauge past the float range is inf, which meets any target
+        while float(base(hi / rho)) < target:
+            hi *= 2.0
+            doublings += 1
+            if doublings > 400:
+                raise GenerationError(
+                    f"gauge {base.name!r} never reaches {target:g}; is it bounded above?")
+        lo = 0.0 if hi == 1.0 else hi / 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if float(base(mid / rho)) >= target:
+                hi = mid
+            else:
+                lo = mid
     return hi
 
 
@@ -367,7 +395,12 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
         if not f.unbounded:
             raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")
     y = transform_prefix(params.matrix, x, len(x))
-    limits = dict(zip((f.name for f in moduli), stat_limit_estimate(y, params, moduli, tol)[0]))
+    try:
+        estimates = stat_limit_estimate(y, params, moduli, tol)[0]
+    except SpreadError:  # its refusal advises --limit, which the probe does not take
+        raise SpreadError("the transformed values spread past the float range, "
+                          "so the probe cannot bin them") from None
+    limits = dict(zip((f.name for f in moduli), estimates))
     found = [v for v in limits.values() if v is not None]
     all_agree = len(found) == len(moduli) and (
         not found or max(found) - min(found) <= 1e-9)

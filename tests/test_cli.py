@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +157,46 @@ OVERFLOWING = ",".join(["1.5e308,-1.5e308"] * 60)
      "sequence 'dev@120' contains non-finite values"),
     (["membership", "--seq", f"list:{OVERFLOWING}", "--mode", "density", "--estimate-limit", "--n", "120"],
      "the transformed values spread past the float range; supply --limit"),
-], ids=["mean-score", "density-score", "extract-score", "cesaro-row", "cauchy-dev", "estimate-spread"])
+    # each route words the spread refusal for itself: extract takes --limit, the probe does not
+    (["witness", "extract", "--seq", f"list:{OVERFLOWING}", "--n", "120"],
+     "the transformed values spread past the float range; supply --limit"),
+    (["witness", "probe", "--seq", f"list:{OVERFLOWING}", "--probe-moduli", "id", "--n", "120"],
+     "the transformed values spread past the float range, so the probe cannot bin them"),
+    # the height search meets a gauge past the float range
+    (["witness", "block-spike", "--orlicz", "explog", "--rho-value", "1e-300", "--blocks", "8"],
+     "non-finite score at index 2"),
+], ids=["mean-score", "density-score", "extract-score", "cesaro-row", "cauchy-dev", "estimate-spread",
+        "extract-spread", "probe-spread", "block-spike-gauge"])
 def test_overflow_exits_one_with_one_line(capsys, argv, message):
     # the ini setting turns any RuntimeWarning into an error, so none may precede the line
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err == f"seqlab: error: {message}\n"
+
+
+SPIKE = "spike:set=squares,base=1.5,delta=2"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["witness", "probe", "--seq", SPIKE, "--probe-moduli", "id,log1p"], 3.5),
+    (["witness", "extract", "--seq", SPIKE, "--modulus", "id"], 3.5),
+    (["witness", "cauchy", "--seq", "harmonic:0.5", "--modulus", "id"], 2.5),
+    (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "density", "--modulus", "log1p"], 2.5),
+], ids=["probe", "extract", "cauchy", "membership"])
+def test_peak_memory_in_prefix_sizes(capsys, argv, bound):
+    # the prefix x, the scores and O(block) or O(members) scratch; probe and
+    # extract also hold the limit estimate's bins
+    n = 2 ** 20
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= bound * 8 * n, f"peaked at {peak / (8 * n):.2f} x the prefix's bytes"
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf"])

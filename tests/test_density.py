@@ -333,3 +333,17 @@ def test_exceedance_set_matches_brute_force(vals, eps):
     assert list(e.members_upto(len(vals))) == brute
     assert list(e.counts(np.arange(1, len(vals) + 1))) == [
         sum(1 for i in brute if i <= n) for n in range(1, len(vals) + 1)]
+
+
+@settings(max_examples=100)
+@given(vals=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=0, max_size=80),
+       eps=st.floats(min_value=1e-3, max_value=2.0),
+       ns=st.lists(st.integers(min_value=0, max_value=200), max_size=12))
+def test_exceedance_counts_match_member_search(vals, eps, ns):
+    # unsorted and repeated points, 0 and points past the end of the values
+    v = np.asarray(vals, dtype=float)
+    ns = np.asarray(ns + [0, len(vals), len(vals) + 1, len(vals) + 1], dtype=np.int64)
+    want = np.searchsorted(np.flatnonzero(v > eps) + 1, ns, side="right")
+    got = exceedance_set(v, eps).counts(ns)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.errors import TruncationError
 from seqlab.matrices import make_matrix, transform_prefix
-from seqlab.membership import (INCONCLUSIVE, MEMBER, NON_MEMBER, SpaceParams,
+from seqlab.membership import (_CHUNK, INCONCLUSIVE, MEMBER, NON_MEMBER, SpaceParams,
                                block_membership, block_trails,
                                density_membership, pointwise_scores,
                                stat_cauchy_check, stat_limit_estimate)
 from seqlab.modulus import make_modulus
-from seqlab.orlicz import const_rho, make_orlicz, uniform_family
+from seqlab.orlicz import const_rho, make_family, make_orlicz, make_rho, uniform_family
 from seqlab.sequences import (alternating_sequence, const_sequence,
                               harmonic_sequence, spike_sequence)
 
@@ -69,6 +70,50 @@ class TestPointwiseScores:
         p = SpaceParams(IDENTITY, SQUARED, make_lacunary("powers2", 6), limit=0.0)
         with pytest.raises(ValueError, match="^non-finite score at index 2$"):
             scores(x, p)
+
+
+def unchunked_scores(y, params):
+    """The scores from n-length index, rho and deviation arrays."""
+    idx = np.arange(1, y.size + 1, dtype=np.int64)
+    dev = np.abs(y - params.limit)
+    dev /= params.rho.values(idx)
+    return params.family.eval_many(idx, dev)
+
+
+def weighted_params(tmp_path, table_size, limit=0.25):
+    """A weighted poly:2 family and a rho table, each of ``table_size`` entries."""
+    i = np.arange(1, table_size + 1)
+    np.savetxt(tmp_path / "w.txt", 1.0 + 1.0 / i, fmt="%.17g")
+    np.savetxt(tmp_path / "rho.txt", 0.5 + (i % 7) / 4.0, fmt="%.17g")
+    return SpaceParams(IDENTITY, make_family(f"weighted:base=poly:2,weights=file:{tmp_path / 'w.txt'}"),
+                       make_lacunary("powers2", 6), rho=make_rho(f"file:{tmp_path / 'rho.txt'}"), limit=limit)
+
+
+class TestChunkedScores:
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_equal_to_unchunked(self, tmp_path, n):
+        y = np.sin(np.arange(n, dtype=float))
+        params = weighted_params(tmp_path, n)
+        assert np.array_equal(pointwise_scores(y, params), unchunked_scores(y, params))
+
+    @pytest.mark.parametrize("table", ["rho", "weight"])
+    def test_short_table_names_index_n(self, tmp_path, table):
+        # the table ends inside the first block, yet the error names n, as an unchunked pass does
+        n, covered = 2 * _CHUNK + 1, _CHUNK // 2
+        params = weighted_params(tmp_path, covered)
+        if table == "weight":
+            params = replace(params, rho=const_rho(1.0))
+        else:
+            params = replace(params, family=LINEAR)
+        with pytest.raises(TruncationError, match=f"^{table} table covers 1..{covered}, index {n} requested$"):
+            pointwise_scores(np.zeros(n), params)
+
+    def test_first_non_finite_score_past_one_block(self):
+        y = np.zeros(3 * _CHUNK)
+        y[[_CHUNK + 5, 2 * _CHUNK + 1]] = 1e300
+        p = SpaceParams(IDENTITY, SQUARED, make_lacunary("powers2", 6), limit=0.0)
+        with pytest.raises(ValueError, match=f"^non-finite score at index {_CHUNK + 6}$"):
+            pointwise_scores(y, p)
 
 
 class TestBlockTrails:
@@ -207,6 +252,18 @@ class TestDensityMode:
         # the identity transform is a view of x, and the scores divide in place
         x = alternating_sequence(2 ** 20, 1.0, 2.0)
         p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 10), limit=1.0)
+        tracemalloc.start()
+        try:
+            density_membership(x, p, ID_MOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.values.nbytes
+
+    def test_peak_memory_cesaro(self):
+        # the Cesaro transform divides the running sums in place, with no weight array
+        x = alternating_sequence(2 ** 20, 1.0, 2.0)
+        p = SpaceParams(make_matrix("cesaro"), LINEAR, make_lacunary("powers2", 10), limit=1.5)
         tracemalloc.start()
         try:
             density_membership(x, p, ID_MOD)

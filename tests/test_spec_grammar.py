@@ -1,10 +1,10 @@
 """The one spec grammar, fuzzed through the CLI.
 
 Spec heads come from the form tables of every family, plus unknown heads.
-Bodies come from a hostile token set: valid numbers, non-finite and huge
-values, empty tokens, extra commas and nested ``spike:set=`` specs.  Numeric
-flags take hostile values too, but only values that argparse accepts, so
-argparse's own exit 2 never occurs.  Whatever the input, ``main`` exits 0,
+Bodies come from a hostile token set: valid numbers, non-finite, huge and
+tiny values, empty tokens, extra commas and nested ``spike:set=`` specs.
+Numeric flags take hostile values too, but only values that argparse
+accepts, so argparse's own exit 2 never occurs.  Whatever the input, ``main`` exits 0,
 or exits 1 with an empty stdout and exactly one ``seqlab: error:`` line on
 stderr; no exception escapes it.
 
@@ -46,7 +46,7 @@ TABLES = {
 # Valid numbers stay small, so that a generated theta or plateau scheme, and
 # so the default truncation built on it, stays far below 10^5 indices.
 NUMBERS = ["1", "2", "3", "0.5", "1.5", "-2"]
-HOSTILE = NUMBERS + ["nan", "inf", "-inf", "0", "-1", str(2 ** 63), "1e400", "", " ", "x"]
+HOSTILE = NUMBERS + ["nan", "inf", "-inf", "0", "-1", str(2 ** 63), "1e400", "1e-300", "", " ", "x"]
 FILES = ["w.txt", "cuts.txt", "idx.txt", "rho.txt", "riesz.txt", "band.csv", "seq.csv", "missing.txt"]
 
 TOKEN = st.sampled_from(HOSTILE)
@@ -93,7 +93,8 @@ INTS = st.sampled_from([-5, -1, 0, 1, 2, 6, 12, 63, 2 ** 63])
 N = st.sampled_from([-5, 0, 1, 2, 99, 100, 1000, 4096, 100_000, core.MATERIALIZE_CAP + 1, 2 ** 63])
 # a depth's cost grows with it, so a huge one must be refused at the boundary
 DEPTH = st.sampled_from([-3, -1, 0, 1, 2, 3, 10, 1001, 2 ** 63 - 1])
-FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "1e-12", "0.5", "1", "2", str(2 ** 63)])
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "1e-12", "1e-300", "0.5", "1", "2",
+                          str(2 ** 63)])
 
 
 @st.composite

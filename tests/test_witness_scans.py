@@ -3,10 +3,13 @@ replaced.
 
 ``stat_limit_estimate`` bins the transformed prefix once and scores each candidate
 once for every modulus; ``_cauchy_search`` builds one deviation per anchor for
-every radius; ``witness extract`` reuses the limit estimate's scores.  The
-references below are the per-modulus and per-radius loops, kept verbatim in
-behaviour: the new code must return the same floats and anchors, and raise the
-same exception with the same message.
+every radius, and ``cauchy_witness`` walks the anchors once for the check and
+the construction; ``witness extract`` reuses the limit estimate's scores, and
+the extraction and the off-witness check work from member positions.  The
+references below are the per-modulus and per-radius loops and the n-length
+mask and index arrays, kept verbatim in behaviour: the new code must return
+the same floats and anchors, and raise the same exception with the same
+message.
 """
 
 import math
@@ -17,17 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.core import SequencePrefix, make_index_set, make_lacunary
+from seqlab.core import IndexSet, SequencePrefix, make_index_set, make_lacunary
 from seqlab.density import checkpoints, exceedance_set, f_density
-from seqlab.errors import CauchyConstructionError, WitnessExtractionError
+from seqlab.errors import CauchyConstructionError, SpreadError, WitnessExtractionError
 from seqlab.matrices import make_matrix, transform_prefix
 from seqlab.membership import (CauchyReport, SpaceParams, pointwise_scores, stat_cauchy_check,
                                stat_limit_estimate)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import make_family
 from seqlab.sequences import alternating_sequence, harmonic_sequence, spike_sequence
-from seqlab.witnesses import (cauchy_limit_construction, converge_off_witness,
-                              extract_witness_set, multi_modulus_probe)
+from seqlab.witnesses import (OffWitnessCheck, cauchy_limit_construction, cauchy_witness,
+                              converge_off_witness, extract_witness_set, multi_modulus_probe)
 
 _SLACK = 1e-12
 
@@ -40,7 +43,7 @@ def reference_limit_estimate(y, params, f, eps, tol):
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
     width = max(eps, 1e-12)
     if not math.isfinite((float(y.max()) - float(y.min())) / width):
-        raise ValueError("the transformed values spread past the float range; supply --limit")
+        raise SpreadError("the transformed values spread past the float range; supply --limit")
     bins = np.floor((y - float(y.min())) / width).astype(np.int64)
     uniq, cnt = np.unique(bins, return_counts=True)
     order = np.lexsort((uniq, -cnt))
@@ -105,12 +108,46 @@ def reference_thresholds(s, f, depth):
             r_j = int(members[0]) if members.size else 1
         else:
             bad = np.flatnonzero(f(counts) / f_all > 1.0 / j + _SLACK)
-            r_j = max((int(bad[-1]) + 1 if bad.size else 0) + 1, r_prev + 1)
+            last_bad = int(bad[-1]) + 1 if bad.size else 0
+            r_j = max(last_bad + 1, r_prev + 1)
             if r_j > n // 2:
-                return ("stuck", j), counts_at
+                return ("stuck", j, f"stuck at level {j}: f(|B_{j}(i)|)/f(i) keeps exceeding "
+                                    f"1/{j} through index {last_bad} of {n}"), counts_at
         thresholds.append(r_j)
         r_prev = r_j
     return tuple(thresholds), counts_at
+
+
+def reference_off_tail_sup(s, thresholds, depth):
+    """The largest score past r_depth off the witness set, from an n-length mask."""
+    n = len(s)
+    x_members = []
+    for j in range(1, depth + 1):
+        hi = thresholds[j] if j < depth else n + 1
+        level = np.flatnonzero(s > 1.0 / j) + 1
+        x_members.append(level[(level >= thresholds[j - 1]) & (level < hi)])
+    x_members = np.concatenate(x_members)
+    off = np.ones(n, dtype=bool)
+    off[x_members - 1] = False
+    tail = s[thresholds[-1] - 1:][off[thresholds[-1] - 1:]]
+    return x_members, float(tail.max()) if tail.size else 0.0
+
+
+def reference_off_witness(s, witness, eps, tol):
+    """The off-witness check from n-length mask and index arrays."""
+    n = len(s)
+    members = witness.members_upto(n)
+    off = np.ones(n, dtype=bool)
+    if members.size:
+        off[members - 1] = False
+    off_idx = np.flatnonzero(off) + 1
+    if off_idx.size == 0:
+        return OffWitnessCheck(True, 0, 0.0, 0)
+    w = math.ceil(off_idx.size / 3)
+    tail_max = float(s[off_idx[-w:] - 1].max())
+    exceed_off = off_idx[s[off_idx - 1] > eps]
+    i0 = int(exceed_off.max()) if exceed_off.size else 0
+    return OffWitnessCheck(tail_max <= tol + _SLACK, i0, tail_max, int(off_idx.size))
 
 
 def outcome(fn, *args, **kwargs):
@@ -246,3 +283,56 @@ def test_each_modulus_keeps_its_own_first_candidate():
     want = [reference_limit_estimate(y, params, MODULI[m], 1.0, 0.05) for m in names]
     assert want == [0.95, 1.05, 0.95, 1.05]
     assert stat_limit_estimate(y, params, [MODULI[m] for m in names], 0.05)[0] == want
+
+
+@quiet
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
+       depth=st.integers(min_value=2, max_value=8), at=st.sampled_from(["first", "last", "median"]))
+def test_extraction_from_member_positions_matches_n_array_reference(inst, modulus, depth, at):
+    x, params, tol = inst
+    f = MODULI[modulus]
+    y = transform_prefix(params.matrix, x, len(x))
+    limit = {"first": y[0], "last": y[-1], "median": np.median(y)}[at]
+    scored = outcome(pointwise_scores, y, replace(params, limit=float(limit)))
+    if scored[0] != "ok":
+        return
+    s = scored[1]
+    want_thresholds, want_counts = reference_thresholds(s, f, depth)
+    witnesses = [make_index_set("squares"), make_index_set("evens"), IndexSet.from_members("none", []),
+                 IndexSet.from_members("all", np.arange(1, len(s) + 1))]
+    if want_thresholds[0] == "stuck":
+        with pytest.raises(WitnessExtractionError) as stuck:
+            extract_witness_set(s, f, depth, tol)
+        assert (stuck.value.stuck_level, str(stuck.value)) == want_thresholds[1:]
+    else:
+        ws = extract_witness_set(s, f, depth, tol)
+        want_members, want_sup = reference_off_tail_sup(s, want_thresholds, depth)
+        assert ws.thresholds == want_thresholds
+        assert ws.level_counts == want_counts
+        assert np.array_equal(ws.members.members_upto(len(s)), want_members)
+        assert ws.off_tail_sup == want_sup
+        witnesses.append(ws.members)
+    for witness in witnesses:
+        assert (converge_off_witness(s, witness, params.eps, 1.0 / depth)
+                == reference_off_witness(s, witness, params.eps, 1.0 / depth))
+
+
+@quiet
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
+       depth=st.integers(min_value=1, max_value=12))
+def test_one_cauchy_walk_matches_check_then_construction(inst, modulus, depth):
+    x, params, tol = inst
+    f = MODULI[modulus]
+    got = outcome(cauchy_witness, x, params, f, depth, tol)
+    check = outcome(stat_cauchy_check, x, params, f, tol)
+    if check[0] == "raised" or not check[1].cauchy:
+        assert got == (check if check[0] == "raised" else ("ok", (check[1], None)))
+        return
+    nested = outcome(cauchy_limit_construction, x, params, f, depth, tol)
+    if nested[0] == "raised" and nested[1] is CauchyConstructionError:
+        assert got[0] == "ok" and got[1][0] == check[1]
+        assert (type(got[1][1]), str(got[1][1])) == nested[1:]
+    else:
+        assert got == (nested if nested[0] == "raised" else ("ok", (check[1], nested[1])))
