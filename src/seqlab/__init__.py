@@ -28,8 +28,7 @@ from .sequences import (alternating_sequence, const_sequence,
 from .witnesses import (BLOCK_SPIKE_DISCREPANCY, ModulusProbeReport,
                         NestedLimit, OffWitnessCheck, PairReport,
                         WitnessSet, block_spike_report,
-                        cauchy_limit_construction, cauchy_witness,
-                        converge_off_witness,
+                        cauchy_limit_construction, converge_off_witness,
                         extract_witness_set, gen_block_spike_instance,
                         gen_half_plateau_instance, half_plateau_report,
                         multi_modulus_probe)

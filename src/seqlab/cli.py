@@ -318,15 +318,17 @@ def _cmd_witness(args) -> dict:
         }
         return _report("witness", inputs, results)
 
-    # cauchy, the one task left: the check and the construction from one anchor walk
-    check, nested = witnesses_mod.cauchy_witness(x, params, f, depth, args.tol)
-    results: dict = {"cauchy": check.cauchy, "anchor": check.anchor}
-    if isinstance(nested, CauchyConstructionError):
-        results["failure"] = {"level": nested.level, "message": str(nested)}
-    elif nested is not None:
-        results["limit"] = nested.value
-        results["width"] = nested.width
-        results["anchors"] = nested.anchors
+    # cauchy, the one task left
+    base = membership_mod.stat_cauchy_check(x, params, f, tol=args.tol)
+    results: dict = {"cauchy": base.cauchy, "anchor": base.anchor}
+    if base.cauchy:
+        try:
+            nested = witnesses_mod.cauchy_limit_construction(x, params, f, depth, args.tol)
+            results["limit"] = nested.value
+            results["width"] = nested.width
+            results["anchors"] = nested.anchors
+        except CauchyConstructionError as exc:
+            results["failure"] = {"level": exc.level, "message": str(exc)}
     return _report("witness", inputs, results)
 
 

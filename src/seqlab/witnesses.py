@@ -24,9 +24,9 @@ from .density import DensityEstimate, checkpoints, f_density
 from .errors import (CauchyConstructionError, GenerationError, SpreadError,
                      TruncationError, WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
-from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, CauchyReport, MembershipReport,
-                         SpaceParams, _block_report, _cauchy_search, block_trails,
-                         pointwise_scores, stat_limit_estimate)
+from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
+                         _block_report, _cauchy_search, block_trails, pointwise_scores,
+                         stat_limit_estimate)
 from .modulus import Modulus
 from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
@@ -171,26 +171,7 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     if depth < 1:
         raise ValueError("depth must be >= 1")
     y = transform_prefix(params.matrix, x, len(x))
-    return _nested_limit(y, _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol))
-
-
-def cauchy_witness(x: SequencePrefix, params: SpaceParams, f: Modulus, depth: int = 10, tol: float = DEFAULT_TOL
-                   ) -> tuple[CauchyReport, NestedLimit | CauchyConstructionError | None]:
-    """``stat_cauchy_check`` at ``params.eps`` and, when it passes, ``cauchy_limit_construction``
-    to ``depth``, from one walk over the anchors: the check, and the construction, the error it
-    raised, or None when the check failed."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    y = transform_prefix(params.matrix, x, len(x))
-    check, *reports = _cauchy_search(y, f, [params.eps] + [1.0 / k for k in range(1, depth + 1)], tol)
-    try:
-        return check, _nested_limit(y, reports) if check.cauchy else None
-    except CauchyConstructionError as exc:
-        return check, exc
-
-
-def _nested_limit(y: np.ndarray, reports: list[CauchyReport]) -> NestedLimit:
-    """The intervals of radius 1/k about y at each report's anchor, k = 1, 2, ..., intersected."""
+    reports = _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol)
     anchors = []
     lo = -math.inf
     hi = math.inf

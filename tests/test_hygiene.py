@@ -30,10 +30,6 @@ KEEP = {
                           "perfbench/tracing.py names it only as a string",
     "orlicz.modular": "the modular sum_k M_k(|x_k|) both norms are defined by; the acceptance tests use it",
     "orlicz.delta2_check": "waits to serve check --orlicz as a sampled doubling verdict",
-    "membership.stat_cauchy_check": "the one-radius Cauchy check, which witnesses.cauchy_witness folds "
-                                    "into its one anchor walk; the tests compare the walk against it",
-    "witnesses.cauchy_limit_construction": "the nested intervals, which witnesses.cauchy_witness folds "
-                                           "into its one anchor walk; the tests compare the walk against it",
 }
 
 

@@ -3,8 +3,7 @@ replaced.
 
 ``stat_limit_estimate`` bins the transformed prefix once and scores each candidate
 once for every modulus; ``_cauchy_search`` builds one deviation per anchor for
-every radius, and ``cauchy_witness`` walks the anchors once for the check and
-the construction; ``witness extract`` reuses the limit estimate's scores, and
+every radius; ``witness extract`` reuses the limit estimate's scores, and
 the extraction and the off-witness check work from member positions.  The
 references below are the per-modulus and per-radius loops and the n-length
 mask and index arrays, kept verbatim in behaviour: the new code must return
@@ -29,7 +28,7 @@ from seqlab.membership import (CauchyReport, SpaceParams, pointwise_scores, stat
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import make_family
 from seqlab.sequences import alternating_sequence, harmonic_sequence, spike_sequence
-from seqlab.witnesses import (OffWitnessCheck, cauchy_limit_construction, cauchy_witness,
+from seqlab.witnesses import (OffWitnessCheck, cauchy_limit_construction,
                               converge_off_witness, extract_witness_set, multi_modulus_probe)
 
 _SLACK = 1e-12
@@ -317,22 +316,3 @@ def test_extraction_from_member_positions_matches_n_array_reference(inst, modulu
         assert (converge_off_witness(s, witness, params.eps, 1.0 / depth)
                 == reference_off_witness(s, witness, params.eps, 1.0 / depth))
 
-
-@quiet
-@settings(max_examples=60, deadline=None)
-@given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
-       depth=st.integers(min_value=1, max_value=12))
-def test_one_cauchy_walk_matches_check_then_construction(inst, modulus, depth):
-    x, params, tol = inst
-    f = MODULI[modulus]
-    got = outcome(cauchy_witness, x, params, f, depth, tol)
-    check = outcome(stat_cauchy_check, x, params, f, tol)
-    if check[0] == "raised" or not check[1].cauchy:
-        assert got == (check if check[0] == "raised" else ("ok", (check[1], None)))
-        return
-    nested = outcome(cauchy_limit_construction, x, params, f, depth, tol)
-    if nested[0] == "raised" and nested[1] is CauchyConstructionError:
-        assert got[0] == "ok" and got[1][0] == check[1]
-        assert (type(got[1][1]), str(got[1][1])) == nested[1:]
-    else:
-        assert got == (nested if nested[0] == "raised" else ("ok", (check[1], nested[1])))
