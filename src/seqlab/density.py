@@ -23,11 +23,12 @@ UNDETERMINED = "undetermined"
 
 _SLACK = 1e-12
 _CHECKPOINT_FLOOR = 10
-# Indices per block of the complement check.  A 2^14 block's arrays take
-# 128 KB each and one scan holds six to eight at once: at n = 2^20 + 3 a scan
-# peaks at 0.79-1.05 MB under tracemalloc, inside a 2 MB L2 cache.  2^16 blocks
-# peaked at 3.67 MB and took 1.9x as long at n = 1e7.
-_CHUNK = 1 << 14
+# Indices per block of the complement check.  A 2^13 block's arrays take
+# 64 KiB each, below glibc's default 128 KiB mmap threshold, so they come from
+# the heap whatever the process allocated before.  2^14 blocks were mmapped or
+# faulted back in some processes and not others: a scan at n = 1e7 took 185 ms
+# or 260-316 ms (35,872 page faults), and takes about 200 ms at 2^13.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
 
     Subadditive moduli satisfy this exactly; the check scans all n with a
     1e-12 slack and reports the first violating n.  It scans in blocks of
-    2^14 indices and sums each right-hand side into one buffer, so memory
+    2^13 indices and sums each right-hand side into one buffer, so memory
     stays O(block) whatever the truncation; a set without a count rule is
     re-enumerated up to each block's end.  ``n`` is an integer in
     [1, 2^63 - 1].

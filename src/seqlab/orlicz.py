@@ -2,10 +2,13 @@
 checks, and the block-mean norm.
 
 The modular I(x) = sum_k M_k(|x_k|) is the gauge behind both norms, and each
-norm costs a handful of modular passes at any scale of x.  The Luxemburg norm
-is the root of I(x / k) = 1: convexity brackets it from one pass at
-k = max|x|, and Illinois regula falsi on (log k, log I) narrows the bracket to
-a relative width of ``tol``.  The Orlicz (Amemiya) norm minimizes
+norm costs a handful of modular passes at any scale of x.  A pass evaluates
+the gauge in 2^14-index blocks added in numpy's pairwise order, so it has the
+bits of one ``np.sum`` over all n terms with no n-length temporary: a norm
+holds |x| / max|x| (8 bytes per index beside x) and O(block) scratch.  The
+Luxemburg norm is the root of I(x / k) = 1: convexity brackets it from one
+pass at k = max|x|, and Illinois regula falsi on (log k, log I) narrows the
+bracket to a relative width of ``tol``.  The Orlicz (Amemiya) norm minimizes
 (1 + I(k x)) / k by Brent's method in log k from a bracket a loose Luxemburg
 norm fixes; the infimum may legitimately be approached as k -> infinity
 rather than attained, which the result reports as an edge.
@@ -26,6 +29,9 @@ from .modulus import (AxiomCheck, AxiomReport, Modulus, _axiom_grid, _monotone,
                       _pairwise, _power, _vanishes_at_zero)
 
 _SLACK = 1e-12
+# Indices per block of a modular pass: 128 KiB per float64 array.  2^13 blocks
+# made the Orlicz norms at n = 1e5 7-12% slower in per-block overhead.
+_BLOCK = 1 << 14
 
 DEFAULT_ORLICZ_GRID = np.logspace(-6.0, 2.0, 33)
 
@@ -153,16 +159,28 @@ def make_rho(spec: str) -> RhoSchedule:
     return parse_spec(spec, "rho", _RHO_FORMS)
 
 
-def _modular_arrays(family: OrliczFamily, idx: np.ndarray, absvals: np.ndarray) -> float:
+def _modular_sum(family: OrliczFamily, a: np.ndarray, s: float) -> float:
+    """sum_i M_i(s a_i), inf when a term or the sum overflows.  Split as numpy's
+    pairwise sum splits it down to blocks of at most ``_BLOCK`` indices, the total
+    has the bits of one ``np.sum``; the right half goes first, so that a weight
+    table short of n names index n."""
+
+    def pairwise(lo: int, hi: int) -> float:
+        n = hi - lo
+        if n > _BLOCK:
+            half = n // 2 - n // 2 % 8
+            right = pairwise(lo + half, hi)
+            return pairwise(lo, lo + half) + right
+        return float(np.sum(family.eval_many(np.arange(lo + 1, hi + 1, dtype=np.int64), a[lo:hi] * s)))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = family.eval_many(idx, absvals)
-    total = float(np.sum(terms))
+        total = pairwise(0, a.size)
     return total if math.isfinite(total) else math.inf
 
 
 def modular(family: OrliczFamily, x: SequencePrefix) -> float:
     """The modular sum_k M_k(|x_k|); inf when a term or the sum overflows."""
-    return _modular_arrays(family, np.arange(1, len(x) + 1, dtype=np.int64), np.abs(x.values))
+    return _modular_sum(family, np.abs(x.values), 1.0)
 
 
 # Doubling or halving a scale more than 2^50 times past max|x| gives up.
@@ -183,20 +201,19 @@ class _Modular:
     solvers visit near 1, whatever the magnitude of x.
     """
 
-    __slots__ = ("family", "idx", "a", "unit", "label", "passes")
+    __slots__ = ("family", "a", "unit", "label", "passes")
 
     def __init__(self, family: OrliczFamily, x: SequencePrefix):
-        a = np.abs(x.values)
         self.family = family
-        self.unit = float(a.max())
-        self.a = a / self.unit
-        self.idx = np.arange(1, a.size + 1, dtype=np.int64)
+        self.a = np.abs(x.values)
+        self.unit = float(self.a.max())
+        self.a /= self.unit
         self.label = x.label or "x"
         self.passes = 0
 
     def __call__(self, s: float) -> float:
         self.passes += 1
-        return _modular_arrays(self.family, self.idx, self.a * s)
+        return _modular_sum(self.family, self.a, s)
 
     def scale_back(self, norm: float) -> float:
         """unit * norm, the norm of x; past the float range it is an OverflowError."""

@@ -176,6 +176,7 @@ def test_overflow_exits_one_with_one_line(capsys, argv, message):
 
 
 SPIKE = "spike:set=squares,base=1.5,delta=2"
+WEIGHTED = "weighted:base=poly:2,weights=file:{weights}"
 
 
 @pytest.mark.parametrize("argv, bound", [
@@ -183,11 +184,20 @@ SPIKE = "spike:set=squares,base=1.5,delta=2"
     (["witness", "extract", "--seq", SPIKE, "--modulus", "id"], 3.5),
     (["witness", "cauchy", "--seq", "harmonic:0.5", "--modulus", "id"], 2.5),
     (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "density", "--modulus", "log1p"], 2.5),
-], ids=["probe", "extract", "cauchy", "membership"])
-def test_peak_memory_in_prefix_sizes(capsys, argv, bound):
+    (["norm", "--kind", "luxemburg", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
+    (["norm", "--kind", "orlicz", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
+    (["norm", "--kind", "luxemburg", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
+    (["norm", "--kind", "orlicz", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
+], ids=["probe", "extract", "cauchy", "membership", "luxemburg", "orlicz", "weighted-luxemburg",
+        "weighted-orlicz"])
+def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
     # the prefix x, the scores and O(block) or O(members) scratch; probe and
-    # extract also hold the limit estimate's bins
+    # extract also hold the limit estimate's bins.  A norm holds x, |x| / max|x|
+    # and O(block) scratch, and a weighted one its weight table.
     n = 2 ** 20
+    weights = tmp_path / "w.txt"
+    weights.write_text("1.5\n" * n)
+    argv = [arg.format(weights=weights) for arg in argv]
     tracemalloc.start()
     try:
         code = main(argv + ["--n", str(n)])
@@ -197,6 +207,19 @@ def test_peak_memory_in_prefix_sizes(capsys, argv, bound):
     capsys.readouterr()
     assert code == 0
     assert peak <= bound * 8 * n, f"peaked at {peak / (8 * n):.2f} x the prefix's bytes"
+
+
+@pytest.mark.parametrize("size", [3 * 2 ** 14 + 4, 3])
+def test_short_weight_table_exits_one_naming_index_n(capsys, tmp_path, size):
+    # the norm's modular passes run in blocks; the one holding index n goes first
+    n = 3 * 2 ** 14 + 5
+    path = tmp_path / "w.txt"
+    path.write_text("1.5\n" * size)
+    code, out, err = run(capsys, ["norm", "--kind", "luxemburg", "--seq", "alt:1,-2", "--n", str(n),
+                                  "--orlicz", f"weighted:base=poly:2,weights=file:{path}"])
+    assert code == 1
+    assert out == ""
+    assert err == f"seqlab: error: weight table covers 1..{size}, index {n} requested\n"
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf"])

@@ -254,13 +254,13 @@ class TestPassCounts:
     @pytest.fixture
     def passes(self, monkeypatch):
         count = [0]
-        eval_many = orlicz_mod.OrliczFamily.eval_many
+        call = orlicz_mod._Modular.__call__
 
-        def counted(self, idx, t):
+        def counted(self, s):
             count[0] += 1
-            return eval_many(self, idx, t)
+            return call(self, s)
 
-        monkeypatch.setattr(orlicz_mod.OrliczFamily, "eval_many", counted)
+        monkeypatch.setattr(orlicz_mod._Modular, "__call__", counted)
 
         def run(kind, family, x):
             count[0] = 0
@@ -289,6 +289,80 @@ class TestPassCounts:
                 x = SequencePrefix(np.asarray([float(f"{3 * u * s:.12g}"), float(f"{4 * u * s:.12g}")]))
                 counts.add(passes(kind, POLY2, x))
         assert len(counts) == 1 and counts.pop() <= limit
+
+
+def one_sum(family, idx, t):
+    """The modular as it was before blocking: every index and term in one
+    n-length array, summed by one ``np.sum``.  The blocked passes must return
+    the same bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(family.eval_many(idx, t)))
+    return total if math.isfinite(total) else math.inf
+
+
+class ReferenceModular:
+    """``_Modular`` as it was before blocking, its passes made by ``one_sum``."""
+
+    def __init__(self, family, x):
+        a = np.abs(x.values)
+        self.family = family
+        self.unit = float(a.max())
+        self.a = a / self.unit
+        self.idx = np.arange(1, a.size + 1, dtype=np.int64)
+        self.label = x.label or "x"
+        self.passes = 0
+
+    def __call__(self, s):
+        self.passes += 1
+        return one_sum(self.family, self.idx, self.a * s)
+
+    scale_back = orlicz_mod._Modular.scale_back
+
+
+B = orlicz_mod._BLOCK
+BITWISE_NS = [1, 7, B - 1, B, B + 1, 3 * B + 5, 2 ** 20 + 3]
+BITWISE_W = np.random.default_rng(11).uniform(0.01, 100.0, BITWISE_NS[-1])
+BITWISE_FAMILIES = {**GAUGES,
+                    "weighted": weighted_family(make_orlicz("explog"), lambda idx: BITWISE_W[idx - 1])}
+
+
+def bitwise_prefix(n):
+    # magnitudes spread over six decades, so every partial sum rounds
+    rng = np.random.default_rng(n)
+    return SequencePrefix(rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n))
+
+
+class TestBlockedModular:
+    @pytest.mark.parametrize("n", BITWISE_NS)
+    @pytest.mark.parametrize("gauge", sorted(BITWISE_FAMILIES))
+    def test_pass_equals_one_sum(self, gauge, n):
+        family, x = BITWISE_FAMILIES[gauge], bitwise_prefix(n)
+        mod, ref = orlicz_mod._Modular(family, x), ReferenceModular(family, x)
+        assert mod.unit == ref.unit and np.array_equal(mod.a, ref.a)
+        # explog overflows to inf from s = 710 on, at the index of max|x|
+        for s in (1e-3, 0.37, 1.0, 2.5, 30.0, 700.0, 1e3, 1e6):
+            assert mod(s) == ref(s), s
+        if gauge == "explog":
+            assert mod(1e3) == math.inf
+        assert modular(family, x) == one_sum(family, ref.idx, np.abs(x.values))
+
+    @pytest.mark.parametrize("gauge", sorted(BITWISE_FAMILIES))
+    def test_norms_equal_one_sum_norms(self, monkeypatch, gauge):
+        family, x = BITWISE_FAMILIES[gauge], bitwise_prefix(BITWISE_NS[-1])
+        blocked = luxemburg_norm(family, x), orlicz_norm(family, x)
+        monkeypatch.setattr(orlicz_mod, "_Modular", ReferenceModular)
+        assert blocked == (luxemburg_norm(family, x), orlicz_norm(family, x))
+
+    @pytest.mark.parametrize("size", [3 * B + 4, 3])
+    @pytest.mark.parametrize("kind", ["luxemburg", "orlicz"])
+    def test_short_weight_table_names_index_n(self, tmp_path, kind, size):
+        # the block holding index n goes first, as in pointwise_scores
+        n = 3 * B + 5
+        path = tmp_path / "w.txt"
+        path.write_text("1.5\n" * size)
+        family = make_family(f"weighted:base=poly:2,weights=file:{path}")
+        with pytest.raises(TruncationError, match=rf"covers 1\.\.{size}, index {n} requested$"):
+            norm_value(kind, family, make_sequence("alt:1,-2", n))
 
 
 class TestDelta2:
