@@ -236,12 +236,13 @@ class TestChunkedComplementCheck:
         assert res.passed and res.n_checked == n
         assert sizes == [_CHUNK] * 32 + [3]
 
-    @pytest.mark.parametrize("m", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("m", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 1])
     def test_first_violation_at_block_edges(self, m):
         # A = {m, m+1, ...}: below m the two sides are equal, and at m the
         # superadditive t^1.7 gives m^1.7 > 1 + (m-1)^1.7
-        res = complement_inequality_check(make_index_set(f"arith:{m},1"), POW_1_7, 3 * _CHUNK)
-        assert res == ComplementCheck(False, m, 3 * _CHUNK)
+        res = complement_inequality_check(make_index_set(f"arith:{m},1"), POW_1_7, 5 * _CHUNK)
+        assert res == ComplementCheck(False, m, 5 * _CHUNK)
 
     @settings(max_examples=60, deadline=None)
     @given(set_spec=st.one_of(
