@@ -1,8 +1,8 @@
 """seqlab: prefix densities, lacunary block summability, and Orlicz-type norms
 at finite truncation."""
 
-from .core import (IndexSet, LacunaryScheme, SequencePrefix, complement,
-                   make_index_set, make_lacunary)
+from .core import (IndexSet, LacunaryScheme, SequencePrefix, make_index_set,
+                   make_lacunary)
 from .density import (DensityEstimate, ComplementCheck, checkpoints,
                       complement_inequality_check, exceedance_set, f_density,
                       natural_density)

@@ -202,6 +202,15 @@ def _cmd_density(args) -> dict:
     return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
 
 
+def _estimated(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
+    """``params`` with the limit that ``stat_limit_estimate`` finds for the
+    transformed prefix ``y`` under ``f``, and the scores against it."""
+    (est,), s = membership_mod.stat_limit_estimate(y, params, [f], tol)
+    if est is None:
+        raise SeqlabError("no candidate limit passed the density test; supply --limit")
+    return dataclasses.replace(params, limit=est), s
+
+
 def _resolve_membership(args):
     if args.witness:
         return _witness_instance(args.witness, args)[:2]
@@ -218,12 +227,8 @@ def _resolve_membership(args):
     x = make_sequence(args.seq, n)
     params = _space_params(args, scheme)
     if args.estimate_limit:
-        f = make_modulus(args.modulus or "id")
-        (est,), _ = membership_mod.stat_limit_estimate(
-            transform_prefix(params.matrix, x, len(x)), params, [f], tol=args.tol)
-        if est is None:
-            raise SeqlabError("no candidate limit passed the density test; supply --limit")
-        params = dataclasses.replace(params, limit=est)
+        params, _ = _estimated(transform_prefix(params.matrix, x, len(x)), params,
+                               make_modulus(args.modulus or "id"), args.tol)
     elif params.limit is None:
         raise SeqlabError("membership needs --limit or --estimate-limit")
     return x, params
@@ -293,10 +298,7 @@ def _cmd_witness(args) -> dict:
         # the scores are computed once, against the given or the estimated limit
         y = transform_prefix(params.matrix, x, len(x))
         if params.limit is None:
-            (est,), s = membership_mod.stat_limit_estimate(y, params, [f], args.tol)
-            if est is None:
-                raise SeqlabError("no candidate limit found; supply --limit")
-            params = dataclasses.replace(params, limit=est)
+            params, s = _estimated(y, params, f, args.tol)
         else:
             s = membership_mod.pointwise_scores(y, params)
         try:

@@ -181,17 +181,15 @@ class IndexSet:
     """A set of positive integers with fast prefix counting |A(n)|.
 
     Backed either by an explicit sorted member array or by an enumeration rule
-    listing all members <= n.  A rule set may also carry ``count_rule``, an
-    exact vectorized |A(n)| for an int64 array of n >= 0; counts then cost
-    O(1) per truncation point and are not capped.  Without one, count(n) is a
-    binary search into the enumerated members, which agrees with direct
-    enumeration by construction.
+    listing all members <= n, and always by ``count_rule``, an exact
+    vectorized |A(n)| for an int64 array of n >= 0: O(1) per truncation point
+    for a rule set, a binary search for an explicit one, and never capped.
     """
 
     __slots__ = ("name", "_rule", "_explicit", "_count")
 
-    def __init__(self, name: str, rule: Callable[[int], np.ndarray], explicit: bool = False,
-                 count_rule: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, name: str, rule: Callable[[int], np.ndarray],
+                 count_rule: Callable[[np.ndarray], np.ndarray], explicit: bool = False):
         self.name = name
         self._rule = rule
         self._explicit = explicit
@@ -217,10 +215,8 @@ class IndexSet:
             raise SpecError(f"index set {name!r} contains indices < 1")
         arr.flags.writeable = False
 
-        def rule(n: int, _arr: np.ndarray = arr) -> np.ndarray:
-            return _arr[: int(np.searchsorted(_arr, n, side="right"))]
-
-        return cls(name, rule, explicit=True)
+        return cls(name, lambda n: arr[: int(np.searchsorted(arr, n, side="right"))],
+                   lambda ns: np.searchsorted(arr, ns, side="right"), explicit=True)
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, sorted ascending."""
@@ -236,28 +232,10 @@ class IndexSet:
     def counts(self, ns) -> np.ndarray:
         """Vectorized |A(n)| for an array of truncation points."""
         ns = np.asarray(ns, dtype=np.int64)
-        if ns.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._count is not None:
-            return np.asarray(self._count(np.maximum(ns, 0)), dtype=np.int64)
-        members = self.members_upto(int(ns.max()))
-        return np.searchsorted(members, ns, side="right").astype(np.int64)
-
-    def count(self, n: int) -> int:
-        return int(self.counts(np.asarray([n]))[0])
+        return np.asarray(self._count(np.maximum(ns, 0)), dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"IndexSet({self.name!r})"
-
-
-def complement(a: IndexSet) -> IndexSet:
-    """The complement of ``a`` within the positive integers."""
-
-    def rule(n: int) -> np.ndarray:
-        full = np.arange(1, n + 1, dtype=np.int64)
-        return np.setdiff1d(full, a.members_upto(n), assume_unique=True)
-
-    return IndexSet(f"complement({a.name})", rule, count_rule=lambda ns: ns - a.counts(ns))
 
 
 def _isqrt(ns: np.ndarray) -> np.ndarray:

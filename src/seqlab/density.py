@@ -51,14 +51,14 @@ class DensityEstimate:
         return self.verdict == CONVERGED
 
 
-def checkpoints(n: int, floor: int = _CHECKPOINT_FLOOR) -> np.ndarray:
-    """Geometric checkpoints ceil(n / 2^j), ascending, all >= floor."""
+def checkpoints(n: int) -> np.ndarray:
+    """Geometric checkpoints ceil(n / 2^j), ascending, all >= _CHECKPOINT_FLOOR."""
     n = int(n)
     pts = []
     j = 0
     while True:
         v = -(-n // 2 ** j)  # integer ceiling: exact for every n, unlike float division
-        if v < floor:
+        if v < _CHECKPOINT_FLOOR:
             break
         pts.append(v)
         j += 1
@@ -156,8 +156,7 @@ def complement_inequality_check(a: IndexSet, f: Modulus, n: int) -> ComplementCh
     Subadditive moduli satisfy this exactly; the check scans all n with a
     1e-12 slack and reports the first violating n.  It scans in blocks of
     2^13 indices and sums each right-hand side into one buffer, so memory
-    stays O(block) whatever the truncation; a set without a count rule is
-    re-enumerated up to each block's end.  ``n`` is an integer in
+    stays O(block) whatever the truncation.  ``n`` is an integer in
     [1, 2^63 - 1].
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_INDEX:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (MATERIALIZE_CAP, IndexSet, SequencePrefix, make_index_set, parse_kv, parse_spec,
-                   spec_items, spec_number)
+                   read_table, spec_items, spec_number)
 from .errors import SpecError
 
 
@@ -43,26 +43,32 @@ def harmonic_sequence(n: int, level: float = 0.0) -> SequencePrefix:
 def read_sequence_csv(path) -> SequencePrefix:
     """Ingest a CSV with header ``i,value``: 1-indexed, gaps forbidden."""
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read sequence file {path}: {exc}") from None
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows or [c.strip().lower() for c in rows[0]] != ["i", "value"]:
-        raise SpecError(f"sequence file {path} must start with header 'i,value'")
-    if len(rows) == 1:
-        raise SpecError(f"sequence file {path} has no data rows")
-    values = []
-    for pos, row in enumerate(rows[1:], start=1):
+
+    def per_line():
         try:
-            i, v = int(row[0]), float(row[1])
-        except (ValueError, IndexError):
-            raise SpecError(f"malformed row {row!r} in {path}") from None
-        if i != pos:
-            raise SpecError(f"sequence file {path} has a gap: expected index {pos}, got {i}")
-        values.append(v)
-    return SequencePrefix(np.asarray(values), label=f"file:{path}")
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"cannot read sequence file {path}: {exc}") from None
+        rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+        if not rows or [c.strip().lower() for c in rows[0]] != ["i", "value"]:
+            raise SpecError(f"sequence file {path} must start with header 'i,value'")
+        if len(rows) == 1:
+            raise SpecError(f"sequence file {path} has no data rows")
+        values = []
+        for pos, row in enumerate(rows[1:], start=1):
+            try:
+                i, v = int(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                raise SpecError(f"malformed row {row!r} in {path}") from None
+            if i != pos:
+                raise SpecError(f"sequence file {path} has a gap: expected index {pos}, got {i}")
+            values.append(v)
+        return None, values
+
+    _, values = read_table(path, {"i": np.int64, "value": np.float64}, per_line,
+                           lambda i, v: np.array_equal(i, np.arange(1, i.size + 1)))
+    return SequencePrefix(values, label=f"file:{path}")
 
 
 def _spike(spec: str, body: str, n: int) -> SequencePrefix:

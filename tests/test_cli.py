@@ -235,6 +235,19 @@ def test_non_finite_limit_exits_one(capsys, argv, limit):
     assert err.count("\n") == 1 and f"limit must be finite, got {limit}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the estimate wins over a given --limit
+    ["membership", "--mode", "count", "--estimate-limit", "--limit", "0.5"],
+    ["witness", "extract"],
+], ids=["membership", "extract"])
+def test_failed_limit_estimate_exits_one(capsys, argv):
+    # alt:0,1 leaves exceedance density 1/2 around either value
+    code, out, err = run(capsys, argv + ["--seq", "alt:0,1", "--n", "100000"])
+    assert code == 1
+    assert out == ""
+    assert err == "seqlab: error: no candidate limit passed the density test; supply --limit\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize("modulus", [[], ["--modulus", "log1p"]])
 def test_non_finite_tol_exits_one(capsys, tol, modulus):

@@ -4,10 +4,11 @@
   imports to re-export, is exempt);
 * every module-level ``_private`` function, class or constant is referenced
   somewhere in the package;
-* every module-level public function or class, and every public method or
-  property of such a class, is referenced somewhere in the package outside
-  ``__init__.py`` or in ``perfbench/``, or is kept on purpose in ``KEEP``, so
-  unserved API does not grow back.
+* every module-level public function or class is referenced somewhere in the
+  package outside ``__init__.py`` or in ``perfbench/``, and every public
+  method or property of such a class is read there as an attribute
+  (``obj.name``), or is kept on purpose in ``KEEP``, so unserved API does not
+  grow back.
 """
 
 import ast
@@ -25,7 +26,6 @@ BENCH_TREES = [ast.parse(path.read_text(), filename=str(path))
 # Public names that nothing in the package or the benchmark calls, each with
 # the reason it stays.
 KEEP = {
-    "core.complement": "the complement-density property tests are written against it",
     "matrices.apply_row": "the math.fsum reference the transform tests compare against; "
                           "perfbench/tracing.py names it only as a string",
     "orlicz.modular": "the modular sum_k M_k(|x_k|) both norms are defined by; the acceptance tests use it",
@@ -95,10 +95,14 @@ def _public_defs(tree):
 
 
 def test_no_unserved_public_api():
-    referenced = set()
+    referenced, attributes = set(), set()
     for tree in [t for module, t in TREES.items() if module != "__init__"] + BENCH_TREES:
         referenced |= _loaded(tree) | _imported(tree)
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    # a method is served only where it is read as one: a bare name of the same
+    # spelling (a parameter, a nested function) does not call it
     unserved = {f"{module}.{dotted}" for module, tree in TREES.items() if module != "__init__"
-                for dotted, name in _public_defs(tree) if name not in referenced}
+                for dotted, name in _public_defs(tree)
+                if name not in (attributes if "." in dotted else referenced)}
     assert sorted(unserved - set(KEEP)) == []
     assert sorted(set(KEEP) - unserved) == []  # a kept name that gained a caller leaves KEEP

@@ -1,10 +1,9 @@
 """The numeric spec-file readers: numpy's C parser against the per-line code.
 
-Every numeric ``file:`` spec but the sequence CSV goes through
-``core.read_table``, which parses the whole file with ``np.loadtxt`` and falls
-back to the reader's per-line code for any file the C parser rejects or the
-reader's checks refuse.  The per-line code
-alone words errors.  So with ``np.loadtxt`` disabled, every reader must give
+Every numeric ``file:`` spec goes through ``core.read_table``, which parses
+the whole file with ``np.loadtxt`` and falls back to the reader's per-line
+code for any file the C parser rejects or the reader's checks refuse.  The
+per-line code alone words errors.  So with ``np.loadtxt`` disabled, every reader must give
 the same arrays, bit for bit, or the same error text.
 """
 
@@ -23,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab import core, matrices
+from seqlab import core, matrices, sequences
 from seqlab.core import MAX_INDEX, make_index_set, make_lacunary, read_numbers, read_table
 from seqlab.matrices import make_matrix
 from seqlab.orlicz import make_family, make_rho
+from seqlab.sequences import read_sequence_csv
 from seqlab.errors import SpecError
 
 GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "data"
@@ -50,6 +50,7 @@ READERS = {
     "matrix": _matrix,
     "index": lambda p: make_index_set(f"file:{p}").members_upto(MAX_INDEX),
     "theta": lambda p: make_lacunary(f"file:{p}").cuts,
+    "seq": lambda p: read_sequence_csv(p).values,
 }
 
 
@@ -86,6 +87,9 @@ PADS = st.sampled_from(["", "", "", " ", "  ", "\t"])
 SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 BREAKS = st.sampled_from(SPLITLINES_BREAKS)
 EXTRA_LINES = st.sampled_from(["", "", "", " ", "\t ", "\r"])
+# The header lines of the readers of several columns: mostly the right one.
+HEADERS = {"matrix": ["i,k,a"] * 5 + [" i,k,a", "I,K,A", "i,k"],
+           "seq": ["i,value"] * 5 + [" i,value", "I,Value", "i", '"i","value"']}
 
 
 @st.composite
@@ -97,12 +101,14 @@ def spec_text(draw, reader):
     if reader == "matrix":
         rows = [[str(i), str(k), draw(GOOD_FLOATS)] for i in range(1, size + 1)
                 for k in range(max(1, i - 1), i + 1)]
+    elif reader == "seq":
+        rows = [[str(i), draw(GOOD_FLOATS)] for i in range(1, size + 1)]
     elif reader in ("index", "theta"):
         # increasing, so that theta files are mostly valid schemes
         rows = [[str(v)] for v in sorted(set(draw(st.lists(st.integers(0, 60), max_size=size))))]
     else:
         rows = [[draw(GOOD_FLOATS)] for _ in range(size)]
-    real = {"matrix": 2, "index": None, "theta": None}.get(reader, 0)
+    real = {"matrix": 2, "seq": 1, "index": None, "theta": None}.get(reader, 0)
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 4])) if rows else 0):
         row = draw(st.sampled_from(rows))
         j = draw(st.integers(0, len(row) - 1))
@@ -112,8 +118,8 @@ def spec_text(draw, reader):
         else:
             row[j] = draw(BAD_TOKENS if fault == "bad" else ODD_FLOATS if j == real else ODD_INTS)
     lines = [",".join(draw(PADS) + tok + draw(PADS) for tok in row) for row in rows]
-    if reader == "matrix":
-        lines.insert(0, draw(st.sampled_from(["i,k,a"] * 5 + [" i,k,a", "I,K,A", "i,k"])))
+    if reader in HEADERS:
+        lines.insert(0, draw(st.sampled_from(HEADERS[reader])))
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(EXTRA_LINES))
     text = "".join(ln + draw(st.sampled_from(["\n", "\n", "\r\n"])) for ln in lines)
@@ -148,6 +154,11 @@ def test_bulk_reader_matches_per_line_reader(tmp_path_factory, reader, data):
     ("rho", "1\n#1\n"),
     ("riesz", "1 # one\n"),
     ("weights", '"1"\n'),
+    ("seq", "I,Value\n1,0.5\n"),
+    ("seq", "i,value\n1,0.5\n3,0.5\n"),  # a gap
+    ("seq", "i,value\n1,0.5,\n"),  # an empty third cell, which the csv reader ignores
+    ("seq", "i,value\n1,nan\n"),
+    ("seq", "i,value\n"),
 ])
 def test_per_line_cases_match(tmp_path, reader, text):
     path = tmp_path / "spec.txt"
@@ -156,7 +167,7 @@ def test_per_line_cases_match(tmp_path, reader, text):
 
 
 FIXTURES = {"w.txt": "weights", "rho.txt": "rho", "riesz.txt": "riesz", "band.csv": "matrix",
-            "idx.txt": "index", "cuts.txt": "theta"}
+            "idx.txt": "index", "cuts.txt": "theta", "seq.csv": "seq"}
 
 
 def test_golden_fixtures_load_without_the_per_line_reader(monkeypatch):
@@ -165,6 +176,7 @@ def test_golden_fixtures_load_without_the_per_line_reader(monkeypatch):
 
     for module in (core, matrices):
         monkeypatch.setattr(module, "read_lines", per_line)
+    monkeypatch.setattr(sequences.csv, "reader", per_line)
     for name, reader in FIXTURES.items():
         READERS[reader](GOLDEN_DATA / name)
     with pytest.raises(AssertionError, match="per-line"):  # a 1_0 token is for int() and float() alone
