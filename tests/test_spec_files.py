@@ -3,8 +3,8 @@
 Every numeric ``file:`` spec goes through ``core.read_table``, which parses
 the whole file with ``np.loadtxt`` and falls back to the reader's per-line
 code for any file the C parser rejects or the reader's checks refuse.  The
-per-line code alone words errors.  So with ``np.loadtxt`` disabled, every reader must give
-the same arrays, bit for bit, or the same error text.
+per-line code alone words errors.  So with ``np.loadtxt`` disabled, every
+reader must give the same arrays, bit for bit, or the same error text.
 """
 
 import bz2
