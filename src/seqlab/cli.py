@@ -41,8 +41,8 @@ from .errors import (CauchyConstructionError, SeqlabError,
 from .matrices import make_matrix, transform_prefix
 from .membership import SpaceParams
 from .modulus import check_modulus_axioms, make_modulus
-from .orlicz import (block_mean_norm, check_orlicz_axioms, luxemburg_norm,
-                     make_family, make_orlicz, make_rho, orlicz_norm)
+from .orlicz import (LUXEMBURG_TOL, ORLICZ_TOL, block_mean_norm, check_orlicz_axioms,
+                     luxemburg_norm, make_family, make_orlicz, make_rho, orlicz_norm)
 from .sequences import make_sequence
 
 SCHEMA_VERSION = "seqlab/1"
@@ -194,11 +194,7 @@ def _space_params(args, scheme) -> SpaceParams:
 
 def _cmd_density(args) -> dict:
     a = make_index_set(args.set)
-    if args.modulus:
-        f = make_modulus(args.modulus)
-        est = density_mod.f_density(a, f, args.n, args.tol)
-    else:
-        est = density_mod.natural_density(a, args.n, args.tol)
+    est = density_mod.f_density(a, make_modulus(args.modulus or "id"), args.n, args.tol)
     return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
 
 
@@ -254,12 +250,11 @@ def _cmd_norm(args) -> dict:
         scheme = make_lacunary(args.theta, args.blocks)
         return _report("norm", inputs, {"value": block_mean_norm(x, scheme), "cuts": scheme.cuts})
     family = make_family(args.orlicz)
-    if args.kind == "luxemburg":
-        tol = args.tol if args.tol is not None else 1e-8
-        inputs["tol"] = tol
-        return _report("norm", inputs, {"value": luxemburg_norm(family, x, tol)})
-    tol = args.tol if args.tol is not None else 1e-6
+    default = LUXEMBURG_TOL if args.kind == "luxemburg" else ORLICZ_TOL
+    tol = default if args.tol is None else args.tol
     inputs["tol"] = tol
+    if args.kind == "luxemburg":
+        return _report("norm", inputs, {"value": luxemburg_norm(family, x, tol)})
     res = orlicz_norm(family, x, tol)
     past = res.scale is None and res.value > 0  # x = 0 has no scale either
     return _report("norm", inputs, res, ["the minimizing scale k lies past the float range"] if past else [])
@@ -294,9 +289,9 @@ def _cmd_witness(args) -> dict:
         return _report("witness", inputs, witnesses_mod.multi_modulus_probe(x, params, moduli, args.tol))
 
     f = make_modulus(args.modulus or "id")
+    y = transform_prefix(params.matrix, x, len(x))  # once, for extract's scores or both Cauchy stages
     if args.task == "extract":
         # the scores are computed once, against the given or the estimated limit
-        y = transform_prefix(params.matrix, x, len(x))
         if params.limit is None:
             params, s = _estimated(y, params, f, args.tol)
         else:
@@ -321,11 +316,11 @@ def _cmd_witness(args) -> dict:
         return _report("witness", inputs, results)
 
     # cauchy, the one task left
-    base = membership_mod.stat_cauchy_check(x, params, f, tol=args.tol)
+    base = membership_mod.stat_cauchy_check(y, params.eps, f, tol=args.tol)
     results: dict = {"cauchy": base.cauchy, "anchor": base.anchor}
     if base.cauchy:
         try:
-            nested = witnesses_mod.cauchy_limit_construction(x, params, f, depth, args.tol)
+            nested = witnesses_mod.cauchy_limit_construction(y, f, depth, args.tol)
             results["limit"] = nested.value
             results["width"] = nested.width
             results["anchors"] = nested.anchors
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--modulus", default=None)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     _add_common(p)
 
     # the sequence, space and witness-instance flags of membership and witness
@@ -381,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     space.add_argument("--rho-value", type=float, default=1.0,
                        help="scalar rho for generated witness instances")
     space.add_argument("--limit", type=float, default=None, help="candidate limit L")
-    space.add_argument("--eps", type=float, default=0.1)
-    space.add_argument("--tol", type=float, default=1e-2)
+    space.add_argument("--eps", type=float, default=membership_mod.DEFAULT_EPS)
+    space.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     space.add_argument("--n", type=int, default=None)
     _add_common(space)
 

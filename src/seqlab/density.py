@@ -21,6 +21,7 @@ CONVERGED = "converged"
 OSCILLATING = "oscillating"
 UNDETERMINED = "undetermined"
 
+DEFAULT_TOL = 1e-2
 _SLACK = 1e-12
 _CHECKPOINT_FLOOR = 10
 # Indices per block of the complement check.  A 2^13 block's arrays take
@@ -65,13 +66,14 @@ def checkpoints(n: int) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=np.int64))
 
 
-def _window(m: int) -> int:
+def tail_window(m: int) -> int:
+    """The length of the trailing third of an m-point trail, which every verdict judges."""
     return math.ceil(m / 3)
 
 
 def _diagnose(ratios: np.ndarray, tol: float) -> str:
     m = len(ratios)
-    w = _window(m)
+    w = tail_window(m)
     tail = ratios[-w:]
     spread = float(tail.max() - tail.min())
     if spread <= tol:
@@ -90,8 +92,6 @@ def _extrapolate(ns: np.ndarray, ratios: np.ndarray) -> float:
     if len(ns) < 2:
         return float(min(1.0, max(0.0, ratios[-1])))
     u = 1.0 / np.log(ns.astype(float))
-    if float(u.max() - u.min()) < 1e-15:
-        return float(min(1.0, max(0.0, ratios[-1])))
     slope, intercept = np.polyfit(u, ratios, 1)
     return float(min(1.0, max(0.0, intercept)))
 
@@ -101,7 +101,7 @@ def _estimate(ns: np.ndarray, raw_ratios: np.ndarray, tol: float) -> DensityEsti
     verdict = _diagnose(ratios, tol)
     value = None
     if verdict == CONVERGED:
-        w = _window(len(ratios))
+        w = tail_window(len(ratios))
         value = _extrapolate(ns[-w:], ratios[-w:])
     return DensityEstimate(
         checkpoints=tuple(int(v) for v in ns),
@@ -123,13 +123,13 @@ def _validated_checkpoints(n: int) -> np.ndarray:
     return ns
 
 
-def natural_density(a: IndexSet, n: int, tol: float = 1e-2) -> DensityEstimate:
+def natural_density(a: IndexSet, n: int, tol: float = DEFAULT_TOL) -> DensityEstimate:
     """Estimate lim |A(n)|/n from the prefix ratio trail: the f = id case of
     ``f_density``."""
     return f_density(a, make_modulus("id"), n, tol)
 
 
-def f_density(a: IndexSet, f: Modulus, n: int, tol: float = 1e-2) -> DensityEstimate:
+def f_density(a: IndexSet, f: Modulus, n: int, tol: float = DEFAULT_TOL) -> DensityEstimate:
     """Estimate lim f(|A(n)|)/f(n) for an unbounded modulus f.
 
     A bounded modulus is rejected: the limit the trail is chasing is not

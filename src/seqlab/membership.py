@@ -22,13 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .core import IndexSet, LacunaryScheme, SequencePrefix, check_tol
-from .density import DensityEstimate, checkpoints, exceedance_set, f_density
+from .density import DEFAULT_TOL, DensityEstimate, checkpoints, exceedance_set, f_density, tail_window
 from .errors import SpreadError, TruncationError
 from .matrices import SummabilityMatrix, transform_prefix
 from .modulus import Modulus
 from .orlicz import OrliczFamily, RhoSchedule, const_rho
 
-DEFAULT_TOL = 1e-2
 DEFAULT_EPS = 0.1
 MIN_BLOCKS = 6
 # Indices per block of the scores: a 2^16 block's temporaries take 512 KB each.
@@ -111,7 +110,7 @@ def _trail_verdict(trail: np.ndarray, tol: float) -> tuple[str, int]:
     r = len(trail)
     if r < MIN_BLOCKS:
         raise ValueError(f"need at least {MIN_BLOCKS} blocks for a verdict, got {r}")
-    w = math.ceil(r / 3)
+    w = tail_window(r)
     tail = trail[-w:]
     if float(np.max(tail)) <= tol:
         return MEMBER, w
@@ -242,14 +241,14 @@ class CauchyReport:
     trail: tuple  # (anchor, verdict, value) per attempt
 
 
-def stat_cauchy_check(x: SequencePrefix, params: SpaceParams, f: Modulus,
+def stat_cauchy_check(y: np.ndarray, eps: float, f: Modulus,
                       tol: float = DEFAULT_TOL) -> CauchyReport:
-    """Search anchor rows N* making {i : |A_i(x) - A_{N*}(x)| > eps} density-null.
+    """Search anchor rows N* making {i : |y_i - y_{N*}| > eps} density-null, y_i = A_i(x).
 
     Anchors are tried at geometric checkpoint positions, largest first; the
     first anchor whose exceedance density converges to <= tol wins.
     """
-    return _cauchy_search(transform_prefix(params.matrix, x, len(x)), f, [params.eps], tol)[0]
+    return _cauchy_search(y, f, [eps], tol)[0]
 
 
 def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) -> list[CauchyReport]:

@@ -34,6 +34,8 @@ _SLACK = 1e-12
 _BLOCK = 1 << 14
 
 DEFAULT_ORLICZ_GRID = np.logspace(-6.0, 2.0, 33)
+LUXEMBURG_TOL = 1e-8
+ORLICZ_TOL = 1e-6
 
 
 # An Orlicz function is a convex gauge: continuous, nondecreasing, M(0) = 0,
@@ -295,7 +297,7 @@ def _luxemburg(mod: _Modular, tol: float) -> tuple[float, float]:
     return min(max(math.exp(u), k_lo), k_hi), k_hi
 
 
-def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-8) -> float:
+def luxemburg_norm(family: OrliczFamily, x: SequencePrefix, tol: float = LUXEMBURG_TOL) -> float:
     """inf{k > 0 : modular(x / k) <= 1}, to relative tolerance ``tol``.
 
     The result k satisfies k* / (1 + tol) <= k <= k* (1 + tol) for the true
@@ -385,7 +387,7 @@ def _brent_min(fn: Callable[[float], float], a: float, b: float, x: float, fx: f
     return x, fx
 
 
-def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = 1e-6) -> OrliczNormResult:
+def orlicz_norm(family: OrliczFamily, x: SequencePrefix, tol: float = ORLICZ_TOL) -> OrliczNormResult:
     """The Orlicz (Amemiya) norm inf_{k > 0} (1 + modular(k x)) / k.
 
     g(k) = (1 + modular(k x)) / k is unimodal.  A loose Luxemburg bound hi

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MATERIALIZE_CAP, IndexSet, LacunaryScheme, SequencePrefix
-from .density import DensityEstimate, checkpoints, f_density
+from .density import DEFAULT_TOL, DensityEstimate, checkpoints, f_density, tail_window
 from .errors import (CauchyConstructionError, GenerationError, SpreadError,
                      TruncationError, WitnessExtractionError)
 from .matrices import make_matrix, transform_prefix
-from .membership import (DEFAULT_TOL, MEMBER, NON_MEMBER, MembershipReport, SpaceParams,
-                         _block_report, _cauchy_search, block_trails, pointwise_scores,
-                         stat_limit_estimate)
+from .membership import (DEFAULT_EPS, MEMBER, MIN_BLOCKS, NON_MEMBER, MembershipReport,
+                         SpaceParams, _block_report, _cauchy_search, block_trails,
+                         pointwise_scores, stat_limit_estimate)
 from .modulus import Modulus
-from .orlicz import OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
+from .orlicz import OrliczFamily, OrliczFn, const_rho, make_orlicz, uniform_family, weighted_family
 
 _SLACK = 1e-12
 _CUT_BUDGET = 10_000_000
@@ -141,7 +141,7 @@ def converge_off_witness(s: np.ndarray, witness: IndexSet, eps: float,
         return OffWitnessCheck(True, 0, 0.0, 0)
     # the trailing third starts at the k-th off index: k plus the number of
     # members m_r (the r-th smallest) with m_r - r < k
-    k = n_off - math.ceil(n_off / 3) + 1
+    k = n_off - tail_window(n_off) + 1
     start = k + int(np.searchsorted(members - np.arange(1, members.size + 1), k))
     tail = s[start - 1:]
     off = np.ones(tail.size, dtype=bool)
@@ -159,9 +159,9 @@ class NestedLimit:
     anchors: tuple[int, ...]
 
 
-def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus,
-                              depth: int = 10, tol: float = DEFAULT_TOL) -> NestedLimit:
-    """Intersect anchor-centered intervals of radius 1/k for k = 1..depth.
+def cauchy_limit_construction(y: np.ndarray, f: Modulus, depth: int = 10,
+                              tol: float = DEFAULT_TOL) -> NestedLimit:
+    """Intersect anchor-centered intervals of radius 1/k, k = 1..depth, over the transformed prefix y.
 
     Each level picks an anchor realizing the Cauchy condition at radius 1/k;
     the midpoint of the final intersection is the limit estimate and its width
@@ -170,7 +170,6 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    y = transform_prefix(params.matrix, x, len(x))
     reports = _cauchy_search(y, f, [1.0 / k for k in range(1, depth + 1)], tol)
     anchors = []
     lo = -math.inf
@@ -191,6 +190,12 @@ def cauchy_limit_construction(x: SequencePrefix, params: SpaceParams, f: Modulus
     return NestedLimit(0.5 * (lo + hi), width, tuple(anchors))
 
 
+def _instance_params(family: OrliczFamily, scheme: LacunaryScheme, alpha: float, rho: float,
+                     eps: float = DEFAULT_EPS) -> SpaceParams:
+    """The space both generators build: the identity matrix, limit 0 and the constant ``rho``."""
+    return SpaceParams(make_matrix("identity"), family, scheme, alpha, const_rho(rho), 0.0, eps)
+
+
 def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
                               blocks: int = 10) -> tuple[SequencePrefix, SpaceParams]:
     """Sequence equal to nu on the first half of each block, 0 on the rest,
@@ -209,8 +214,8 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
         raise ValueError("plateau height nu must be >= 0")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if blocks < 6:
-        raise ValueError("need at least 6 blocks")
+    if blocks < MIN_BLOCKS:
+        raise ValueError(f"need at least {MIN_BLOCKS} blocks")
     # a ratio past the budget fails at block 1 either way; clamped, the exact
     # ldexp below stops at the budget check long before it could overflow
     ratio = min(nu / rho, _CUT_BUDGET)
@@ -231,18 +236,9 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
         last_mid = (cuts[-2] + cuts[-1]) // 2
         eps = 0.5 * ratio / last_mid
     else:
-        eps = 0.1
-    params = SpaceParams(
-        matrix=make_matrix("identity"),
-        family=family,
-        scheme=scheme,
-        alpha=1.0,
-        rho=const_rho(rho),
-        limit=0.0,
-        eps=eps,
-    )
+        eps = DEFAULT_EPS
     x = SequencePrefix(values, label=f"half-plateau(nu={nu:g},rho={rho:g},R={blocks})")
-    return x, params
+    return x, _instance_params(family, scheme, 1.0, rho, eps)
 
 
 @dataclass(frozen=True)
@@ -318,8 +314,7 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme, rho: float 
         raise ValueError(f"rho must be finite, got {rho}")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    params = _instance_params(uniform_family(base), scheme, alpha, rho)
     if scheme.k_max > MATERIALIZE_CAP:
         raise TruncationError(f"block-spike scheme ends at {scheme.k_max}, past {MATERIALIZE_CAP} values")
     heights = []
@@ -329,14 +324,6 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme, rho: float 
     values = np.zeros(scheme.k_max)
     for r in range(1, scheme.blocks + 1):
         values[scheme.cuts[r] - 1] = heights[r - 1]
-    params = SpaceParams(
-        matrix=make_matrix("identity"),
-        family=uniform_family(base),
-        scheme=scheme,
-        alpha=alpha,
-        rho=const_rho(rho),
-        limit=0.0,
-    )
     x = SequencePrefix(values, label=f"block-spike({base.name},R={scheme.blocks})")
     return x, params, tuple(heights)
 
@@ -383,11 +370,11 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
                           "so the probe cannot bin them") from None
     limits = dict(zip((f.name for f in moduli), estimates))
     found = [v for v in limits.values() if v is not None]
-    all_agree = len(found) == len(moduli) and (
+    all_agree = len(found) == len(limits) and (
         not found or max(found) - min(found) <= 1e-9)
     reference = found[0] if found else None
     norm_convergence = False
     if reference is not None:
-        w = math.ceil(len(y) / 3)
+        w = tail_window(len(y))
         norm_convergence = bool(np.max(np.abs(y[-w:] - reference)) <= params.eps)
     return ModulusProbeReport(limits, all_agree, reference, norm_convergence)

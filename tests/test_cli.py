@@ -499,6 +499,22 @@ class TestWitnessCommand:
         assert abs(r["limit"]) <= 0.2
         assert r["width"] <= 0.2 + 1e-12
 
+    def test_cauchy_transforms_once(self, capsys, monkeypatch):
+        # the check and the construction both read one transformed prefix
+        from seqlab import cli, matrices, membership, witnesses
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return matrices.transform_prefix(*args)
+
+        for module in (cli, membership, witnesses):
+            monkeypatch.setattr(module, "transform_prefix", counted)
+        payload = run_json(capsys, ["witness", "cauchy", "--seq", "const:2", "--matrix", "cesaro",
+                                    "--n", "100000"])
+        assert payload["results"]["cauchy"] is True
+        assert calls == [100_000]
+
     def test_probe(self, capsys):
         payload = run_json(capsys, ["witness", "probe",
                                     "--seq", "spike:set=squares,base=2,delta=1",
@@ -508,6 +524,12 @@ class TestWitnessCommand:
         assert r["limits"]["log1p"] is None
         assert not r["all_agree"]
         assert not r["norm_convergence"]
+
+    def test_probe_repeated_modulus_agrees(self, capsys):
+        payload = run_json(capsys, ["witness", "probe", "--seq", "const:3",
+                                    "--probe-moduli", "id,id", "--n", "10000"])
+        assert payload["results"]["limits"] == {"id": 3.0}
+        assert payload["results"]["all_agree"] is True
 
     def test_probe_spread_past_int64_bins(self, capsys):
         payload = run_json(capsys, ["witness", "probe", "--seq", "alt:0,1e19",

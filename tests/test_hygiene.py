@@ -28,6 +28,8 @@ BENCH_TREES = [ast.parse(path.read_text(), filename=str(path))
 KEEP = {
     "matrices.apply_row": "the math.fsum reference the transform tests compare against; "
                           "perfbench/tracing.py names it only as a string",
+    "density.natural_density": "the f = id case of f_density, which the CLI calls directly; "
+                               "perfbench/tracing.py getattrs it at install",
     "orlicz.modular": "the modular sum_k M_k(|x_k|) both norms are defined by; the acceptance tests use it",
     "orlicz.delta2_check": "waits to serve check --orlicz as a sampled doubling verdict",
 }

@@ -221,13 +221,13 @@ def test_limit_estimate_matches_per_modulus_scan(inst, moduli):
 def test_cauchy_sweep_matches_per_radius_search(inst, modulus, depth):
     x, params, tol = inst
     f = MODULI[modulus]
+    y = transform_prefix(params.matrix, x, len(x))
     want = outcome(reference_cauchy_construction, x, params, f, depth, tol)
-    got = outcome(cauchy_limit_construction, x, params, f, depth, tol)
+    got = outcome(cauchy_limit_construction, y, f, depth, tol)
     if got[0] == "ok":
         got = ("ok", (got[1].value, got[1].width, got[1].anchors))
     assert got == want
-    y = transform_prefix(params.matrix, x, len(x))
-    assert (outcome(stat_cauchy_check, x, params, f, tol)
+    assert (outcome(stat_cauchy_check, y, params.eps, f, tol)
             == outcome(reference_cauchy_search, y, f, params.eps, tol))
 
 

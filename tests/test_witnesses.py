@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqlab.core import SequencePrefix, make_index_set, make_lacunary
+from seqlab.core import make_index_set, make_lacunary
 from seqlab.errors import (CauchyConstructionError, GenerationError,
                            WitnessExtractionError)
 from seqlab.matrices import make_matrix, transform_prefix
@@ -136,6 +136,13 @@ class TestBlockSpike:
         with pytest.raises(GenerationError):
             gen_block_spike_instance(sat, make_lacunary("powers2", 8))
 
+    def test_alpha_refused_before_the_heights(self):
+        # a bounded gauge would fail the height search: alpha is checked first
+        sat = OrliczFn("sat", lambda t: t / (1.0 + t))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\], got 1.5$") as exc:
+            gen_block_spike_instance(sat, make_lacunary("powers2", 8), alpha=1.5)
+        assert not isinstance(exc.value, GenerationError)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rho_named(self, bad):
         with pytest.raises(ValueError, match=f"^rho must be finite, got {bad}$"):
@@ -217,36 +224,30 @@ class TestOffWitness:
 
 class TestCauchyConstruction:
     def test_harmonic(self):
-        x = harmonic_sequence(10_000)
-        p = identity_params(13, limit=None)
-        nested = cauchy_limit_construction(x, p, ID_MOD, depth=10)
+        nested = cauchy_limit_construction(harmonic_sequence(10_000).values, ID_MOD, depth=10)
         assert abs(nested.value) <= 0.2
         assert nested.width <= 2.0 / 10 + 1e-12
 
     def test_constant_collapses_exactly(self):
-        x = const_sequence(1000, 4.25)
-        p = identity_params(9, limit=None)
-        nested = cauchy_limit_construction(x, p, ID_MOD, depth=10)
+        nested = cauchy_limit_construction(const_sequence(1000, 4.25).values, ID_MOD, depth=10)
         assert nested.value == 4.25
         assert nested.width <= 2.0 / 10 + 1e-12
 
     def test_spike_on_squares_near_base(self):
         # square spikes thin out like sqrt(n)/n, so the density trail needs a
         # deep truncation before its trailing spread drops below the tolerance
-        x, p = spike_instance(2 ** 17)
-        nested = cauchy_limit_construction(x, p, ID_MOD, depth=10)
+        x, _ = spike_instance(2 ** 17)
+        nested = cauchy_limit_construction(x.values, ID_MOD, depth=10)
         assert abs(nested.value - 2.0) <= 2.0 / 10
 
     def test_alternating_fails(self):
-        x = alternating_sequence(1000)
-        p = identity_params(9, limit=None)
         with pytest.raises(CauchyConstructionError):
-            cauchy_limit_construction(x, p, ID_MOD, depth=5)
+            cauchy_limit_construction(alternating_sequence(1000).values, ID_MOD, depth=5)
 
     def test_overflowing_deviation_rejected(self):
-        x = SequencePrefix(np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308))
+        y = np.where(np.arange(1000) % 2 == 0, 1.5e308, -1.5e308)
         with pytest.raises(ValueError, match=r"^sequence 'dev@1000' contains non-finite values$"):
-            cauchy_limit_construction(x, identity_params(9, limit=None), ID_MOD, depth=5)
+            cauchy_limit_construction(y, ID_MOD, depth=5)
 
 
 class TestMultiModulusProbe:
@@ -257,6 +258,12 @@ class TestMultiModulusProbe:
         assert rep.all_agree
         assert rep.reference == 3.0
         assert rep.norm_convergence
+
+    def test_repeated_modulus_agrees(self):
+        rep = multi_modulus_probe(const_sequence(1000, 3.0), identity_params(9, limit=None),
+                                  [ID_MOD, ID_MOD])
+        assert rep.limits == {"id": 3.0}
+        assert rep.all_agree
 
     def test_spike_on_squares_disagreement(self):
         x, p = spike_instance(100_000)
