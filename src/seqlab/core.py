@@ -366,16 +366,29 @@ def make_lacunary(spec: str, blocks: int | None = None) -> LacunaryScheme:
 
 @dataclass(frozen=True)
 class SequencePrefix:
-    """The first N terms of a real sequence (x_1..x_N) plus a provenance label."""
+    """The first N terms of a real sequence (x_1..x_N) plus a provenance label,
+    held as a read-only float64 copy of the values given."""
 
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        self._hold(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, label: str) -> "SequencePrefix":
+        """A prefix over the float64 array ``values`` itself, uncopied: one its
+        maker has just built and no longer writes, or a view of a prefix."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "label", label)
+        x._hold(values)
+        return x
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("a sequence prefix needs at least one value")
-        if not np.all(np.isfinite(arr)):
+        # a NaN makes min and max NaN and an infinity one of them infinite, with no mask made
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ValueError(f"sequence {self.label!r} contains non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -384,6 +397,7 @@ class SequencePrefix:
         return int(self.values.size)
 
     def prefix(self, n: int) -> "SequencePrefix":
+        """The first ``n`` terms, as a view of this prefix's read-only values."""
         if not 1 <= n <= len(self):
             raise TruncationError(f"prefix length {n} of {self.label!r} outside 1..{len(self)}")
-        return SequencePrefix(self.values[:n], label=self.label)
+        return SequencePrefix._adopt(self.values[:n], self.label)

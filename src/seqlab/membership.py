@@ -85,7 +85,8 @@ def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
             np.abs(dev, out=dev)
             dev /= params.rho.values(idx)
             s[lo:lo + _CHUNK] = params.family.eval_many(idx, dev)
-    if not np.all(np.isfinite(s)):
+    # a NaN makes min and max NaN and an infinity one of them infinite, with no mask made
+    if not (math.isfinite(s.min()) and math.isfinite(s.max())):
         raise ValueError(f"non-finite score at index {int(np.argmin(np.isfinite(s))) + 1}")
     s.flags.writeable = False
     return s
@@ -98,9 +99,10 @@ def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.nda
         raise TruncationError(
             f"scheme extends to {scheme.k_max}, past the sequence truncation {len(s)}")
     s = s[:scheme.k_max]
-    starts = scheme.cuts_array[:-1]
-    sums = np.add.reduceat(s, starts)
-    counts = np.add.reduceat((s >= params.eps).astype(np.int64), starts)
+    sums = np.add.reduceat(s, scheme.cuts_array[:-1])
+    # block by block: no mask of all of s and no int64 copy of it
+    counts = np.array([np.count_nonzero(s[a:b] >= params.eps) for a, b in zip(scheme.cuts, scheme.cuts[1:])],
+                      dtype=np.int64)
     halpha = scheme.h.astype(float) ** params.alpha
     return sums / halpha, counts / halpha, counts
 
@@ -195,10 +197,11 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
     """Scan histogram modes of the transformed prefix ``y`` for a limit under
     each modulus: the first candidate whose density-mode verdict is ``member``,
     or None when none passes (an alternating sequence leaves exceedance density
-    1/2 around either value).  The values are binned once, and each of the at
-    most five candidates is scored and thresholded once for all moduli.  Also
-    returns the scores against the last candidate scored: the winner's when
-    every modulus found one.
+    1/2 around either value).  The bins are made once and sorted in place, and
+    their run lengths rank them; each of the at most five candidates gathers its
+    members block by block, and is scored and thresholded once for all moduli.
+    Also returns the scores against the last candidate scored: the winner's
+    when every modulus found one.
     """
     for f in moduli:
         if not f.unbounded:
@@ -211,18 +214,27 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
     bins = y - lo
     bins /= width
     np.floor(bins, out=bins)
-    uniq, cnt = np.unique(bins, return_counts=True)
-    order = np.lexsort((uniq, -cnt))
+    bins.sort()
+    starts = np.append(0, np.flatnonzero(bins[1:] != bins[:-1]) + 1)
+    uniq, cnt = bins[starts], np.diff(starts, append=bins.size)
+    bins = starts = None
+    order = np.lexsort((uniq, -cnt))[:5]
     limits: list[float | None] = [None] * len(moduli)
     s = None
-    for b in uniq[order][:5]:
-        members = y[bins == b]  # a copy of the bin, which the median may reorder
+    for b, count in zip(uniq[order], cnt[order]):
+        s = above = None  # dropped before this candidate's members and scores are made
+        members, filled = np.empty(count), 0
+        for at in range(0, y.size, _CHUNK):
+            block = y[at:at + _CHUNK]
+            block = block[np.floor((block - lo) / width) == b]  # the bins' own operations, so the same bins
+            members[filled:filled + block.size] = block
+            filled += block.size
         with np.errstate(over="ignore"):  # two middle values near 1e308 overflow when averaged
             candidate = float(np.median(members, overwrite_input=True))
         if not math.isfinite(candidate):
             members /= 2.0  # halving is exact at this size
             candidate = 2.0 * float(np.median(members, overwrite_input=True))
-        s = above = members = None  # dropped before the next candidate's scores are made
+        members = block = None
         s = pointwise_scores(y, replace(params, limit=candidate))
         above = exceedance_set(s, params.eps)
         for i, f in enumerate(moduli):

@@ -13,7 +13,7 @@ from .errors import SpecError
 
 
 def const_sequence(n: int, c: float) -> SequencePrefix:
-    return SequencePrefix(np.full(int(n), float(c)), label=f"const:{c:g}")
+    return SequencePrefix._adopt(np.full(int(n), float(c)), f"const:{c:g}")
 
 
 def spike_sequence(n: int, positions: IndexSet, base: float = 0.0,
@@ -23,7 +23,7 @@ def spike_sequence(n: int, positions: IndexSet, base: float = 0.0,
     values = np.full(n, float(base))
     members = positions.members_upto(n)
     values[members - 1] = base + delta
-    return SequencePrefix(values, label=f"spike({positions.name};base={base:g},delta={delta:g})")
+    return SequencePrefix._adopt(values, f"spike({positions.name};base={base:g},delta={delta:g})")
 
 
 def alternating_sequence(n: int, first: float = 1.0, second: float = 0.0) -> SequencePrefix:
@@ -31,13 +31,15 @@ def alternating_sequence(n: int, first: float = 1.0, second: float = 0.0) -> Seq
     values = np.empty(int(n))
     values[0::2] = first
     values[1::2] = second
-    return SequencePrefix(values, label=f"alt:{first:g},{second:g}")
+    return SequencePrefix._adopt(values, f"alt:{first:g},{second:g}")
 
 
 def harmonic_sequence(n: int, level: float = 0.0) -> SequencePrefix:
-    """x_i = level + 1/i."""
-    values = level + 1.0 / np.arange(1, int(n) + 1, dtype=float)
-    return SequencePrefix(values, label=f"harmonic:{level:g}")
+    """x_i = level + 1/i, made in place in one array."""
+    values = np.arange(1.0, int(n) + 1)
+    np.divide(1.0, values, out=values)
+    values += level
+    return SequencePrefix._adopt(values, f"harmonic:{level:g}")
 
 
 def read_sequence_csv(path) -> SequencePrefix:

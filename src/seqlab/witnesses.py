@@ -237,7 +237,7 @@ def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
         eps = 0.5 * ratio / last_mid
     else:
         eps = DEFAULT_EPS
-    x = SequencePrefix(values, label=f"half-plateau(nu={nu:g},rho={rho:g},R={blocks})")
+    x = SequencePrefix._adopt(values, f"half-plateau(nu={nu:g},rho={rho:g},R={blocks})")
     return x, _instance_params(family, scheme, 1.0, rho, eps)
 
 
@@ -324,7 +324,7 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme, rho: float 
     values = np.zeros(scheme.k_max)
     for r in range(1, scheme.blocks + 1):
         values[scheme.cuts[r] - 1] = heights[r - 1]
-    x = SequencePrefix(values, label=f"block-spike({base.name},R={scheme.blocks})")
+    x = SequencePrefix._adopt(values, f"block-spike({base.name},R={scheme.blocks})")
     return x, params, tuple(heights)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seqlab.cli import main
+from seqlab.sequences import make_sequence
 from seqlab.witnesses import BLOCK_SPIKE_DISCREPANCY
 
 
@@ -180,20 +181,24 @@ WEIGHTED = "weighted:base=poly:2,weights=file:{weights}"
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["witness", "probe", "--seq", SPIKE, "--probe-moduli", "id,log1p"], 3.5),
-    (["witness", "extract", "--seq", SPIKE, "--modulus", "id"], 3.5),
+    (["witness", "probe", "--seq", SPIKE, "--probe-moduli", "id,log1p"], 2.5),
+    (["witness", "extract", "--seq", SPIKE, "--modulus", "id"], 2.5),
     (["witness", "cauchy", "--seq", "harmonic:0.5", "--modulus", "id"], 2.5),
     (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "density", "--modulus", "log1p"], 2.5),
+    (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "count", "--blocks", "20"], 2.5),
+    (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "mean", "--blocks", "20"], 2.5),
     (["norm", "--kind", "luxemburg", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
     (["norm", "--kind", "orlicz", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
     (["norm", "--kind", "luxemburg", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
     (["norm", "--kind", "orlicz", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
-], ids=["probe", "extract", "cauchy", "membership", "luxemburg", "orlicz", "weighted-luxemburg",
-        "weighted-orlicz"])
+], ids=["probe", "extract", "cauchy", "membership", "count", "mean", "luxemburg", "orlicz",
+        "weighted-luxemburg", "weighted-orlicz"])
 def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
-    # the prefix x, the scores and O(block) or O(members) scratch; probe and
-    # extract also hold the limit estimate's bins.  A norm holds x, |x| / max|x|
-    # and O(block) scratch, and a weighted one its weight table.
+    # the prefix x, the scores and O(block) or O(members) scratch; the limit
+    # estimate's float bins, which probe and extract make first, are dropped
+    # before any candidate is scored, and the block modes count block by block.
+    # A norm holds x, |x| / max|x| and O(block) scratch, and a weighted one its
+    # weight table.
     n = 2 ** 20
     weights = tmp_path / "w.txt"
     weights.write_text("1.5\n" * n)
@@ -207,6 +212,19 @@ def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
     capsys.readouterr()
     assert code == 0
     assert peak <= bound * 8 * n, f"peaked at {peak / (8 * n):.2f} x the prefix's bytes"
+
+
+@pytest.mark.parametrize("spec", ["const:2", "spike:set=squares,base=1,delta=2", "alt:1,2", "harmonic:1"])
+def test_generation_peak_memory(spec):
+    # each generator builds its values in one array, which the prefix takes over uncopied
+    n = 2 ** 20
+    tracemalloc.start()
+    try:
+        make_sequence(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * n, f"peaked at {peak / (8 * n):.2f} x the prefix's bytes"
 
 
 @pytest.mark.parametrize("size", [3 * 2 ** 14 + 4, 3])

@@ -272,11 +272,35 @@ class TestSequencePrefix:
         with pytest.raises(ValueError):
             x.values[0] = 5.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_refused_with_its_label(self, bad, at):
+        values = [1.0, -2.0, 3.0]
+        values[at] = bad
+        with pytest.raises(ValueError, match="^sequence 'toy' contains non-finite values$"):
+            SequencePrefix(values, label="toy")
+        with pytest.raises(ValueError, match="^sequence 'toy' contains non-finite values$"):
+            SequencePrefix(np.array(values), label="toy")
+
+    def test_callers_array_not_aliased(self):
+        given = np.array([1.0, 2.0, 3.0])
+        x = SequencePrefix(given)
+        given[0] = 9.0
+        assert list(x.values) == [1.0, 2.0, 3.0]
+        assert given.flags.writeable and not np.shares_memory(given, x.values)
+
     def test_prefix(self):
         x = SequencePrefix([1.0, 2.0, 3.0])
         assert list(x.prefix(2).values) == [1.0, 2.0]
         with pytest.raises(TruncationError):
             x.prefix(4)
+
+    def test_prefix_is_a_read_only_view(self):
+        x = SequencePrefix([1.0, 2.0, 3.0], label="toy")
+        head = x.prefix(2)
+        assert np.shares_memory(head.values, x.values) and head.label == "toy"
+        with pytest.raises(ValueError):
+            head.values[0] = 5.0
 
 
 @settings(max_examples=50)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqlab.errors import SpecError, TruncationError
-from seqlab.sequences import (alternating_sequence, harmonic_sequence,
+from seqlab.sequences import (alternating_sequence, const_sequence, harmonic_sequence,
                               make_sequence, read_sequence_csv)
 
 
@@ -35,6 +35,19 @@ class TestGenerators:
         assert x.values[0] == 3.0
         assert x.values[3] == 2.25
         assert np.array_equal(x.values, harmonic_sequence(4, 2.0).values)
+
+    @pytest.mark.parametrize("level", [0.0, 2.0, -0.5, 1e-17, 3e300])
+    def test_harmonic_in_place_is_bit_identical(self, level):
+        n = 100_003
+        want = level + 1.0 / np.arange(1, n + 1, dtype=float)
+        assert np.array_equal(harmonic_sequence(n, level).values, want)
+
+    def test_generated_non_finite_refused_with_its_label(self):
+        # a generator hands its array over uncopied, through the same check
+        with pytest.raises(ValueError, match="^sequence 'const:inf' contains non-finite values$"):
+            const_sequence(3, float("inf"))
+        with pytest.raises(ValueError, match="^sequence 'alt:1,nan' contains non-finite values$"):
+            alternating_sequence(3, 1.0, float("nan"))
 
     def test_list(self):
         x = make_sequence("list:3,4", None)

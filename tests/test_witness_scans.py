@@ -1,14 +1,15 @@
 """The witness routes' shared scans against reference copies of the loops they
 replaced.
 
-``stat_limit_estimate`` bins the transformed prefix once and scores each candidate
-once for every modulus; ``_cauchy_search`` builds one deviation per anchor for
-every radius; ``witness extract`` reuses the limit estimate's scores, and
-the extraction and the off-witness check work from member positions.  The
-references below are the per-modulus and per-radius loops and the n-length
-mask and index arrays, kept verbatim in behaviour: the new code must return
-the same floats and anchors, and raise the same exception with the same
-message.
+``stat_limit_estimate`` bins the transformed prefix once, ranks the bins by
+their sorted run lengths, gathers each candidate's members block by block and
+scores each candidate once for every modulus; ``_cauchy_search`` builds one
+deviation per anchor for every radius; ``witness extract`` reuses the limit
+estimate's scores, and the extraction and the off-witness check work from
+member positions.  The references below are the per-modulus and per-radius
+loops, the scan over a sorted copy of the bins, and the n-length mask and
+index arrays, kept verbatim in behaviour: the new code must return the same
+floats and anchors, and raise the same exception with the same message.
 """
 
 import math
@@ -23,7 +24,7 @@ from seqlab.core import IndexSet, SequencePrefix, make_index_set, make_lacunary
 from seqlab.density import checkpoints, exceedance_set, f_density
 from seqlab.errors import CauchyConstructionError, SpreadError, WitnessExtractionError
 from seqlab.matrices import make_matrix, transform_prefix
-from seqlab.membership import (CauchyReport, SpaceParams, pointwise_scores, stat_cauchy_check,
+from seqlab.membership import (_CHUNK, CauchyReport, SpaceParams, pointwise_scores, stat_cauchy_check,
                                stat_limit_estimate)
 from seqlab.modulus import make_modulus
 from seqlab.orlicz import make_family
@@ -53,6 +54,34 @@ def reference_limit_estimate(y, params, f, eps, tol):
         if dens.converged and dens.value <= tol:
             return candidate
     return None
+
+
+def reference_limit_scan(y, params, moduli, tol):
+    """All moduli at once, from an n-length copy of the float bins: np.unique
+    sorts a copy of them, and each candidate's members come from an n-length
+    mask.  Returns the limits and the scores against the last candidate."""
+    width = max(params.eps, 1e-12)
+    lo = float(y.min())
+    if not math.isfinite((float(y.max()) - lo) / width):
+        raise SpreadError("the transformed values spread past the float range; supply --limit")
+    bins = np.floor((y - lo) / width)
+    uniq, cnt = np.unique(bins, return_counts=True)
+    limits, s = [None] * len(moduli), None
+    for b in uniq[np.lexsort((uniq, -cnt))][:5]:
+        members = y[bins == b]
+        with np.errstate(over="ignore"):
+            candidate = float(np.median(members))
+        if not math.isfinite(candidate):
+            candidate = 2.0 * float(np.median(members / 2.0))
+        s = pointwise_scores(y, replace(params, limit=candidate))
+        above = exceedance_set(s, params.eps)
+        for i, f in enumerate(moduli):
+            dens = f_density(above, f, len(y), tol)
+            if limits[i] is None and dens.converged and dens.value <= tol:
+                limits[i] = candidate
+        if None not in limits:
+            break
+    return limits, s
 
 
 def reference_cauchy_search(y, f, eps, tol):
@@ -212,6 +241,66 @@ def test_limit_estimate_matches_per_modulus_scan(inst, moduli):
         probe = multi_modulus_probe(x, params, moduli, tol)
         assert probe.limits == dict(zip((f.name for f in moduli), want[1]))
         assert stat_limit_estimate(y, params, moduli[:1], tol)[0] == want[1][:1]
+
+
+def assert_same_scan(y, params, moduli, tol):
+    want = outcome(reference_limit_scan, y, params, moduli, tol)
+    got = outcome(stat_limit_estimate, y, params, moduli, tol)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return got
+    (got_limits, got_s), (want_limits, want_s) = got[1], want[1]
+    assert got_limits == want_limits
+    assert (got_s is None) == (want_s is None)
+    assert got_s is None or np.array_equal(got_s, want_s)
+    return got
+
+
+@quiet
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), moduli=moduli_lists)
+def test_limit_scan_matches_np_unique_reference(inst, moduli):
+    x, params, tol = inst
+    assert_same_scan(transform_prefix(params.matrix, x, len(x)), params, moduli, tol)
+
+
+def _tied_bins(n):
+    # eight bins whose counts differ by at most one, so the ranking rests on
+    # the tie-break by bin and the scan runs through five of them
+    return np.arange(n) % 8 * 0.5
+
+
+def _straddling_bins(n):
+    # runs of 1000 indices cycle through seven values, so every bin crosses
+    # block edges; a sine keeps the members of a bin distinct
+    i = np.arange(n)
+    return (i // 1000) % 7 + 0.02 * np.sin(i)
+
+
+def _noisy_plateau(n):
+    # one bin of distinct values spread over every block, and a spike every
+    # 50th index: a density member under id but not under log1p
+    i = np.arange(n)
+    return np.where(i % 50 == 0, 7.0, 3.0 + 0.01 * np.sin(i))
+
+
+def _near_the_float_max(n):
+    # the modal bin holds 1e308, whose two middle values overflow when averaged
+    # at an even count; every 97th value lies a finite spread of bins below
+    y = np.full(n, 1e308)
+    y[::97] = 9.9e307
+    return y
+
+
+@quiet
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("make", [_tied_bins, _straddling_bins, _noisy_plateau, _near_the_float_max,
+                                  lambda n: np.full(n, 2.5)],
+                         ids=["tied", "straddling", "plateau", "near-max", "single-bin"])
+def test_limit_scan_across_block_edges(n, make):
+    params = SpaceParams(make_matrix("identity"), make_family("linear"), make_lacunary("powers2", 4), eps=0.1)
+    assert assert_same_scan(make(n), params, [MODULI["id"], MODULI["log1p"]], 0.05)[0] == "ok"
 
 
 @quiet
