@@ -38,7 +38,7 @@ from . import witnesses as witnesses_mod
 from .core import make_index_set, make_lacunary
 from .errors import (CauchyConstructionError, SeqlabError,
                      WitnessExtractionError)
-from .matrices import make_matrix, transform_prefix
+from .matrices import SummabilityMatrix, make_matrix, transform_prefix
 from .membership import SpaceParams
 from .modulus import check_modulus_axioms, make_modulus
 from .orlicz import (LUXEMBURG_TOL, ORLICZ_TOL, block_mean_norm, check_orlicz_axioms,
@@ -176,9 +176,9 @@ def _echo(args, names, **resolved) -> dict:
     return {**{name: getattr(args, name) for name in names}, **resolved}
 
 
-def _space_params(args, scheme) -> SpaceParams:
-    return SpaceParams(
-        matrix=make_matrix(args.matrix),
+def _space_params(args, scheme) -> tuple[SummabilityMatrix, SpaceParams]:
+    """The ``--matrix``, made first, and the params the other space flags give."""
+    return make_matrix(args.matrix), SpaceParams(
         family=make_family(args.orlicz),
         scheme=scheme,
         alpha=args.alpha,
@@ -198,18 +198,24 @@ def _cmd_density(args) -> dict:
     return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
 
 
-def _estimated(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
-    """``params`` with the limit that ``stat_limit_estimate`` finds for the
-    transformed prefix ``y`` under ``f``, and the scores against it."""
-    (est,), s = membership_mod.stat_limit_estimate(y, params, [f], tol)
+def _scored(y, params: SpaceParams, args) -> tuple[SpaceParams, np.ndarray]:
+    """``params`` with their limit and the scores of the transformed prefix ``y``
+    against it: the given limit, or else the one ``stat_limit_estimate`` finds
+    under ``--modulus``, whose winning scores are kept."""
+    if params.limit is not None:
+        return params, membership_mod.pointwise_scores(y, params)
+    (est,), s = membership_mod.stat_limit_estimate(y, params, [make_modulus(args.modulus or "id")], args.tol)
     if est is None:
         raise SeqlabError("no candidate limit passed the density test; supply --limit")
     return dataclasses.replace(params, limit=est), s
 
 
 def _resolve_membership(args):
+    """``(x, params, s)``: the prefix, the params with their limit and the scores,
+    of a generated instance's own values or of ``--matrix``'s one transform of x."""
     if args.witness:
-        return _witness_instance(args.witness, args)[:2]
+        x, params = _witness_instance(args.witness, args)[:2]
+        return x, params, membership_mod.pointwise_scores(x.values, params)
     if args.seq is None:
         raise SeqlabError("membership needs --seq or --witness")
     scheme = make_lacunary(args.theta, args.blocks)
@@ -221,22 +227,23 @@ def _resolve_membership(args):
         else:
             n = max(scheme.k_max, 100_000)
     x = make_sequence(args.seq, n)
-    params = _space_params(args, scheme)
+    matrix, params = _space_params(args, scheme)
     if args.estimate_limit:
-        params, _ = _estimated(transform_prefix(params.matrix, x, len(x)), params,
-                               make_modulus(args.modulus or "id"), args.tol)
+        params = dataclasses.replace(params, limit=None)  # the estimate replaces any --limit
     elif params.limit is None:
         raise SeqlabError("membership needs --limit or --estimate-limit")
-    return x, params
+    # the block modes read rows up to k_max; rows past n are left to block_trails, which names the scheme
+    rows = len(x) if args.estimate_limit or args.mode == "density" else min(scheme.k_max, len(x))
+    return (x, *_scored(transform_prefix(matrix, x, rows), params, args))
 
 
 def _cmd_membership(args) -> dict:
-    x, params = _resolve_membership(args)
-    if args.mode == "density":
-        f = make_modulus(args.modulus or "id")
-        rep = membership_mod.density_membership(x, params, f, args.tol)
+    f = make_modulus(args.modulus or "id") if args.mode == "density" else None  # before any transform
+    x, params, s = _resolve_membership(args)
+    if f is not None:
+        rep = membership_mod.density_membership(s, params, f, args.tol)
     else:
-        rep = membership_mod.block_membership(x, params, args.mode, args.tol)
+        rep = membership_mod.block_membership(s, params, args.mode, args.tol)
     inputs = _echo(args, _SPACE_ECHO + ("witness", "mode", "matrix"),
                    limit=params.limit, eps=params.eps, n=len(x))
     warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if args.witness == "block-spike" else []
@@ -282,20 +289,17 @@ def _cmd_witness(args) -> dict:
     n = args.n if args.n is not None else 100_000
     x = make_sequence(args.seq, n)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
-    params = _space_params(args, make_lacunary(args.theta, blocks))
+    matrix, params = _space_params(args, make_lacunary(args.theta, blocks))
 
     if args.task == "probe":
         moduli = [make_modulus(tok) for tok in (args.probe_moduli or "").split(",") if tok.strip()]
-        return _report("witness", inputs, witnesses_mod.multi_modulus_probe(x, params, moduli, args.tol))
+        y = transform_prefix(matrix, x, len(x))
+        return _report("witness", inputs, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol))
 
     f = make_modulus(args.modulus or "id")
-    y = transform_prefix(params.matrix, x, len(x))  # once, for extract's scores or both Cauchy stages
+    y = transform_prefix(matrix, x, len(x))  # once, for extract's scores or both Cauchy stages
     if args.task == "extract":
-        # the scores are computed once, against the given or the estimated limit
-        if params.limit is None:
-            params, s = _estimated(y, params, f, args.tol)
-        else:
-            s = membership_mod.pointwise_scores(y, params)
+        params, s = _scored(y, params, args)  # against the given or the estimated limit
         try:
             ws = witnesses_mod.extract_witness_set(s, f, depth, args.tol)
         except WitnessExtractionError as exc:

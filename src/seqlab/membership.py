@@ -1,6 +1,6 @@
 """Membership diagnostics over lacunary blocks.
 
-Three modes share the same pointwise scores s_i = M_i(|A_i(x) - L| / rho_i):
+Three modes share the scores s_i = M_i(|y_i - L| / rho_i) of a transform y = Ax the caller made:
 
 * ``mean``    — block residuals t_r = h_r^{-alpha} sum_{i in J_r} s_i must fall
                 below tolerance on the trailing third of blocks;
@@ -21,10 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IndexSet, LacunaryScheme, SequencePrefix, check_tol
+from .core import IndexSet, LacunaryScheme, check_tol
 from .density import DEFAULT_TOL, DensityEstimate, checkpoints, exceedance_set, f_density, tail_window
 from .errors import SpreadError, TruncationError
-from .matrices import SummabilityMatrix, transform_prefix
 from .modulus import Modulus
 from .orlicz import OrliczFamily, RhoSchedule, const_rho
 
@@ -40,9 +39,8 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Everything a membership test needs besides the sequence itself."""
+    """Everything a membership test needs besides the transformed prefix."""
 
-    matrix: SummabilityMatrix
     family: OrliczFamily
     scheme: LacunaryScheme
     alpha: float = 1.0
@@ -122,29 +120,24 @@ def _trail_verdict(trail: np.ndarray, tol: float) -> tuple[str, int]:
     return INCONCLUSIVE, w
 
 
-def block_membership(x: SequencePrefix, params: SpaceParams, mode: str,
+def block_membership(s: np.ndarray, params: SpaceParams, mode: str,
                      tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Verdict on whether the block residual trail t_r (mode ``mean``) or the
-    exceedance ratio trail c_r (mode ``count``) tends to 0."""
+    """Verdict from the scores s on whether the block residual trail t_r (mode
+    ``mean``) or the exceedance ratio trail c_r (mode ``count``) tends to 0."""
     if mode not in ("mean", "count"):
         raise ValueError(f"block mode must be 'mean' or 'count', got {mode!r}")
-    # rows past len(x) are left to block_trails, which names the scheme
-    y = transform_prefix(params.matrix, x, min(params.scheme.k_max, len(x)))
-    return _block_report(block_trails(pointwise_scores(y, params), params), params, mode, tol)
+    return _block_report(block_trails(s, params), params, mode, tol)
 
 
 def _block_report(trails: tuple[np.ndarray, np.ndarray, np.ndarray], params: SpaceParams,
                   mode: str, tol: float) -> MembershipReport:
     """The ``mode`` verdict on trails (t, c, counts) from ``block_trails``, so
     a caller judging both modes scores the prefix once."""
-    t, c, counts = trails
-    verdict, w = _trail_verdict(t if mode == "mean" else c, tol)
+    verdict, w = _trail_verdict(trails[0] if mode == "mean" else trails[1], tol)
     return MembershipReport(
         mode=mode,
         verdict=verdict,
-        block_residuals=tuple(float(v) for v in t),
-        exceedance_ratios=tuple(float(v) for v in c),
-        exceedance_counts=tuple(int(v) for v in counts),
+        **_trail_fields(trails),
         evidence={
             "tol": tol,
             "eps": params.eps,
@@ -156,28 +149,29 @@ def _block_report(trails: tuple[np.ndarray, np.ndarray, np.ndarray], params: Spa
     )
 
 
-def density_membership(x: SequencePrefix, params: SpaceParams, f: Modulus,
+def _trail_fields(trails: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict:
+    """The trails (t, c, counts) from ``block_trails`` as a report's three trail fields."""
+    t, c, counts = trails
+    return {"block_residuals": tuple(float(v) for v in t),
+            "exceedance_ratios": tuple(float(v) for v in c),
+            "exceedance_counts": tuple(int(v) for v in counts)}
+
+
+def density_membership(s: np.ndarray, params: SpaceParams, f: Modulus,
                        tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Verdict on whether the global exceedance set {i : s_i > eps} has
-    modulus-weighted density converging to <= tol."""
+    """Verdict from the scores s on whether the global exceedance set
+    {i : s_i > eps} has modulus-weighted density converging to <= tol."""
     if not f.unbounded:
         raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
-    s = pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
     dens, verdict = _density_verdict(exceedance_set(s, params.eps), len(s), f, tol)
-    t = c = counts = None
-    if params.scheme.k_max <= len(x):
-        t_arr, c_arr, n_arr = block_trails(s, params)
-        t = tuple(float(v) for v in t_arr)
-        c = tuple(float(v) for v in c_arr)
-        counts = tuple(int(v) for v in n_arr)
+    # the trails too where the scores reach k_max; else the report leaves them unset
+    trails = _trail_fields(block_trails(s, params)) if params.scheme.k_max <= len(s) else {}
     return MembershipReport(
         mode="density",
         verdict=verdict,
-        block_residuals=t,
-        exceedance_ratios=c,
-        exceedance_counts=counts,
         density=dens,
         evidence={"tol": tol, "eps": params.eps, "modulus": f.name, "n": len(s)},
+        **trails,
     )
 
 

@@ -23,7 +23,6 @@ from .core import MATERIALIZE_CAP, IndexSet, LacunaryScheme, SequencePrefix
 from .density import DEFAULT_TOL, DensityEstimate, checkpoints, f_density, tail_window
 from .errors import (CauchyConstructionError, GenerationError, SpreadError,
                      TruncationError, WitnessExtractionError)
-from .matrices import make_matrix, transform_prefix
 from .membership import (DEFAULT_EPS, MEMBER, MIN_BLOCKS, NON_MEMBER, MembershipReport,
                          SpaceParams, _block_report, _cauchy_search, block_trails,
                          pointwise_scores, stat_limit_estimate)
@@ -192,8 +191,8 @@ def cauchy_limit_construction(y: np.ndarray, f: Modulus, depth: int = 10,
 
 def _instance_params(family: OrliczFamily, scheme: LacunaryScheme, alpha: float, rho: float,
                      eps: float = DEFAULT_EPS) -> SpaceParams:
-    """The space both generators build: the identity matrix, limit 0 and the constant ``rho``."""
-    return SpaceParams(make_matrix("identity"), family, scheme, alpha, const_rho(rho), 0.0, eps)
+    """The space both generators build: limit 0 and the constant ``rho``, with no matrix."""
+    return SpaceParams(family, scheme, alpha, const_rho(rho), 0.0, eps)
 
 
 def gen_half_plateau_instance(nu: float = 1.0, rho: float = 1.0,
@@ -253,10 +252,9 @@ class PairReport:
 
 def _pair_report(x: SequencePrefix, params: SpaceParams, tol: float,
                  expected: tuple[str, str], checks) -> PairReport:
-    """Judge both modes on one ``block_trails`` scoring against the ``expected``
-    (mean, count) verdicts; ``checks(t, counts)`` gives the instance's own checks."""
-    y = transform_prefix(params.matrix, x, min(params.scheme.k_max, len(x)))
-    trails = block_trails(pointwise_scores(y, params), params)
+    """Judge both modes on one ``block_trails`` scoring of ``x.values`` against the
+    ``expected`` (mean, count) verdicts; ``checks(t, counts)`` gives the instance's own checks."""
+    trails = block_trails(pointwise_scores(x.values, params), params)
     mean_rep = _block_report(trails, params, "mean", tol)
     count_rep = _block_report(trails, params, "count", tol)
     return PairReport(mean_rep, count_rep, checks(trails[0], trails[2]),
@@ -347,9 +345,9 @@ class ModulusProbeReport:
     norm_convergence: bool
 
 
-def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
+def multi_modulus_probe(y: np.ndarray, params: SpaceParams,
                         moduli, tol: float = DEFAULT_TOL) -> ModulusProbeReport:
-    """Run the limit estimate under each modulus and compare the answers.
+    """Run the limit estimate of the transformed prefix y under each modulus and compare them.
 
     When every modulus finds a limit they must agree, and a genuinely
     convergent sequence additionally passes the plain tail check against the
@@ -359,10 +357,6 @@ def multi_modulus_probe(x: SequencePrefix, params: SpaceParams,
     moduli = list(moduli)
     if not moduli:
         raise ValueError("the multi-modulus probe needs at least one modulus")
-    for f in moduli:
-        if not f.unbounded:
-            raise ValueError(f"bounded modulus {f.name!r} not allowed in the probe")
-    y = transform_prefix(params.matrix, x, len(x))
     try:
         estimates = stat_limit_estimate(y, params, moduli, tol)[0]
     except SpreadError:  # its refusal advises --limit, which the probe does not take

@@ -30,7 +30,7 @@ POLY2_FAMILY = uniform_family(make_orlicz("poly:2"))
 
 
 def scores(x, params):
-    return pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
+    return pointwise_scores(transform_prefix(IDENTITY, x, len(x)), params)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -140,7 +140,7 @@ def test_criterion_5_norm_oracles():
 def test_criterion_6_witness_round_trip():
     n = 100_000
     x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
-    params = SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 16), limit=2.0)
+    params = SpaceParams(LINEAR_FAMILY, make_lacunary("powers2", 16), limit=2.0)
     f = make_modulus("id")
     s = scores(x, params)
     ws = extract_witness_set(s, f, depth=5)
@@ -149,7 +149,7 @@ def test_criterion_6_witness_round_trip():
     stuck = None
     try:
         extract_witness_set(scores(alternating_sequence(10_000),
-                                   SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 13),
+                                   SpaceParams(LINEAR_FAMILY, make_lacunary("powers2", 13),
                                                limit=0.0)),
                             f, depth=5)
     except WitnessExtractionError as exc:
@@ -168,7 +168,7 @@ def test_criterion_7_reduction_identities():
     for _ in range(100):
         vals = rng.normal(size=scheme.k_max)
         limit = float(rng.normal())
-        params = SpaceParams(IDENTITY, LINEAR_FAMILY, scheme, alpha=1.0,
+        params = SpaceParams(LINEAR_FAMILY, scheme, alpha=1.0,
                              limit=limit, eps=eps)
         x = SequencePrefix(vals)
         s = scores(x, params)
@@ -200,8 +200,9 @@ def test_criterion_8_density_implication_and_probe():
                 if not (nd.converged and nd.value <= 0.02):
                     failures.append((s, m, nd.value))
     x = spike_sequence(100_000, make_index_set("squares"), base=2.0, delta=1.0)
-    params = SpaceParams(IDENTITY, LINEAR_FAMILY, make_lacunary("powers2", 16), limit=None)
-    probe = multi_modulus_probe(x, params, [make_modulus("id"), make_modulus("log1p")])
+    params = SpaceParams(LINEAR_FAMILY, make_lacunary("powers2", 16), limit=None)
+    probe = multi_modulus_probe(transform_prefix(IDENTITY, x, len(x)), params,
+                                [make_modulus("id"), make_modulus("log1p")])
     probe_ok = probe.limits["id"] == 2.0 and probe.limits["log1p"] is None
     report(8, triggered >= 2 and not failures and probe_ok,
            f"{triggered} null f-density cases all have natural density <= 0.02 "

@@ -517,22 +517,6 @@ class TestWitnessCommand:
         assert abs(r["limit"]) <= 0.2
         assert r["width"] <= 0.2 + 1e-12
 
-    def test_cauchy_transforms_once(self, capsys, monkeypatch):
-        # the check and the construction both read one transformed prefix
-        from seqlab import cli, matrices, membership, witnesses
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return matrices.transform_prefix(*args)
-
-        for module in (cli, membership, witnesses):
-            monkeypatch.setattr(module, "transform_prefix", counted)
-        payload = run_json(capsys, ["witness", "cauchy", "--seq", "const:2", "--matrix", "cesaro",
-                                    "--n", "100000"])
-        assert payload["results"]["cauchy"] is True
-        assert calls == [100_000]
-
     def test_probe(self, capsys):
         payload = run_json(capsys, ["witness", "probe",
                                     "--seq", "spike:set=squares,base=2,delta=1",
@@ -553,6 +537,65 @@ class TestWitnessCommand:
         payload = run_json(capsys, ["witness", "probe", "--seq", "alt:0,1e19",
                                     "--probe-moduli", "id", "--n", "100000"])
         assert payload["results"]["limits"] == {"id": None}
+
+
+@pytest.mark.parametrize("argv, rows, field, value", [
+    (["membership", "--mode", "mean", "--limit", "2"], 1024, "verdict", "member"),
+    (["membership", "--mode", "count", "--limit", "2"], 1024, "verdict", "member"),
+    (["membership", "--mode", "density", "--limit", "2"], 5000, "verdict", "member"),
+    (["membership", "--mode", "mean", "--estimate-limit"], 5000, "verdict", "member"),
+    (["membership", "--mode", "count", "--estimate-limit"], 5000, "verdict", "member"),
+    (["membership", "--mode", "density", "--estimate-limit"], 5000, "verdict", "member"),
+    (["witness", "probe", "--probe-moduli", "id,log1p"], 5000, "reference", 2.0),
+    (["witness", "extract", "--modulus", "id"], 5000, "limit", 2.0),
+    (["witness", "cauchy", "--modulus", "id"], 5000, "cauchy", True),
+], ids=["mean", "count", "density", "mean-estimate", "count-estimate", "density-estimate",
+        "probe", "extract", "cauchy"])
+def test_each_route_transforms_once(capsys, monkeypatch, argv, rows, field, value):
+    # the CLI alone applies --matrix, once, and every stage after it takes the
+    # array before it: the Cauchy check and construction read one transformed
+    # prefix, and the block modes given --limit transform rows 1..k_max only
+    from seqlab import matrices
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return matrices.transform_prefix(*args)
+
+    # every module but matrices that binds the transform, which is the CLI alone
+    bound = sorted(name for name, module in sys.modules.items() if name.startswith("seqlab.")
+                   and name != "seqlab.matrices" and hasattr(module, "transform_prefix"))
+    assert bound == ["seqlab.cli"]
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "transform_prefix", counted)
+    payload = run_json(capsys, argv + ["--seq", "const:2", "--matrix", "cesaro", "--n", "5000"])
+    assert payload["results"][field] == value
+    assert calls == [rows]
+
+
+def test_estimate_scores_once_per_candidate(capsys, monkeypatch, tmp_path):
+    # density membership judges the estimate's winning scores, so each candidate
+    # tried is scored once and the winner is not scored again.  Here log1p turns
+    # the first candidate, 0.95, down for the squares at 2.0 and takes the second
+    from seqlab import membership
+    n = 2000
+    i = np.arange(1, n + 1)
+    y = np.where((i % 2 == 1) | (i % 10 == 0), 0.95, 1.05)
+    y[np.isin(i, np.arange(1, 45) ** 2)] = 2.0
+    y[0] = 0.0
+    seq = tmp_path / "seq.csv"
+    seq.write_text("i,value\n" + "".join(f"{k},{v!r}\n" for k, v in zip(i, y.tolist())))
+    limits = []
+    score = membership.pointwise_scores
+    monkeypatch.setattr(membership, "pointwise_scores",
+                        lambda y, params: limits.append(params.limit) or score(y, params))
+    for spec, modulus, eps, tried in (("const:2", "id", "0.1", [2.0]), (f"file:{seq}", "log1p", "1", [0.95, 1.05])):
+        limits.clear()
+        payload = run_json(capsys, ["membership", "--seq", spec, "--estimate-limit", "--mode", "density",
+                                    "--modulus", modulus, "--eps", eps, "--tol", "0.05", "--n", str(n)])
+        assert payload["results"]["verdict"] == "member"
+        assert payload["inputs"]["limit"] == tried[-1]
+        assert limits == tried
 
 
 class TestCheckCommand:

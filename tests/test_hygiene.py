@@ -75,6 +75,18 @@ def test_no_unused_imports(module):
     assert sorted(_imported(tree) - _loaded(tree)) == []
 
 
+@pytest.mark.parametrize("module", ["membership", "witnesses"])
+def test_routes_import_nothing_from_matrices(module):
+    # the CLI applies the summability matrix once; each route takes the array the CLI made
+    imported = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module or ""] + [a.name for a in node.names])
+    assert not {name for name in imported if name.split(".")[-1] == "matrices"}
+
+
 def test_no_unreferenced_private_names():
     referenced = set()
     for tree in TREES.values():

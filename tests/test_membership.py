@@ -23,13 +23,13 @@ ID_MOD = make_modulus("id")
 LOG_MOD = make_modulus("log1p")
 
 
-def scores(x, params):
-    return pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
+def scores(x, params, matrix=IDENTITY):
+    return pointwise_scores(transform_prefix(matrix, x, len(x)), params)
 
 
 def reduction_params(blocks=6, limit=0.0, eps=0.1):
     # alpha=1, theta=(2^r), linear gauge, rho=1, identity transform
-    return SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", blocks),
+    return SpaceParams(LINEAR, make_lacunary("powers2", blocks),
                        alpha=1.0, rho=const_rho(1.0), limit=limit, eps=eps)
 
 
@@ -51,7 +51,7 @@ class TestPointwiseScores:
     def test_squared_gauge_on_square_spikes(self):
         n = 64
         x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
-        p = SpaceParams(IDENTITY, SQUARED, make_lacunary("powers2", 6), limit=2.0)
+        p = SpaceParams(SQUARED, make_lacunary("powers2", 6), limit=2.0)
         s = scores(x, p)
         squares = make_index_set("squares").members_upto(n)
         expected = np.zeros(n)
@@ -67,7 +67,7 @@ class TestPointwiseScores:
 
     def test_non_finite_score_names_index(self):
         x = SequencePrefix(np.asarray([1.0, 1e300, 1.0]))
-        p = SpaceParams(IDENTITY, SQUARED, make_lacunary("powers2", 6), limit=0.0)
+        p = SpaceParams(SQUARED, make_lacunary("powers2", 6), limit=0.0)
         with pytest.raises(ValueError, match="^non-finite score at index 2$"):
             scores(x, p)
 
@@ -85,7 +85,7 @@ def weighted_params(tmp_path, table_size, limit=0.25):
     i = np.arange(1, table_size + 1)
     np.savetxt(tmp_path / "w.txt", 1.0 + 1.0 / i, fmt="%.17g")
     np.savetxt(tmp_path / "rho.txt", 0.5 + (i % 7) / 4.0, fmt="%.17g")
-    return SpaceParams(IDENTITY, make_family(f"weighted:base=poly:2,weights=file:{tmp_path / 'w.txt'}"),
+    return SpaceParams(make_family(f"weighted:base=poly:2,weights=file:{tmp_path / 'w.txt'}"),
                        make_lacunary("powers2", 6), rho=make_rho(f"file:{tmp_path / 'rho.txt'}"), limit=limit)
 
 
@@ -111,7 +111,7 @@ class TestChunkedScores:
     def test_first_non_finite_score_past_one_block(self):
         y = np.zeros(3 * _CHUNK)
         y[[_CHUNK + 5, 2 * _CHUNK + 1]] = 1e300
-        p = SpaceParams(IDENTITY, SQUARED, make_lacunary("powers2", 6), limit=0.0)
+        p = SpaceParams(SQUARED, make_lacunary("powers2", 6), limit=0.0)
         with pytest.raises(ValueError, match=f"^non-finite score at index {_CHUNK + 6}$"):
             pointwise_scores(y, p)
 
@@ -171,55 +171,60 @@ class TestBlockTrails:
     def test_scheme_past_truncation(self):
         with pytest.raises(TruncationError):
             block_trails(np.zeros(32), reduction_params(blocks=6))
+        p = reduction_params(blocks=6)
+        s = scores(const_sequence(32, 0.0), p)
         with pytest.raises(TruncationError, match="^scheme extends to 64, past the sequence truncation 32$"):
-            block_membership(const_sequence(32, 0.0), reduction_params(blocks=6), "mean")
+            block_membership(s, p, "mean")
 
 
 class TestVerdicts:
     def test_constant_member_everywhere(self):
         x = const_sequence(64, 3.0)
         p = reduction_params(limit=3.0)
-        assert block_membership(x, p, "mean").verdict == MEMBER
-        assert block_membership(x, p, "count").verdict == MEMBER
-        assert density_membership(const_sequence(200, 3.0), reduction_params(blocks=6, limit=3.0),
-                                  ID_MOD).verdict == MEMBER
+        assert block_membership(scores(x, p), p, "mean").verdict == MEMBER
+        assert block_membership(scores(x, p), p, "count").verdict == MEMBER
+        p = reduction_params(blocks=6, limit=3.0)
+        assert density_membership(scores(const_sequence(200, 3.0), p), p, ID_MOD).verdict == MEMBER
 
     def test_too_few_blocks(self):
         x = const_sequence(16, 0.0)
         p = reduction_params(blocks=4)
         with pytest.raises(ValueError, match="blocks"):
-            block_membership(x, p, "mean")
+            block_membership(scores(x, p), p, "mean")
 
     def test_nonmember_needs_level_and_trend(self):
         # residuals pinned at 1: non-member
         p = reduction_params(blocks=8, limit=0.0)
         ones = const_sequence(256, 1.0)
-        assert block_membership(ones, p, "mean", tol=1e-2).verdict == NON_MEMBER
+        assert block_membership(scores(ones, p), p, "mean", tol=1e-2).verdict == NON_MEMBER
 
     def test_inconclusive_between_levels(self):
         p = reduction_params(blocks=8, limit=0.0)
         x = const_sequence(256, 1.0)
         # tol chosen so the trail sits between tol and 2 tol
-        assert block_membership(x, p, "mean", tol=0.9).verdict == INCONCLUSIVE
+        assert block_membership(scores(x, p), p, "mean", tol=0.9).verdict == INCONCLUSIVE
 
     def test_verdict_ignores_values_past_last_cut(self):
         rng = np.random.default_rng(6)
         vals = rng.normal(size=64)
         p = reduction_params(limit=0.0)
-        base = block_membership(SequencePrefix(vals), p, "mean")
-        extended = block_membership(SequencePrefix(np.concatenate([vals, [99.0, -99.0]])), p, "mean")
+        base = block_membership(scores(SequencePrefix(vals), p), p, "mean")
+        extended = SequencePrefix(np.concatenate([vals, [99.0, -99.0]]))
+        extended = block_membership(scores(extended, p), p, "mean")
         assert base.verdict == extended.verdict
         assert base.block_residuals == extended.block_residuals
 
     def test_unknown_block_mode_rejected(self):
+        p = reduction_params()
         with pytest.raises(ValueError, match="block mode"):
-            block_membership(const_sequence(64, 0.0), reduction_params(), "density")
+            block_membership(scores(const_sequence(64, 0.0), p), p, "density")
 
     @pytest.mark.parametrize("mode", ["mean", "count"])
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tol_must_be_positive_and_finite(self, mode, tol):
+        p = reduction_params()
         with pytest.raises(ValueError, match="positive and finite"):
-            block_membership(const_sequence(64, 0.0), reduction_params(), mode, tol)
+            block_membership(scores(const_sequence(64, 0.0), p), p, mode, tol)
 
 
 class TestSpaceParams:
@@ -238,9 +243,10 @@ class TestDensityMode:
     @pytest.mark.parametrize("matrix", ["identity", "cesaro"])
     def test_block_trails_equal_standalone_ones(self, matrix):
         x = spike_sequence(5000, make_index_set("squares"), base=2.0, delta=1.0)
-        p = SpaceParams(make_matrix(matrix), SQUARED, make_lacunary("powers2", 10), limit=2.0)
-        rep = density_membership(x, p, ID_MOD)
-        t, c, counts = block_trails(scores(x, p), p)
+        p = SpaceParams(SQUARED, make_lacunary("powers2", 10), limit=2.0)
+        s = scores(x, p, make_matrix(matrix))
+        rep = density_membership(s, p, ID_MOD)
+        t, c, counts = block_trails(s, p)
         assert rep.block_residuals == tuple(float(v) for v in t)
         assert rep.exceedance_ratios == tuple(float(v) for v in c)
         assert rep.exceedance_counts == tuple(int(v) for v in counts)
@@ -248,43 +254,45 @@ class TestDensityMode:
     def test_spike_on_squares_id_member(self):
         n = 100_000
         x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 16), limit=2.0)
-        rep = density_membership(x, p, ID_MOD)
+        p = SpaceParams(LINEAR, make_lacunary("powers2", 16), limit=2.0)
+        rep = density_membership(scores(x, p), p, ID_MOD)
         assert rep.verdict == MEMBER
         assert rep.density.converged
 
     def test_spike_on_squares_log1p_non_member(self):
         n = 100_000
         x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 16), limit=2.0)
-        rep = density_membership(x, p, LOG_MOD)
+        p = SpaceParams(LINEAR, make_lacunary("powers2", 16), limit=2.0)
+        rep = density_membership(scores(x, p), p, LOG_MOD)
         assert rep.verdict == NON_MEMBER
         assert rep.density.value == pytest.approx(0.5, abs=0.05)
 
     def test_bounded_modulus_rejected(self):
-        x = const_sequence(200, 0.0)
+        p = reduction_params()
         with pytest.raises(ValueError, match="bounded"):
-            density_membership(x, reduction_params(), make_modulus("bounded"))
+            density_membership(scores(const_sequence(200, 0.0), p), p, make_modulus("bounded"))
 
     def test_peak_memory(self):
-        # the identity transform is a view of x, and the scores divide in place
+        # transform, scores and route: the identity transform is a view of x,
+        # and the scores divide in place
         x = alternating_sequence(2 ** 20, 1.0, 2.0)
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 10), limit=1.0)
+        p = SpaceParams(LINEAR, make_lacunary("powers2", 10), limit=1.0)
         tracemalloc.start()
         try:
-            density_membership(x, p, ID_MOD)
+            density_membership(scores(x, p), p, ID_MOD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * x.values.nbytes
 
     def test_peak_memory_cesaro(self):
-        # the Cesaro transform divides the running sums in place, with no weight array
+        # transform, scores and route: the Cesaro transform divides the running
+        # sums in place, with no weight array
         x = alternating_sequence(2 ** 20, 1.0, 2.0)
-        p = SpaceParams(make_matrix("cesaro"), LINEAR, make_lacunary("powers2", 10), limit=1.5)
+        p = SpaceParams(LINEAR, make_lacunary("powers2", 10), limit=1.5)
         tracemalloc.start()
         try:
-            density_membership(x, p, ID_MOD)
+            density_membership(scores(x, p, make_matrix("cesaro")), p, ID_MOD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,7 +312,7 @@ class TestLimitEstimate:
     def test_spike_on_squares(self):
         n = 100_000
         x = spike_sequence(n, make_index_set("squares"), base=2.0, delta=1.0)
-        p = SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", 16), limit=None)
+        p = SpaceParams(LINEAR, make_lacunary("powers2", 16), limit=None)
         assert estimate(x.values, p) == 2.0
 
     def test_alternating_has_no_limit(self):

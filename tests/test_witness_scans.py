@@ -101,9 +101,8 @@ def reference_cauchy_search(y, f, eps, tol):
     return CauchyReport(False, None, None, tuple(trail))
 
 
-def reference_cauchy_construction(x, params, f, depth, tol):
-    """The nested intervals, one anchor search per radius 1/k."""
-    y = transform_prefix(params.matrix, x, len(x))
+def reference_cauchy_construction(y, f, depth, tol):
+    """The nested intervals over the transformed prefix y, one anchor search per radius 1/k."""
     anchors = []
     lo, hi = -math.inf, math.inf
     for k in range(1, depth + 1):
@@ -193,9 +192,9 @@ MODULI = {name: make_modulus(name) for name in ("id", "log1p", "pow:0.5")}
 
 @st.composite
 def instances(draw):
-    """A spike, alternating or harmonic prefix with n in [100, 5000], under the
-    identity or Cesaro matrix; ``poison`` optionally puts +1e308 at one anchor
-    and -1e308 at index 1, so that anchor's deviation overflows."""
+    """A spike, alternating or harmonic prefix x with n in [100, 5000] and its
+    transform y under the identity or Cesaro matrix; ``poison`` optionally puts
+    +1e308 at one anchor and -1e308 at index 1, so that anchor's deviation overflows."""
     n = draw(st.integers(min_value=100, max_value=5000))
     kind = draw(st.sampled_from(["spike", "alt", "harmonic"]))
     level = draw(st.sampled_from([-2.0, 0.0, 0.5, 3.0]))
@@ -212,11 +211,11 @@ def instances(draw):
         values[int(draw(st.sampled_from(list(checkpoints(n))))) - 1] = 1e308
         values[0] = -1e308
     x = SequencePrefix(values, label=x.label)
-    params = SpaceParams(make_matrix(draw(st.sampled_from(["identity", "cesaro"]))),
-                         make_family("linear"), make_lacunary("powers2", 4),
+    y = transform_prefix(make_matrix(draw(st.sampled_from(["identity", "cesaro"]))), x, len(x))
+    params = SpaceParams(make_family("linear"), make_lacunary("powers2", 4),
                          eps=draw(st.sampled_from([0.05, 0.1, 0.3])))
     tol = draw(st.sampled_from([0.01, 0.05]))
-    return x, params, tol
+    return x, y, params, tol
 
 
 moduli_lists = st.lists(st.sampled_from(sorted(MODULI)), min_size=1, max_size=4).map(
@@ -231,14 +230,13 @@ quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(inst=instances(), moduli=moduli_lists)
 def test_limit_estimate_matches_per_modulus_scan(inst, moduli):
-    x, params, tol = inst
-    y = transform_prefix(params.matrix, x, len(x))
+    _, y, params, tol = inst
     want = outcome(lambda: [reference_limit_estimate(y, params, f, params.eps, tol)
                             for f in moduli])
     got = outcome(lambda: stat_limit_estimate(y, params, moduli, tol)[0])
     assert got == want
     if want[0] == "ok":
-        probe = multi_modulus_probe(x, params, moduli, tol)
+        probe = multi_modulus_probe(y, params, moduli, tol)
         assert probe.limits == dict(zip((f.name for f in moduli), want[1]))
         assert stat_limit_estimate(y, params, moduli[:1], tol)[0] == want[1][:1]
 
@@ -261,8 +259,8 @@ def assert_same_scan(y, params, moduli, tol):
 @settings(max_examples=60, deadline=None)
 @given(inst=instances(), moduli=moduli_lists)
 def test_limit_scan_matches_np_unique_reference(inst, moduli):
-    x, params, tol = inst
-    assert_same_scan(transform_prefix(params.matrix, x, len(x)), params, moduli, tol)
+    _, y, params, tol = inst
+    assert_same_scan(y, params, moduli, tol)
 
 
 def _tied_bins(n):
@@ -299,7 +297,7 @@ def _near_the_float_max(n):
                                   lambda n: np.full(n, 2.5)],
                          ids=["tied", "straddling", "plateau", "near-max", "single-bin"])
 def test_limit_scan_across_block_edges(n, make):
-    params = SpaceParams(make_matrix("identity"), make_family("linear"), make_lacunary("powers2", 4), eps=0.1)
+    params = SpaceParams(make_family("linear"), make_lacunary("powers2", 4), eps=0.1)
     assert assert_same_scan(make(n), params, [MODULI["id"], MODULI["log1p"]], 0.05)[0] == "ok"
 
 
@@ -308,10 +306,9 @@ def test_limit_scan_across_block_edges(n, make):
 @given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
        depth=st.integers(min_value=1, max_value=12))
 def test_cauchy_sweep_matches_per_radius_search(inst, modulus, depth):
-    x, params, tol = inst
+    _, y, params, tol = inst
     f = MODULI[modulus]
-    y = transform_prefix(params.matrix, x, len(x))
-    want = outcome(reference_cauchy_construction, x, params, f, depth, tol)
+    want = outcome(reference_cauchy_construction, y, f, depth, tol)
     got = outcome(cauchy_limit_construction, y, f, depth, tol)
     if got[0] == "ok":
         got = ("ok", (got[1].value, got[1].width, got[1].anchors))
@@ -325,9 +322,8 @@ def test_cauchy_sweep_matches_per_radius_search(inst, modulus, depth):
 @given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
        depth=st.integers(min_value=2, max_value=8))
 def test_extract_on_reused_scores_matches_rescored(inst, modulus, depth):
-    x, params, tol = inst
+    x, y, params, tol = inst
     f = MODULI[modulus]
-    y = transform_prefix(params.matrix, x, len(x))
     got = outcome(stat_limit_estimate, y, params, [f], tol)
     if got[0] != "ok" or got[1][0][0] is None:
         return
@@ -365,8 +361,7 @@ def test_each_modulus_keeps_its_own_first_candidate():
     y = np.where((i % 2 == 1) | (i % 10 == 0), 0.95, 1.05)
     y[np.isin(i, np.arange(1, 45) ** 2)] = 2.0
     y[0] = 0.0
-    params = SpaceParams(make_matrix("identity"), make_family("linear"),
-                         make_lacunary("powers2", 4), eps=1.0)
+    params = SpaceParams(make_family("linear"), make_lacunary("powers2", 4), eps=1.0)
     names = ["id", "log1p", "id", "pow:0.5"]
     want = [reference_limit_estimate(y, params, MODULI[m], 1.0, 0.05) for m in names]
     assert want == [0.95, 1.05, 0.95, 1.05]
@@ -378,9 +373,8 @@ def test_each_modulus_keeps_its_own_first_candidate():
 @given(inst=instances(), modulus=st.sampled_from(sorted(MODULI)),
        depth=st.integers(min_value=2, max_value=8), at=st.sampled_from(["first", "last", "median"]))
 def test_extraction_from_member_positions_matches_n_array_reference(inst, modulus, depth, at):
-    x, params, tol = inst
+    _, y, params, tol = inst
     f = MODULI[modulus]
-    y = transform_prefix(params.matrix, x, len(x))
     limit = {"first": y[0], "last": y[-1], "median": np.median(y)}[at]
     scored = outcome(pointwise_scores, y, replace(params, limit=float(limit)))
     if scored[0] != "ok":

@@ -24,11 +24,11 @@ LOG_MOD = make_modulus("log1p")
 
 
 def scores(x, params):
-    return pointwise_scores(transform_prefix(params.matrix, x, len(x)), params)
+    return pointwise_scores(transform_prefix(IDENTITY, x, len(x)), params)
 
 
 def identity_params(blocks, limit, n=None):
-    return SpaceParams(IDENTITY, LINEAR, make_lacunary("powers2", blocks), limit=limit)
+    return SpaceParams(LINEAR, make_lacunary("powers2", blocks), limit=limit)
 
 
 def spike_instance(n=100_000, base=2.0, delta=1.0):
@@ -94,13 +94,13 @@ class TestHalfPlateau:
 
 
 @pytest.mark.parametrize("report", ["half-plateau", "block-spike"])
-def test_both_block_verdicts_from_one_transform(monkeypatch, report):
+def test_both_block_verdicts_from_one_scoring(monkeypatch, report):
     import seqlab.witnesses as witnesses_mod
 
     calls = []
-    transform = witnesses_mod.transform_prefix
-    monkeypatch.setattr(witnesses_mod, "transform_prefix",
-                        lambda *args: calls.append(args) or transform(*args))
+    score = witnesses_mod.pointwise_scores
+    monkeypatch.setattr(witnesses_mod, "pointwise_scores",
+                        lambda *args: calls.append(args) or score(*args))
     if report == "half-plateau":
         half_plateau_report(*gen_half_plateau_instance(1.0, 1.0, 10))
     else:
@@ -254,20 +254,20 @@ class TestMultiModulusProbe:
     def test_constant_all_agree(self):
         x = const_sequence(1000, 3.0)
         p = identity_params(9, limit=None)
-        rep = multi_modulus_probe(x, p, [ID_MOD, LOG_MOD, make_modulus("pow:0.5")])
+        rep = multi_modulus_probe(x.values, p, [ID_MOD, LOG_MOD, make_modulus("pow:0.5")])
         assert rep.all_agree
         assert rep.reference == 3.0
         assert rep.norm_convergence
 
     def test_repeated_modulus_agrees(self):
-        rep = multi_modulus_probe(const_sequence(1000, 3.0), identity_params(9, limit=None),
+        rep = multi_modulus_probe(const_sequence(1000, 3.0).values, identity_params(9, limit=None),
                                   [ID_MOD, ID_MOD])
         assert rep.limits == {"id": 3.0}
         assert rep.all_agree
 
     def test_spike_on_squares_disagreement(self):
         x, p = spike_instance(100_000)
-        rep = multi_modulus_probe(x, p, [ID_MOD, LOG_MOD])
+        rep = multi_modulus_probe(x.values, p, [ID_MOD, LOG_MOD])
         assert rep.limits["id"] == 2.0
         assert rep.limits["log1p"] is None
         assert not rep.all_agree
@@ -278,7 +278,7 @@ class TestMultiModulusProbe:
         # 1/sqrt(n); a coarser tolerance lets it settle at this truncation
         x = harmonic_sequence(10_000, level=1.0)
         p = identity_params(13, limit=None)
-        rep = multi_modulus_probe(x, p, [ID_MOD, make_modulus("pow:0.5")], tol=0.1)
+        rep = multi_modulus_probe(x.values, p, [ID_MOD, make_modulus("pow:0.5")], tol=0.1)
         assert rep.all_agree
         assert rep.reference == pytest.approx(1.0, abs=0.01)
         assert rep.norm_convergence
@@ -287,4 +287,4 @@ class TestMultiModulusProbe:
         x = const_sequence(1000, 0.0)
         p = identity_params(9, limit=None)
         with pytest.raises(ValueError):
-            multi_modulus_probe(x, p, [make_modulus("bounded")])
+            multi_modulus_probe(x.values, p, [make_modulus("bounded")])
