@@ -4,10 +4,13 @@ Three modes share the scores s_i = M_i(|y_i - L| / rho_i) of a transform y = Ax 
 
 * ``mean``    — block residuals t_r = h_r^{-alpha} sum_{i in J_r} s_i must fall
                 below tolerance on the trailing third of blocks;
-* ``count``   — exceedance ratios c_r = h_r^{-alpha} #{i in J_r : s_i >= eps}
+* ``count``   — exceedance ratios c_r = h_r^{-alpha} #{i in J_r : s_i > eps}
                 must do the same;
 * ``density`` — the global exceedance set {i : s_i > eps} must have a
                 modulus-weighted density estimate converging to ~0.
+
+Every route takes {i : s_i > eps} from ``density.exceedance_set``.  Fridy and
+Orhan (1993) write s_i >= eps; over all eps > 0 both give the same spaces.
 
 Finite truncations cannot certify limits, so verdicts are three-valued
 (member / non-member / inconclusive) and every report carries its trail.
@@ -98,9 +101,7 @@ def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.nda
             f"scheme extends to {scheme.k_max}, past the sequence truncation {len(s)}")
     s = s[:scheme.k_max]
     sums = np.add.reduceat(s, scheme.cuts_array[:-1])
-    # block by block: no mask of all of s and no int64 copy of it
-    counts = np.array([np.count_nonzero(s[a:b] >= params.eps) for a, b in zip(scheme.cuts, scheme.cuts[1:])],
-                      dtype=np.int64)
+    counts = np.diff(exceedance_set(s, params.eps).counts(scheme.cuts_array))
     halpha = scheme.h.astype(float) ** params.alpha
     return sums / halpha, counts / halpha, counts
 
@@ -280,8 +281,8 @@ def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) ->
         if not math.isfinite(float(dev.max())):
             raise ValueError(f"sequence 'dev@{anchor}' contains non-finite values")
         for i in pending:
-            dens = f_density(exceedance_set(dev, radii[i]), f, len(y), tol)
+            dens, verdict = _density_verdict(exceedance_set(dev, radii[i]), len(y), f, tol)
             trails[i].append((anchor, dens.verdict, dens.value))
-            if dens.converged and dens.value <= tol:
+            if verdict == MEMBER:
                 found[i] = CauchyReport(True, anchor, dens, tuple(trails[i]))
     return [rep or CauchyReport(False, None, None, tuple(trail)) for rep, trail in zip(found, trails)]

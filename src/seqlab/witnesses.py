@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MATERIALIZE_CAP, IndexSet, LacunaryScheme, SequencePrefix
-from .density import DEFAULT_TOL, DensityEstimate, checkpoints, f_density, tail_window
+from .density import DEFAULT_TOL, DensityEstimate, checkpoints, exceedance_set, f_density, tail_window
 from .errors import (CauchyConstructionError, GenerationError, SpreadError,
                      TruncationError, WitnessExtractionError)
 from .membership import (DEFAULT_EPS, MEMBER, MIN_BLOCKS, NON_MEMBER, MembershipReport,
@@ -85,7 +85,7 @@ def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
         raise ValueError("witness depth must be >= 2")
     n = len(s)
     cps = checkpoints(n)
-    deepest = np.flatnonzero(s > 1.0 / depth) + 1
+    deepest = exceedance_set(s, 1.0 / depth).members_upto(n)
 
     thresholds: list[int] = []
     level_members: dict[int, np.ndarray] = {}
@@ -146,7 +146,7 @@ def converge_off_witness(s: np.ndarray, witness: IndexSet, eps: float,
     off = np.ones(tail.size, dtype=bool)
     off[members[np.searchsorted(members, start):] - start] = False
     tail_max = float(np.max(tail, where=off, initial=-np.inf))
-    exceed_off = np.setdiff1d(np.flatnonzero(s > eps) + 1, members, assume_unique=True)
+    exceed_off = np.setdiff1d(exceedance_set(s, eps).members_upto(n), members, assume_unique=True)
     i0 = int(exceed_off[-1]) if exceed_off.size else 0
     return OffWitnessCheck(tail_max <= tol + _SLACK, i0, tail_max, n_off)
 

@@ -177,7 +177,7 @@ def test_criterion_7_reduction_identities():
         _, _, counts = block_trails(s, params)
         for r in range(1, scheme.blocks + 1):
             lo, hi = scheme.block(r)
-            brute = sum(1 for i in range(lo + 1, hi + 1) if abs(vals[i - 1] - limit) >= eps)
+            brute = sum(1 for i in range(lo + 1, hi + 1) if abs(vals[i - 1] - limit) > eps)
             if counts[r - 1] != brute:
                 counter_ok = False
     report(7, bitwise_ok and counter_ok,

@@ -147,14 +147,14 @@ class TestBlockTrails:
         _, _, counts = block_trails(scores(x, p), p)
         for r in range(1, 7):
             lo, hi = p.scheme.block(r)
-            brute = sum(1 for i in range(lo + 1, hi + 1) if s[i - 1] >= p.eps)
+            brute = sum(1 for i in range(lo + 1, hi + 1) if s[i - 1] > p.eps)
             assert counts[r - 1] == brute
 
     @pytest.mark.parametrize("theta, blocks, extra", [
         ("powers2", 10, 0), ("powers2", 17, 5), ("geometric:1.01", 40, 3), ("explicit:1,2,3,50,51,4096", None, 7),
     ])
     def test_counts_match_int64_reduceat(self, theta, blocks, extra):
-        # scores at eps and one ulp on either side of it, past k_max too: s >= eps counts the first two
+        # scores at eps and one ulp on either side of it, past k_max too: s > eps counts only the one above
         eps = 0.3
         scheme = make_lacunary(theta, blocks)
         values = np.array([eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 0.0, 2 * eps])
@@ -162,7 +162,7 @@ class TestBlockTrails:
         p = replace(reduction_params(eps=eps), scheme=scheme)
         t, c, counts = block_trails(s, p)
         starts = scheme.cuts_array[:-1]
-        want = np.add.reduceat((s[:scheme.k_max] >= eps).astype(np.int64), starts)
+        want = np.add.reduceat((s[:scheme.k_max] > eps).astype(np.int64), starts)
         halpha = scheme.h.astype(float) ** p.alpha
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
         assert np.array_equal(c, want / halpha)
