@@ -100,7 +100,10 @@ def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.nda
         raise TruncationError(
             f"scheme extends to {scheme.k_max}, past the sequence truncation {len(s)}")
     s = s[:scheme.k_max]
-    sums = np.add.reduceat(s, scheme.cuts_array[:-1])
+    with np.errstate(over="ignore"):  # finite scores whose block sum passes the float range raise below
+        sums = np.add.reduceat(s, scheme.cuts_array[:-1])
+    if not math.isfinite(sums.max()):
+        raise ValueError(f"non-finite sum of scores in block {int(np.argmax(sums)) + 1}")
     counts = np.diff(exceedance_set(s, params.eps).counts(scheme.cuts_array))
     halpha = scheme.h.astype(float) ** params.alpha
     return sums / halpha, counts / halpha, counts

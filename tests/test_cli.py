@@ -166,8 +166,11 @@ OVERFLOWING = ",".join(["1.5e308,-1.5e308"] * 60)
     # the height search meets a gauge past the float range
     (["witness", "block-spike", "--orlicz", "explog", "--rho-value", "1e-300", "--blocks", "8"],
      "non-finite score at index 2"),
+    # finite scores, but the two of block 1 sum past the float range
+    (["membership", "--seq", "alt:1.5e308,-1.5e308", "--limit", "2", "--mode", "mean", "--n", "3000"],
+     "non-finite sum of scores in block 1"),
 ], ids=["mean-score", "density-score", "extract-score", "cesaro-row", "cauchy-dev", "estimate-spread",
-        "extract-spread", "probe-spread", "block-spike-gauge"])
+        "extract-spread", "probe-spread", "block-spike-gauge", "block-sum"])
 def test_overflow_exits_one_with_one_line(capsys, argv, message):
     # the ini setting turns any RuntimeWarning into an error, so none may precede the line
     code, out, err = run(capsys, argv)
