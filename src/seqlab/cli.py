@@ -238,7 +238,8 @@ def _resolve_membership(args):
 
 
 def _cmd_membership(args) -> dict:
-    f = make_modulus(args.modulus or "id") if args.mode == "density" else None  # before any transform
+    # a bounded density modulus is refused before any data is made
+    f = make_modulus(args.modulus or "id").unbounded_for("the density mode") if args.mode == "density" else None
     x, params, s = _resolve_membership(args)
     if f is not None:
         rep = membership_mod.density_membership(s, params, f, args.tol)
@@ -283,16 +284,17 @@ def _cmd_witness(args) -> dict:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
     depth = {"extract": 5, "cauchy": 10}.get(args.task) if args.depth is None else args.depth
     least = 2 if args.task == "extract" else 1
-    # before any computation, so the data cannot decide
-    if args.task != "probe" and not least <= depth <= MAX_DEPTH:
+    # before any computation, so the data cannot decide: the probe's moduli, none or a bounded one, or the depth
+    if args.task == "probe":
+        tokens = filter(str.strip, (args.probe_moduli or "").split(","))
+        moduli = witnesses_mod.probe_moduli(map(make_modulus, tokens))
+    elif not least <= depth <= MAX_DEPTH:
         raise SeqlabError(f"witness {args.task} needs --depth in [{least}, {MAX_DEPTH}], got {depth}")
-    n = args.n if args.n is not None else 100_000
-    x = make_sequence(args.seq, n)
+    x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
     matrix, params = _space_params(args, make_lacunary(args.theta, blocks))
 
     if args.task == "probe":
-        moduli = [make_modulus(tok) for tok in (args.probe_moduli or "").split(",") if tok.strip()]
         y = transform_prefix(matrix, x, len(x))
         return _report("witness", inputs, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol))
 

@@ -135,8 +135,7 @@ def f_density(a: IndexSet, f: Modulus, n: int, tol: float = DEFAULT_TOL) -> Dens
     A bounded modulus is rejected: the limit the trail is chasing is not
     defined for it.
     """
-    if not f.unbounded:
-        raise ValueError(f"bounded modulus {f.name!r}: density ratios need an unbounded modulus")
+    f.unbounded_for("a density ratio")
     check_tol(tol)
     ns = _validated_checkpoints(int(n))
     counts = a.counts(ns)

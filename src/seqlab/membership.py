@@ -9,9 +9,8 @@ Three modes share the scores s_i = M_i(|y_i - L| / rho_i) of a transform y = Ax 
 * ``density`` — the global exceedance set {i : s_i > eps} must have a
                 modulus-weighted density estimate converging to ~0.
 
-Every route takes {i : s_i > eps} from ``density.exceedance_set``.  Fridy and
-Orhan (1993) write s_i >= eps; over all eps > 0 both give the same spaces.
-
+Every route takes {i : s_i > eps} from ``density.exceedance_set``; Fridy and
+Orhan (1993) write s_i >= eps, which gives the same spaces over all eps > 0.
 Finite truncations cannot certify limits, so verdicts are three-valued
 (member / non-member / inconclusive) and every report carries its trail.
 """
@@ -165,8 +164,7 @@ def density_membership(s: np.ndarray, params: SpaceParams, f: Modulus,
                        tol: float = DEFAULT_TOL) -> MembershipReport:
     """Verdict from the scores s on whether the global exceedance set
     {i : s_i > eps} has modulus-weighted density converging to <= tol."""
-    if not f.unbounded:
-        raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
+    f.unbounded_for("the density mode")
     dens, verdict = _density_verdict(exceedance_set(s, params.eps), len(s), f, tol)
     # the trails too where the scores reach k_max; else the report leaves them unset
     trails = _trail_fields(block_trails(s, params)) if params.scheme.k_max <= len(s) else {}
@@ -201,9 +199,7 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
     Also returns the scores against the last candidate scored: the winner's
     when every modulus found one.
     """
-    for f in moduli:
-        if not f.unbounded:
-            raise ValueError(f"bounded modulus {f.name!r}: the density mode needs an unbounded modulus")
+    moduli = [f.unbounded_for("the density mode") for f in moduli]
     width = max(params.eps, 1e-12)
     lo = float(y.min())
     if not math.isfinite((float(y.max()) - lo) / width):
@@ -268,15 +264,13 @@ def _cauchy_search(y: np.ndarray, f: Modulus, radii: list[float], tol: float) ->
     built once and tested at every radius that has no anchor yet, so each
     radius keeps its first passing anchor.
     """
-    if not f.unbounded:
-        raise ValueError(f"bounded modulus {f.name!r}: the Cauchy check needs an unbounded modulus")
+    f.unbounded_for("the Cauchy check")
     trails: list[list] = [[] for _ in radii]
     found: list[CauchyReport | None] = [None] * len(radii)
-    for anchor in checkpoints(len(y))[::-1]:
+    for anchor in checkpoints(len(y))[::-1].tolist():
         pending = [i for i, rep in enumerate(found) if rep is None]
         if not pending:
             break
-        anchor = int(anchor)
         # y is finite, so the deviation is NaN-free and only overflow can make it infinite
         with np.errstate(over="ignore"):
             dev = y - y[anchor - 1]

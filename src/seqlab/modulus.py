@@ -41,6 +41,12 @@ class Modulus:
             return float(out)
         return np.asarray(out, dtype=float)
 
+    def unbounded_for(self, use: str) -> "Modulus":
+        """This modulus, which ``use`` needs unbounded: a bounded one raises ValueError."""
+        if not self.unbounded:
+            raise ValueError(f"bounded modulus {self.name!r}: {use} needs an unbounded modulus")
+        return self
+
 
 def _power(name: str, p: float) -> Modulus:
     """The gauge t^p, named ``name``: a modulus for p <= 1, an Orlicz function for p >= 1."""

@@ -79,8 +79,7 @@ def extract_witness_set(s: np.ndarray, f: Modulus, depth: int = 5,
     X beyond r_depth stay <= 1/depth by construction (verified and reported).
     Each level B_j is filtered from B_depth and worked from its members.
     """
-    if not f.unbounded:
-        raise ValueError(f"bounded modulus {f.name!r}: witness extraction needs an unbounded modulus")
+    f.unbounded_for("witness extraction")
     if depth < 2:
         raise ValueError("witness depth must be >= 2")
     n = len(s)
@@ -345,6 +344,14 @@ class ModulusProbeReport:
     norm_convergence: bool
 
 
+def probe_moduli(moduli) -> list[Modulus]:
+    """``moduli`` as a list the probe can run: at least one, each unbounded."""
+    moduli = [f.unbounded_for("the density mode") for f in moduli]
+    if not moduli:
+        raise ValueError("the multi-modulus probe needs at least one modulus")
+    return moduli
+
+
 def multi_modulus_probe(y: np.ndarray, params: SpaceParams,
                         moduli, tol: float = DEFAULT_TOL) -> ModulusProbeReport:
     """Run the limit estimate of the transformed prefix y under each modulus and compare them.
@@ -354,9 +361,7 @@ def multi_modulus_probe(y: np.ndarray, params: SpaceParams,
     shared value; disagreement (or a missing limit under some modulus) comes
     with norm convergence failing at truncation.
     """
-    moduli = list(moduli)
-    if not moduli:
-        raise ValueError("the multi-modulus probe needs at least one modulus")
+    moduli = probe_moduli(moduli)
     try:
         estimates = stat_limit_estimate(y, params, moduli, tol)[0]
     except SpreadError:  # its refusal advises --limit, which the probe does not take

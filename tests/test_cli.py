@@ -407,6 +407,24 @@ def test_empty_probe_moduli_exits_one(capsys):
     assert err == "seqlab: error: the multi-modulus probe needs at least one modulus\n"
 
 
+BOUNDED = "bounded modulus 'bounded': the density mode needs an unbounded modulus"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "probe", "--probe-moduli", ""], "the multi-modulus probe needs at least one modulus"),
+    (["witness", "probe", "--probe-moduli", "id,bounded"], BOUNDED),
+    (["membership", "--mode", "density", "--modulus", "bounded", "--limit", "1"], BOUNDED),
+    (["membership", "--mode", "density", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
+], ids=["probe-empty", "probe-bounded", "density-bounded", "density-estimate-bounded"])
+def test_bad_moduli_are_refused_before_the_prefix(capsys, monkeypatch, argv, message):
+    from seqlab import cli
+    calls = []
+    monkeypatch.setattr(cli, "make_sequence", lambda *args: calls.append(args))
+    code, out, err = run(capsys, argv + ["--seq", "const:1", "--n", "1000"])
+    assert (code, out, err) == (1, "", f"seqlab: error: {message}\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("task, depth", [("cauchy", "-1"), ("cauchy", "0"), ("extract", "1"),
                                          ("cauchy", "1001"), ("extract", "1001"),
                                          ("cauchy", "9223372036854775807")])
