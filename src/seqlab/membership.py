@@ -10,7 +10,7 @@ Three modes share the scores s_i = M_i(|y_i - L| / rho_i) of a transform y = Ax 
                 modulus-weighted density estimate converging to ~0.
 
 Every route takes {i : s_i > eps} from ``density.exceedance_set``; Fridy and
-Orhan (1993) write s_i >= eps, which gives the same spaces over all eps > 0.
+Orhan (1993) write s_i ≥ eps, which gives the same spaces over all eps > 0.
 Finite truncations cannot certify limits, so verdicts are three-valued
 (member / non-member / inconclusive) and every report carries its trail.
 """

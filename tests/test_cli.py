@@ -199,7 +199,7 @@ WEIGHTED = "weighted:base=poly:2,weights=file:{weights}"
 def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
     # the prefix x, the scores and O(block) or O(members) scratch; the limit
     # estimate's float bins, which probe and extract make first, are dropped
-    # before any candidate is scored, and the block modes count block by block.
+    # before any candidate is scored, and the block modes count one byte mask.
     # A norm holds x, |x| / max|x| and O(block) scratch, and a weighted one its
     # weight table.
     n = 2 ** 20
@@ -405,6 +405,15 @@ def test_empty_probe_moduli_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err == "seqlab: error: the multi-modulus probe needs at least one modulus\n"
+
+
+@pytest.mark.parametrize("mode", ["count", "density"])
+def test_score_at_eps_is_no_exceedance_in_either_mode(capsys, mode):
+    # alt:0,1 against L = 0.5 puts every score at eps = 0.5 exactly, which no mode counts
+    payload = run_json(capsys, ["membership", "--seq", "alt:0,1", "--limit", "0.5", "--eps", "0.5",
+                                "--blocks", "12", "--n", "100000", "--mode", mode])
+    assert payload["results"]["verdict"] == "member"
+    assert payload["results"]["exceedance_counts"] == [0] * 12
 
 
 BOUNDED = "bounded modulus 'bounded': the density mode needs an unbounded modulus"

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
+from seqlab.density import checkpoints, exceedance_set
 from seqlab.errors import TruncationError
 from seqlab.matrices import make_matrix, transform_prefix
 from seqlab.membership import (_CHUNK, INCONCLUSIVE, MEMBER, NON_MEMBER, SpaceParams,
@@ -167,6 +170,24 @@ class TestBlockTrails:
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
         assert np.array_equal(c, want / halpha)
         assert np.array_equal(t, np.add.reduceat(s[:scheme.k_max], starts) / halpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(1e-6, 1e6), picks=st.lists(st.integers(0, 4), min_size=100, max_size=300),
+           theta=st.sampled_from(["powers2", "geometric:1.3", "explicit:1,2,3,50,51,99"]))
+    def test_one_exceedance_rule_in_count_and_density_modes(self, eps, picks, theta):
+        # scores at eps and one ulp on either side of it: only s > eps is an exceedance, in every mode
+        values = np.array([eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf), 0.0, 2 * eps])
+        s = values[picks]
+        scheme = make_lacunary(theta, 6 if theta.startswith(("powers2", "geometric")) else None)
+        p = replace(reduction_params(eps=eps), scheme=scheme)
+        count = block_membership(s, p, "count")
+        dens = density_membership(s, p, ID_MOD)
+        above = s > eps
+        brute = tuple(int(np.count_nonzero(above[a:b])) for a, b in zip(scheme.cuts, scheme.cuts[1:]))
+        cut_counts = np.diff(exceedance_set(s, eps).counts(scheme.cuts_array))
+        assert count.exceedance_counts == dens.exceedance_counts == tuple(cut_counts.tolist()) == brute
+        cps = checkpoints(s.size)
+        assert dens.density.ratios == tuple((np.cumsum(above)[cps - 1] / cps).tolist())
 
     def test_scheme_past_truncation(self):
         with pytest.raises(TruncationError):

@@ -4,9 +4,9 @@ Spec heads come from the form tables of every family, plus unknown heads.
 Bodies come from a hostile token set: valid numbers, non-finite, huge and
 tiny values, empty tokens, extra commas and nested ``spike:set=`` specs.
 Numeric flags take hostile values too, but only values that argparse
-accepts, so argparse's own exit 2 never occurs.  Whatever the input, ``main`` exits 0,
-or exits 1 with an empty stdout and exactly one ``seqlab: error:`` line on
-stderr; no exception escapes it.
+accepts, so argparse's own exit 2 never occurs.  Whatever the input, ``main`` exits 0
+with exactly one ``elapsed_ms=`` line on stderr, or exits 1 with an empty stdout
+and exactly one ``seqlab: error:`` line on stderr; no exception escapes it.
 
 Sizes stay small: every ``--n`` a run can build is at most 10^5 values, and
 larger ones are met only as values the boundary refuses before allocating.
@@ -163,6 +163,8 @@ def test_cli_exit_contract_under_fuzzing(args):
     if code == 1:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("seqlab: error: "), err
+    else:  # the one timing line and nothing else, so no warning reaches stderr
+        assert re.fullmatch(r"elapsed_ms=\d+\.\d\n", err), err
 
 
 # Each boundary hole the grammar closes: an input that once exited 0, or
