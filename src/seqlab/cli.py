@@ -284,7 +284,7 @@ def _cmd_witness(args) -> dict:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
     depth = {"extract": 5, "cauchy": 10}.get(args.task) if args.depth is None else args.depth
     least = 2 if args.task == "extract" else 1
-    # before any computation, so the data cannot decide: the probe's moduli, none or a bounded one, or the depth
+    # refused before any computation, so the data cannot decide: no probe modulus, a bounded one, or a bad depth
     if args.task == "probe":
         tokens = filter(str.strip, (args.probe_moduli or "").split(","))
         moduli = witnesses_mod.probe_moduli(map(make_modulus, tokens))
