@@ -199,7 +199,7 @@ WEIGHTED = "weighted:base=poly:2,weights=file:{weights}"
 def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
     # the prefix x, the scores and O(block) or O(members) scratch; the limit
     # estimate's float bins, which probe and extract make first, are dropped
-    # before any candidate is scored, and the block modes count one byte mask.
+    # before any candidate is scored, and the block modes count a one-byte mask.
     # A norm holds x, |x| / max|x| and O(block) scratch, and a weighted one its
     # weight table.
     n = 2 ** 20
