@@ -7,6 +7,9 @@ working directory set to ``tests/golden/data/``, so file-backed specs name
 their fixtures by bare relative paths such as ``file:w.txt`` and the reports,
 which echo those specs, do not depend on where the repository lives.
 
+``tests/golden/help/<command>.txt`` holds the ``--help`` text of the top level
+(``seqlab.txt``) and of each subcommand, rendered at 80 columns.
+
 Recapture (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,6 +28,7 @@ from seqlab.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN / "data"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+HELP = {"seqlab": [], **{cmd: [cmd] for cmd in ("density", "membership", "norm", "witness", "check")}}
 
 
 def _stdout(argv):
@@ -39,11 +43,26 @@ def _stdout(argv):
     return code, out.getvalue()
 
 
+def _help(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        main(argv + ["--help"])
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_stdout(name):
     code, out = _stdout(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_golden_help(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # twice in one process, so a second rendering matches the first
+    assert [_help(HELP[name]) for _ in range(2)] == [(GOLDEN / "help" / f"{name}.txt").read_text()] * 2
 
 
 if __name__ == "__main__":
@@ -53,3 +72,8 @@ if __name__ == "__main__":
             raise SystemExit(f"case {name} exited {code}")
         (GOLDEN / f"{name}.out").write_text(out)
         print(f"wrote {name}.out ({len(out)} bytes)")
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help").mkdir(exist_ok=True)
+    for name, argv in sorted(HELP.items()):
+        (GOLDEN / "help" / f"{name}.txt").write_text(_help(argv))
+        print(f"wrote help/{name}.txt")
