@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -218,6 +219,11 @@ def _resolve_membership(args):
         return x, params, membership_mod.pointwise_scores(x.values, params)
     if args.seq is None:
         raise SeqlabError("membership needs --seq or --witness")
+    # refused before any data is made: no limit to score against, or a bounded modulus for the estimate
+    if args.estimate_limit:
+        make_modulus(args.modulus or "id").unbounded_for("the density mode")
+    elif args.limit is None:
+        raise SeqlabError("membership needs --limit or --estimate-limit")
     scheme = make_lacunary(args.theta, args.blocks)
     n = args.n
     if n is None:
@@ -230,8 +236,6 @@ def _resolve_membership(args):
     matrix, params = _space_params(args, scheme)
     if args.estimate_limit:
         params = dataclasses.replace(params, limit=None)  # the estimate replaces any --limit
-    elif params.limit is None:
-        raise SeqlabError("membership needs --limit or --estimate-limit")
     # the block modes read rows up to k_max; rows past n are left to block_trails, which names the scheme
     rows = len(x) if args.estimate_limit or args.mode == "density" else min(scheme.k_max, len(x))
     return (x, *_scored(transform_prefix(matrix, x, rows), params, args))
@@ -290,6 +294,10 @@ def _cmd_witness(args) -> dict:
         moduli = witnesses_mod.probe_moduli(map(make_modulus, tokens))
     elif not least <= depth <= MAX_DEPTH:
         raise SeqlabError(f"witness {args.task} needs --depth in [{least}, {MAX_DEPTH}], got {depth}")
+    else:  # named for the first stage to read f: the Cauchy check, or extract's limit estimate if it runs
+        use = ("the Cauchy check" if args.task == "cauchy" else
+               "witness extraction" if args.limit is not None else "the density mode")
+        f = make_modulus(args.modulus or "id").unbounded_for(use)
     x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
     matrix, params = _space_params(args, make_lacunary(args.theta, blocks))
@@ -298,7 +306,6 @@ def _cmd_witness(args) -> dict:
         y = transform_prefix(matrix, x, len(x))
         return _report("witness", inputs, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol))
 
-    f = make_modulus(args.modulus or "id")
     y = transform_prefix(matrix, x, len(x))  # once, for extract's scores or both Cauchy stages
     if args.task == "extract":
         params, s = _scored(y, params, args)  # against the given or the estimated limit
@@ -357,7 +364,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="also write the report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared: callers must not mutate it."""
     parser = argparse.ArgumentParser(prog="seqlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -92,8 +92,10 @@ def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
     return s
 
 
-def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block residuals t_r, exceedance ratios c_r and raw counts from scores s_1..s_N, N >= k_max."""
+def block_trails(s: np.ndarray, params: SpaceParams, *,
+                 _above: IndexSet | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block residuals t_r, exceedance ratios c_r and raw counts from scores s_1..s_N, N >= k_max.
+    Density mode passes the exceedance set of s it already made as ``_above``."""
     scheme = params.scheme
     if scheme.k_max > len(s):
         raise TruncationError(
@@ -103,7 +105,8 @@ def block_trails(s: np.ndarray, params: SpaceParams) -> tuple[np.ndarray, np.nda
         sums = np.add.reduceat(s, scheme.cuts_array[:-1])
     if not math.isfinite(sums.max()):
         raise ValueError(f"non-finite sum of scores in block {int(np.argmax(sums)) + 1}")
-    counts = np.diff(exceedance_set(s, params.eps).counts(scheme.cuts_array))
+    above = exceedance_set(s, params.eps) if _above is None else _above
+    counts = np.diff(above.counts(scheme.cuts_array))
     halpha = scheme.h.astype(float) ** params.alpha
     return sums / halpha, counts / halpha, counts
 
@@ -165,9 +168,10 @@ def density_membership(s: np.ndarray, params: SpaceParams, f: Modulus,
     """Verdict from the scores s on whether the global exceedance set
     {i : s_i > eps} has modulus-weighted density converging to <= tol."""
     f.unbounded_for("the density mode")
-    dens, verdict = _density_verdict(exceedance_set(s, params.eps), len(s), f, tol)
-    # the trails too where the scores reach k_max; else the report leaves them unset
-    trails = _trail_fields(block_trails(s, params)) if params.scheme.k_max <= len(s) else {}
+    above = exceedance_set(s, params.eps)
+    dens, verdict = _density_verdict(above, len(s), f, tol)
+    # the trails too, counted in the same set, where the scores reach k_max; else the report leaves them unset
+    trails = _trail_fields(block_trails(s, params, _above=above)) if params.scheme.k_max <= len(s) else {}
     return MembershipReport(
         mode="density",
         verdict=verdict,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqlab import cli
 from seqlab.cli import main
 from seqlab.sequences import make_sequence
 from seqlab.witnesses import BLOCK_SPIKE_DISCREPANCY
@@ -416,7 +418,12 @@ def test_score_at_eps_is_no_exceedance_in_either_mode(capsys, mode):
     assert payload["results"]["exceedance_counts"] == [0] * 12
 
 
-BOUNDED = "bounded modulus 'bounded': the density mode needs an unbounded modulus"
+def bounded(use):
+    return f"bounded modulus 'bounded': {use} needs an unbounded modulus"
+
+
+BOUNDED = bounded("the density mode")
+NO_LIMIT = "membership needs --limit or --estimate-limit"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -424,7 +431,16 @@ BOUNDED = "bounded modulus 'bounded': the density mode needs an unbounded modulu
     (["witness", "probe", "--probe-moduli", "id,bounded"], BOUNDED),
     (["membership", "--mode", "density", "--modulus", "bounded", "--limit", "1"], BOUNDED),
     (["membership", "--mode", "density", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
-], ids=["probe-empty", "probe-bounded", "density-bounded", "density-estimate-bounded"])
+    (["membership", "--mode", "mean"], NO_LIMIT),
+    (["membership", "--mode", "count"], NO_LIMIT),
+    (["witness", "extract", "--modulus", "bounded"], BOUNDED),
+    (["witness", "extract", "--modulus", "bounded", "--limit", "1"], bounded("witness extraction")),
+    (["witness", "cauchy", "--modulus", "bounded"], bounded("the Cauchy check")),
+    (["membership", "--mode", "count", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
+    (["membership", "--mode", "mean", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
+], ids=["probe-empty", "probe-bounded", "density-bounded", "density-estimate-bounded",
+        "mean-no-limit", "count-no-limit", "extract-estimate-bounded", "extract-bounded",
+        "cauchy-bounded", "count-estimate-bounded", "mean-estimate-bounded"])
 def test_bad_moduli_are_refused_before_the_prefix(capsys, monkeypatch, argv, message):
     from seqlab import cli
     calls = []
@@ -675,6 +691,45 @@ class TestOutputFormats:
         ratio_rows = [l for l in out.splitlines() if l.startswith("results.ratios,")]
         payload_rows = [l for l in out.splitlines() if l.startswith("results.checkpoints,")]
         assert len(ratio_rows) == len(payload_rows) >= 3
+
+
+class TestSharedParser:
+    GOOD = ["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "count", "--n", "2000"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        run(capsys, self.GOOD)
+        built = len(made)  # the top level, the shared space flags and five subcommands
+        run(capsys, self.GOOD)
+        assert (built, len(made)) == (7, 7)
+
+    @pytest.mark.parametrize("before, code", [
+        (GOOD + ["--format", "csv", "--eps", "0.5", "--out", os.devnull], 0),
+        (["membership", "--seq", "const:1", "--eps", "0.5", "--format", "table", "--mode", "bogus"], 2),
+        (["membership", "--seq", "const:1", "--eps", "0.5", "--format", "table", "--mode", "mean"], 1),
+    ], ids=["csv", "exit-2", "exit-1"])
+    def test_an_earlier_call_leaves_no_state(self, capsys, monkeypatch, before, code):
+        if code == 2:  # argparse's own refusal
+            with pytest.raises(SystemExit, match="^2$"):
+                main(before)
+        else:
+            assert main(before) == code
+        capsys.readouterr()
+        shared = run(capsys, self.GOOD)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a parser built afresh
+        assert shared[:2] == run(capsys, self.GOOD)[:2]
+        assert shared[0] == 0 and json.loads(shared[1])["inputs"]["eps"] == 0.1  # JSON at the default eps
 
 
 class TestDeterminism:

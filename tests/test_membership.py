@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlab import membership
 from seqlab.core import SequencePrefix, make_index_set, make_lacunary
 from seqlab.density import checkpoints, exceedance_set
 from seqlab.errors import TruncationError
@@ -188,6 +189,16 @@ class TestBlockTrails:
         assert count.exceedance_counts == dens.exceedance_counts == tuple(cut_counts.tolist()) == brute
         cps = checkpoints(s.size)
         assert dens.density.ratios == tuple((np.cumsum(above)[cps - 1] / cps).tolist())
+
+    def test_density_mode_makes_one_exceedance_set(self, monkeypatch):
+        # the trails count in the set the density verdict was judged on, with no second mask over s[:k_max]
+        made = []
+        monkeypatch.setattr(membership, "exceedance_set", lambda s, eps: made.append(s.size) or exceedance_set(s, eps))
+        p = reduction_params(blocks=6)
+        s = np.linspace(0.0, 1.0, 200)
+        rep = density_membership(s, p, ID_MOD)
+        assert made == [200]
+        assert rep.exceedance_counts == block_membership(s, p, "count").exceedance_counts
 
     def test_scheme_past_truncation(self):
         with pytest.raises(TruncationError):
