@@ -157,14 +157,16 @@ def _pair_payload(rep, **extra) -> dict:
 
 
 def _witness_instance(kind: str, args):
-    """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, spike_heights)``,
-    heights None for half-plateau.  Unset ``--blocks`` (``witness`` only: ``membership``
+    """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, extras)``, extras the
+    fields its ``witness`` report adds.  Unset ``--blocks`` (``witness`` only: ``membership``
     defaults it to 10) means 10 blocks, or 12 for block-spike."""
     blocks = args.blocks if args.blocks is not None else (10 if kind == "half-plateau" else 12)
     if kind == "half-plateau":
-        return (*witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks), None)
-    return witnesses_mod.gen_block_spike_instance(
+        x, params = witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks)
+        return x, params, {"cuts": params.scheme.cuts, "eps": params.eps}
+    x, params, heights = witnesses_mod.gen_block_spike_instance(
         make_orlicz(args.orlicz), make_lacunary(args.theta, blocks), args.rho_value, args.alpha)
+    return x, params, {"cuts": params.scheme.cuts, "spike_heights": heights}
 
 
 # the flags membership and witness both echo in their inputs
@@ -199,53 +201,42 @@ def _cmd_density(args) -> dict:
     return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
 
 
-def _scored(y, params: SpaceParams, args) -> tuple[SpaceParams, np.ndarray]:
+def _scored(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
     """``params`` with their limit and the scores of the transformed prefix ``y``
     against it: the given limit, or else the one ``stat_limit_estimate`` finds
-    under ``--modulus``, whose winning scores are kept."""
+    under the modulus ``f``, whose winning scores are kept."""
     if params.limit is not None:
         return params, membership_mod.pointwise_scores(y, params)
-    (est,), s = membership_mod.stat_limit_estimate(y, params, [make_modulus(args.modulus or "id")], args.tol)
+    (est,), s = membership_mod.stat_limit_estimate(y, params, [f], tol)
     if est is None:
         raise SeqlabError("no candidate limit passed the density test; supply --limit")
     return dataclasses.replace(params, limit=est), s
 
 
-def _resolve_membership(args):
-    """``(x, params, s)``: the prefix, the params with their limit and the scores,
-    of a generated instance's own values or of ``--matrix``'s one transform of x."""
-    if args.witness:
-        x, params = _witness_instance(args.witness, args)[:2]
-        return x, params, membership_mod.pointwise_scores(x.values, params)
-    if args.seq is None:
-        raise SeqlabError("membership needs --seq or --witness")
-    # refused before any data is made: no limit to score against, or a bounded modulus for the estimate
-    if args.estimate_limit:
-        make_modulus(args.modulus or "id").unbounded_for("the density mode")
-    elif args.limit is None:
-        raise SeqlabError("membership needs --limit or --estimate-limit")
-    scheme = make_lacunary(args.theta, args.blocks)
-    n = args.n
-    if n is None:
-        if args.mode in ("mean", "count"):
-            # limit estimation scans a density trail, which needs room
-            n = max(scheme.k_max, 1000) if args.estimate_limit else scheme.k_max
-        else:
-            n = max(scheme.k_max, 100_000)
-    x = make_sequence(args.seq, n)
-    matrix, params = _space_params(args, scheme)
-    if args.estimate_limit:
-        params = dataclasses.replace(params, limit=None)  # the estimate replaces any --limit
-    # the block modes read rows up to k_max; rows past n are left to block_trails, which names the scheme
-    rows = len(x) if args.estimate_limit or args.mode == "density" else min(scheme.k_max, len(x))
-    return (x, *_scored(transform_prefix(matrix, x, rows), params, args))
-
-
 def _cmd_membership(args) -> dict:
-    # a bounded density modulus is refused before any data is made
-    f = make_modulus(args.modulus or "id").unbounded_for("the density mode") if args.mode == "density" else None
-    x, params, s = _resolve_membership(args)
-    if f is not None:
+    f = make_modulus(args.modulus or "id")
+    # refused before any data is made: a bounded modulus where a density is judged, or no limit to score against
+    if args.mode == "density" or args.estimate_limit and not args.witness:
+        f.unbounded_for("the density mode")
+    if args.witness:  # a generated instance, scored on its own values
+        x, params, _ = _witness_instance(args.witness, args)
+        s = membership_mod.pointwise_scores(x.values, params)
+    elif args.seq is None:
+        raise SeqlabError("membership needs --seq or --witness")
+    elif args.limit is None and not args.estimate_limit:
+        raise SeqlabError("membership needs --limit or --estimate-limit")
+    else:  # --matrix's one transform of --seq
+        scheme = make_lacunary(args.theta, args.blocks)
+        # a density trail needs room, and so does the limit estimate, which scans one; the block modes need k_max
+        room = 100_000 if args.mode == "density" else 1000 if args.estimate_limit else 0
+        x = make_sequence(args.seq, max(scheme.k_max, room) if args.n is None else args.n)
+        matrix, params = _space_params(args, scheme)
+        if args.estimate_limit:
+            params = dataclasses.replace(params, limit=None)  # the estimate replaces any --limit
+        # the block modes read rows up to k_max; rows past n are left to block_trails, which names the scheme
+        rows = len(x) if args.estimate_limit or args.mode == "density" else min(scheme.k_max, len(x))
+        params, s = _scored(transform_prefix(matrix, x, rows), params, f, args.tol)
+    if args.mode == "density":
         rep = membership_mod.density_membership(s, params, f, args.tol)
     else:
         rep = membership_mod.block_membership(s, params, args.mode, args.tol)
@@ -276,13 +267,11 @@ def _cmd_witness(args) -> dict:
     inputs = _echo(args, _SPACE_ECHO + ("task", "depth", "nu", "probe_moduli"))
 
     if args.task in ("half-plateau", "block-spike"):
-        x, params, heights = _witness_instance(args.task, args)
-        if heights is None:
-            rep = witnesses_mod.half_plateau_report(x, params, args.tol)
-            return _report("witness", inputs, _pair_payload(rep, cuts=params.scheme.cuts, eps=params.eps))
-        rep = witnesses_mod.block_spike_report(x, params, args.tol)
-        results = _pair_payload(rep, cuts=params.scheme.cuts, spike_heights=heights)
-        return _report("witness", inputs, results, [witnesses_mod.BLOCK_SPIKE_DISCREPANCY])
+        x, params, extras = _witness_instance(args.task, args)
+        spike = args.task == "block-spike"
+        report = witnesses_mod.block_spike_report if spike else witnesses_mod.half_plateau_report
+        warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if spike else []
+        return _report("witness", inputs, _pair_payload(report(x, params, args.tol), **extras), warnings)
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
@@ -301,14 +290,12 @@ def _cmd_witness(args) -> dict:
     x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
     blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
     matrix, params = _space_params(args, make_lacunary(args.theta, blocks))
+    y = transform_prefix(matrix, x, len(x))  # once, for the probe, extract's scores or both Cauchy stages
 
     if args.task == "probe":
-        y = transform_prefix(matrix, x, len(x))
         return _report("witness", inputs, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol))
-
-    y = transform_prefix(matrix, x, len(x))  # once, for extract's scores or both Cauchy stages
     if args.task == "extract":
-        params, s = _scored(y, params, args)  # against the given or the estimated limit
+        params, s = _scored(y, params, f, args.tol)  # against the given or the estimated limit
         try:
             ws = witnesses_mod.extract_witness_set(s, f, depth, args.tol)
         except WitnessExtractionError as exc:

@@ -438,9 +438,10 @@ NO_LIMIT = "membership needs --limit or --estimate-limit"
     (["witness", "cauchy", "--modulus", "bounded"], bounded("the Cauchy check")),
     (["membership", "--mode", "count", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
     (["membership", "--mode", "mean", "--modulus", "bounded", "--estimate-limit"], BOUNDED),
+    (["membership", "--mode", "mean", "--modulus", "nope", "--limit", "1"], "unknown modulus spec 'nope'"),
 ], ids=["probe-empty", "probe-bounded", "density-bounded", "density-estimate-bounded",
         "mean-no-limit", "count-no-limit", "extract-estimate-bounded", "extract-bounded",
-        "cauchy-bounded", "count-estimate-bounded", "mean-estimate-bounded"])
+        "cauchy-bounded", "count-estimate-bounded", "mean-estimate-bounded", "mean-unknown"])
 def test_bad_moduli_are_refused_before_the_prefix(capsys, monkeypatch, argv, message):
     from seqlab import cli
     calls = []
@@ -617,6 +618,23 @@ def test_each_route_transforms_once(capsys, monkeypatch, argv, rows, field, valu
     payload = run_json(capsys, argv + ["--seq", "const:2", "--matrix", "cesaro", "--n", "5000"])
     assert payload["results"][field] == value
     assert calls == [rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "--seq", "const:2", "--estimate-limit", "--mode", "density", "--n", "2000"],
+    ["membership", "--seq", "const:2", "--estimate-limit", "--mode", "count", "--n", "2000"],
+    ["membership", "--seq", "const:2", "--limit", "2", "--mode", "mean", "--n", "2000"],
+    ["membership", "--witness", "half-plateau", "--mode", "density", "--modulus", "log1p"],
+    ["witness", "extract", "--seq", "const:2", "--n", "2000"],
+    ["witness", "cauchy", "--seq", "const:2", "--n", "2000"],
+], ids=["density-estimate", "count-estimate", "mean", "witness-density", "extract", "cauchy"])
+def test_each_route_parses_the_modulus_once(capsys, monkeypatch, argv):
+    # the one --modulus a call names is parsed once, even where the estimate and the verdict both read it
+    calls = []
+    make = cli.make_modulus
+    monkeypatch.setattr(cli, "make_modulus", lambda spec: calls.append(spec) or make(spec))
+    run_json(capsys, argv)
+    assert calls == ["log1p" if "log1p" in argv else "id"]
 
 
 def test_estimate_scores_once_per_candidate(capsys, monkeypatch, tmp_path):
