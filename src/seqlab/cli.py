@@ -7,8 +7,8 @@ Usage examples:
     seqlab membership --seq const:3 --limit 3 --mode density --modulus id
     seqlab membership --witness half-plateau --mode mean --blocks 10
     seqlab norm --kind luxemburg --orlicz poly:2 --seq list:3,4
-    seqlab norm --kind block-mean --theta powers2 --blocks 4 --seq const:1
-    seqlab witness half-plateau --nu 1 --rho 1 --blocks 10
+    seqlab norm --kind block-mean --theta powers2 --blocks 4 --seq const:1 --n 16
+    seqlab witness half-plateau --nu 1 --rho-value 1 --blocks 10
     seqlab witness block-spike --theta powers2 --blocks 12 --orlicz linear
     seqlab witness extract --seq spike:set=squares,base=2,delta=1 --modulus id --n 100000
     seqlab witness probe --seq spike:set=squares,base=2,delta=1 --probe-moduli id,log1p --n 100000
