@@ -93,14 +93,11 @@ def _fmt_scalar(v) -> str:
 
 
 def _flatten(obj, prefix: str = ""):
-    """Yield (path, leaf) over a canonical payload; a leaf is a scalar or a
-    list of scalars (possibly empty)."""
+    """Yield (path, leaf) over a canonical payload, whose lists hold scalars only;
+    a leaf is a scalar or such a list (possibly empty)."""
     if isinstance(obj, dict):
         for k in sorted(obj):
             yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
-        for i, v in enumerate(obj, start=1):
-            yield from _flatten(v, f"{prefix}[{i}]")
     else:
         yield prefix, obj
 
@@ -171,6 +168,27 @@ def _witness_instance(kind: str, args):
 
 # the flags membership and witness both echo in their inputs
 _SPACE_ECHO = ("seq", "modulus", "theta", "blocks", "orlicz", "alpha", "rho", "limit", "eps", "tol", "n")
+# the parser defaults of the sequence, space and witness-instance flags that membership and witness share
+_SPACE_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "orlicz": "linear", "theta": "powers2",
+                   "alpha": 1.0, "rho": "const:1", "nu": 1.0, "rho_value": 1.0, "limit": None,
+                   "eps": membership_mod.DEFAULT_EPS, "tol": density_mod.DEFAULT_TOL, "n": None}
+# The flags each route does not read, refused when set away from their defaults.  A generated
+# instance makes its own sequence, rho, limit and eps; half-plateau also fixes its family, cuts
+# and alpha, and block-spike has no nu.  The --seq routes, any other, generate no instance.
+_PAIR_UNREAD = ("seq", "modulus", "matrix", "rho", "limit", "eps", "n", "depth", "probe_moduli")
+_INSTANCE_UNREAD = ("seq", "matrix", "rho", "limit", "eps", "n", "estimate_limit")
+_UNREAD = {"witness half-plateau": _PAIR_UNREAD + ("orlicz", "theta", "alpha"),
+           "witness block-spike": _PAIR_UNREAD + ("nu",),
+           "membership --witness half-plateau": _INSTANCE_UNREAD + ("orlicz", "theta", "alpha"),
+           "membership --witness block-spike": _INSTANCE_UNREAD + ("nu",)}
+_UNSET = {**_SPACE_DEFAULTS, "depth": None, "probe_moduli": None, "estimate_limit": False}
+
+
+def _refuse_unread(args, route: str) -> None:
+    """Refuse the first flag ``route`` does not read that is set away from its default."""
+    for name in _UNREAD.get(route, ("nu", "rho_value")):
+        if getattr(args, name) != _UNSET[name]:
+            raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
 
 
 def _echo(args, names, **resolved) -> dict:
@@ -181,14 +199,8 @@ def _echo(args, names, **resolved) -> dict:
 
 def _space_params(args, scheme) -> tuple[SummabilityMatrix, SpaceParams]:
     """The ``--matrix``, made first, and the params the other space flags give."""
-    return make_matrix(args.matrix), SpaceParams(
-        family=make_family(args.orlicz),
-        scheme=scheme,
-        alpha=args.alpha,
-        rho=make_rho(args.rho),
-        limit=args.limit,
-        eps=args.eps,
-    )
+    return make_matrix(args.matrix), SpaceParams(make_family(args.orlicz), scheme, args.alpha,
+                                                 make_rho(args.rho), args.limit, args.eps)
 
 
 # -----------------------------
@@ -214,9 +226,10 @@ def _scored(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
 
 
 def _cmd_membership(args) -> dict:
+    _refuse_unread(args, f"membership --witness {args.witness}" if args.witness else "membership --seq")
     f = make_modulus(args.modulus or "id")
     # refused before any data is made: a bounded modulus where a density is judged, or no limit to score against
-    if args.mode == "density" or args.estimate_limit and not args.witness:
+    if args.mode == "density" or args.estimate_limit:
         f.unbounded_for("the density mode")
     if args.witness:  # a generated instance, scored on its own values
         x, params, _ = _witness_instance(args.witness, args)
@@ -227,7 +240,7 @@ def _cmd_membership(args) -> dict:
         raise SeqlabError("membership needs --limit or --estimate-limit")
     else:  # --matrix's one transform of --seq
         scheme = make_lacunary(args.theta, args.blocks)
-        # a density trail needs room, and so does the limit estimate, which scans one; the block modes need k_max
+        # a density trail needs room, and so does the limit estimate, which scans one; block modes need k_max
         room = 100_000 if args.mode == "density" else 1000 if args.estimate_limit else 0
         x = make_sequence(args.seq, max(scheme.k_max, room) if args.n is None else args.n)
         matrix, params = _space_params(args, scheme)
@@ -264,6 +277,7 @@ def _cmd_norm(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
+    _refuse_unread(args, f"witness {args.task}")
     inputs = _echo(args, _SPACE_ECHO + ("task", "depth", "nu", "probe_moduli"))
 
     if args.task in ("half-plateau", "block-spike"):
@@ -321,9 +335,7 @@ def _cmd_witness(args) -> dict:
     if base.cauchy:
         try:
             nested = witnesses_mod.cauchy_limit_construction(y, f, depth, args.tol)
-            results["limit"] = nested.value
-            results["width"] = nested.width
-            results["anchors"] = nested.anchors
+            results.update(limit=nested.value, width=nested.width, anchors=nested.anchors)
         except CauchyConstructionError as exc:
             results["failure"] = {"level": exc.level, "message": str(exc)}
     return _report("witness", inputs, results)
@@ -367,20 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the sequence, space and witness-instance flags of membership and witness
     space = argparse.ArgumentParser(add_help=False)
-    space.add_argument("--seq", default=None)
-    space.add_argument("--modulus", default=None)
-    space.add_argument("--matrix", default="identity")
-    space.add_argument("--orlicz", default="linear")
-    space.add_argument("--theta", default="powers2")
-    space.add_argument("--alpha", type=float, default=1.0)
-    space.add_argument("--rho", default="const:1")
-    space.add_argument("--nu", type=float, default=1.0)
-    space.add_argument("--rho-value", type=float, default=1.0,
-                       help="scalar rho for generated witness instances")
-    space.add_argument("--limit", type=float, default=None, help="candidate limit L")
-    space.add_argument("--eps", type=float, default=membership_mod.DEFAULT_EPS)
-    space.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
-    space.add_argument("--n", type=int, default=None)
+    space.set_defaults(**_SPACE_DEFAULTS)
+    space.add_argument("--seq")
+    space.add_argument("--modulus")
+    space.add_argument("--matrix")
+    space.add_argument("--orlicz")
+    space.add_argument("--theta")
+    space.add_argument("--alpha", type=float)
+    space.add_argument("--rho")
+    space.add_argument("--nu", type=float)
+    space.add_argument("--rho-value", type=float, help="scalar rho for generated witness instances")
+    space.add_argument("--limit", type=float, help="candidate limit L")
+    space.add_argument("--eps", type=float)
+    space.add_argument("--tol", type=float)
+    space.add_argument("--n", type=int)
     _add_common(space)
 
     p = sub.add_parser("membership", parents=[space], help="block membership diagnostics")

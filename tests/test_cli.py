@@ -131,6 +131,79 @@ def test_non_finite_block_spike_rho_exits_one(capsys, bad):
     assert err.count("\n") == 1 and f"rho must be finite, got {bad}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "half-plateau", "--nu", "-1"], "plateau height nu must be >= 0"),
+    (["witness", "half-plateau", "--rho-value", "0"], "rho must be positive"),
+    (["witness", "block-spike", "--rho-value", "0"], "rho must be positive"),
+    (["membership", "--mode", "mean", "--limit", "1"], "membership needs --seq or --witness"),
+], ids=["half-plateau-nu", "half-plateau-rho", "block-spike-rho", "membership-no-source"])
+def test_out_of_range_instance_or_no_source_exits_one(capsys, argv, message):
+    assert run(capsys, argv) == (1, "", f"seqlab: error: {message}\n")
+
+
+def test_short_riesz_weights_exit_one_naming_the_row(capsys, tmp_path):
+    # six powers-of-2 blocks end at row 64, which five weights cannot reach
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n2\n3\n4\n5\n")
+    argv = ["membership", "--seq", "harmonic:0", "--limit", "0", "--mode", "mean",
+            "--matrix", f"riesz:file={weights}", "--blocks", "6"]
+    assert run(capsys, argv) == (1, "", "seqlab: error: riesz weights cover only 5 rows, row 64 requested\n")
+
+
+def unread(route, flag):
+    return f"seqlab: error: {route} does not read --{flag}\n"
+
+
+SEQ_ROUTE = ["--seq", "const:1", "--n", "2000"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["witness", "half-plateau", "--rho", "bogus", "--matrix", "nope", "--seq", "nope", "--modulus", "nope",
+      "--probe-moduli", "x"], unread("witness half-plateau", "seq")),
+    (["membership", "--witness", "half-plateau", "--mode", "mean", "--matrix", "bogus", "--orlicz", "bogus",
+      "--rho", "nope"], unread("membership --witness half-plateau", "matrix")),
+    (["witness", "block-spike", "--eps", "5", "--limit", "3"], unread("witness block-spike", "limit")),
+    (["witness", "block-spike", "--n", "100"], unread("witness block-spike", "n")),
+    (["witness", "block-spike", "--depth", "3"], unread("witness block-spike", "depth")),
+    (["witness", "block-spike", "--nu", "2"], unread("witness block-spike", "nu")),
+    (["witness", "half-plateau", "--modulus", "id"], unread("witness half-plateau", "modulus")),
+    (["witness", "half-plateau", "--alpha", "0.5"], unread("witness half-plateau", "alpha")),
+    (["witness", "half-plateau", "--theta", "geometric:1.5"], unread("witness half-plateau", "theta")),
+    (["membership", "--witness", "block-spike", "--mode", "count", "--estimate-limit"],
+     unread("membership --witness block-spike", "estimate-limit")),
+    (["membership", "--witness", "block-spike", "--mode", "count", "--eps", "0"],
+     unread("membership --witness block-spike", "eps")),
+    (["membership", "--witness", "half-plateau", "--mode", "density", "--orlicz", "poly:2"],
+     unread("membership --witness half-plateau", "orlicz")),
+    (["membership", "--mode", "mean", "--limit", "1", "--rho-value", "2"] + SEQ_ROUTE,
+     unread("membership --seq", "rho-value")),
+    (["witness", "probe", "--probe-moduli", "id", "--nu", "nan"] + SEQ_ROUTE, unread("witness probe", "nu")),
+    (["witness", "extract", "--rho-value", "1.5"] + SEQ_ROUTE, unread("witness extract", "rho-value")),
+], ids=["half-plateau-junk", "membership-half-plateau-junk", "block-spike-eps-limit", "block-spike-n",
+        "block-spike-depth", "block-spike-nu", "half-plateau-modulus", "half-plateau-alpha", "half-plateau-theta",
+        "membership-estimate", "membership-eps-zero", "membership-half-plateau-orlicz", "membership-seq-rho-value",
+        "probe-nu", "extract-rho-value"])
+def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, argv, err):
+    # a flag set away from its default on a route that does not read it is one error line, and nothing is generated
+    from seqlab import witnesses
+    calls = []
+    monkeypatch.setattr(cli, "make_sequence", lambda *args: calls.append(args))
+    for name in ("gen_half_plateau_instance", "gen_block_spike_instance"):
+        monkeypatch.setattr(witnesses, name, lambda *args, name=name: calls.append(name))
+    assert run(capsys, argv) == (1, "", err)
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "block-spike", "--eps", "0.1", "--matrix", "identity", "--rho", "const:1"],
+    ["witness", "half-plateau", "--orlicz", "linear", "--alpha", "1", "--theta", "powers2"],
+    ["membership", "--witness", "half-plateau", "--mode", "density", "--modulus", "log1p", "--nu", "2"],
+    ["membership", "--mode", "mean", "--limit", "1", "--nu", "1", "--rho-value", "1.0"] + SEQ_ROUTE,
+], ids=["block-spike", "half-plateau", "membership-witness", "membership-seq"])
+def test_flags_at_their_defaults_are_not_refused(capsys, argv):
+    assert run_json(capsys, argv)["schema_version"] == "seqlab/1"
+
+
 def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):
     # row 2 sums two finite terms to inf; row 1 alone is fine
     p = tmp_path / "m.csv"

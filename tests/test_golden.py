@@ -19,13 +19,17 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from seqlab import cli
 from seqlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = GOLDEN.parent.parent / "README.md"
 DATA = GOLDEN / "data"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 HELP = {"seqlab": [], **{cmd: [cmd] for cmd in ("density", "membership", "norm", "witness", "check")}}
@@ -63,6 +67,24 @@ def test_golden_help(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     # twice in one process, so a second rendering matches the first
     assert [_help(HELP[name]) for _ in range(2)] == [(GOLDEN / "help" / f"{name}.txt").read_text()] * 2
+
+
+def _readme_commands():
+    """The argv of each ``seqlab`` command in the README's bash blocks, in order,
+    with continuation lines joined and trailing comments dropped."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("seqlab ")]
+
+
+def test_readme_examples_are_the_readme_cases():
+    assert _readme_commands() == [argv for name, argv in CASES.items() if name.startswith("readme_")]
+
+
+@pytest.mark.parametrize("line", [line.strip() for line in cli.__doc__.splitlines()
+                                  if line.strip().startswith("seqlab ")])
+def test_help_examples_run(line):
+    assert _stdout(shlex.split(line)[1:])[0] == 0
 
 
 if __name__ == "__main__":

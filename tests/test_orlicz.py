@@ -88,6 +88,12 @@ class TestLuxemburg:
         with pytest.raises(UnboundedNormError, match="never drops to 1 within scale 4.5036e"):
             luxemburg_norm(shifted, SequencePrefix(np.asarray([3.0, 4.0])))
 
+    def test_scale_halves_to_a_root_below_one(self):
+        # M(t) = sqrt(t)/2 leaves the modular of x = (1) under 1 at k = 1, so the bracket
+        # halves k until it passes the root sqrt(1/k)/2 = 1, at k = 1/4
+        family = OrliczFamily("halfsqrt", lambda i, t: 0.5 * np.sqrt(t))
+        assert luxemburg_norm(family, SequencePrefix([1.0])) == 0.25
+
     def test_linear_is_absolute_sum(self):
         x = SequencePrefix(np.asarray([1.0, 2.0, 3.0]))
         assert luxemburg_norm(LINEAR, x, tol=1e-8) == pytest.approx(6.0, abs=1e-8)
@@ -452,6 +458,12 @@ class TestOrliczAxioms:
         assert not rep.midpoint_convex.passed
         s, t = rep.midpoint_convex.witness
         assert math.sqrt((s + t) / 2.0) > (math.sqrt(s) + math.sqrt(t)) / 2.0 + 1e-12
+
+    def test_decreasing_gauge_fails_growth_at_its_first_drop(self):
+        # t e^-t falls from M(1) to M(10), so the growth check names that pair
+        rep = check_orlicz_axioms(OrliczFn("texp", lambda t: t * np.exp(-t)))
+        assert (rep.grows_unbounded.passed, rep.grows_unbounded.witness, rep.grows_unbounded.note) == (
+            False, (1.0, 10.0), "M(10^k) fails to increase in k")
 
     def test_bounded_fails_growth(self):
         rep = check_orlicz_axioms(OrliczFn("sat", lambda t: t / (1.0 + t)))
