@@ -172,9 +172,9 @@ _SPACE_ECHO = ("seq", "modulus", "theta", "blocks", "orlicz", "alpha", "rho", "l
 _SPACE_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "orlicz": "linear", "theta": "powers2",
                    "alpha": 1.0, "rho": "const:1", "nu": 1.0, "rho_value": 1.0, "limit": None,
                    "eps": membership_mod.DEFAULT_EPS, "tol": density_mod.DEFAULT_TOL, "n": None}
-# The flags each route does not read, refused when set away from their defaults.  A generated
-# instance makes its own sequence, rho, limit and eps; half-plateau also fixes its family, cuts
-# and alpha, and block-spike has no nu.  The --seq routes, any other, generate no instance.
+# The flags each route does not read, refused when set away from their defaults: a generated
+# instance makes its own sequence, rho, limit and eps, half-plateau also fixes its family, cuts
+# and alpha, and block-spike has no nu; any other route takes --seq, and no --nu or --rho-value.
 _PAIR_UNREAD = ("seq", "modulus", "matrix", "rho", "limit", "eps", "n", "depth", "probe_moduli")
 _INSTANCE_UNREAD = ("seq", "matrix", "rho", "limit", "eps", "n", "estimate_limit")
 _UNREAD = {"witness half-plateau": _PAIR_UNREAD + ("orlicz", "theta", "alpha"),
