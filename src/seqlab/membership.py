@@ -192,6 +192,15 @@ def _density_verdict(above: IndexSet, n: int, f: Modulus,
     return dens, INCONCLUSIVE
 
 
+def _median(members: np.ndarray) -> float:
+    """The median of the finite ``members``, which it partitions in place:
+    numpy's own ``np.median`` recipe, the same kth and ``np.mean`` of the
+    middle slice, without the NaN check whose first call imports ``numpy.ma``."""
+    k, odd = divmod(members.size, 2)
+    members.partition([k, -1] if odd else [k - 1, k, -1])
+    return float(np.mean(members[k - 1 + odd:k + 1]))
+
+
 def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus],
                         tol: float = DEFAULT_TOL) -> tuple[list[float | None], np.ndarray | None]:
     """Scan histogram modes of the transformed prefix ``y`` for a limit under
@@ -228,10 +237,10 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
             members[filled:filled + block.size] = block
             filled += block.size
         with np.errstate(over="ignore"):  # two middle values near 1e308 overflow when averaged
-            candidate = float(np.median(members, overwrite_input=True))
+            candidate = _median(members)
         if not math.isfinite(candidate):
             members /= 2.0  # halving is exact at this size
-            candidate = 2.0 * float(np.median(members, overwrite_input=True))
+            candidate = 2.0 * _median(members)
         members = block = None
         s = pointwise_scores(y, replace(params, limit=candidate))
         above = exceedance_set(s, params.eps)

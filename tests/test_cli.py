@@ -440,6 +440,26 @@ def test_empty_spec_file_under_warnings_as_errors(tmp_path):
     assert proc.stderr == f"seqlab: error: empty weight file {path}\n"
 
 
+def test_witness_probe_leaves_numpy_ma_unimported():
+    # np.median's NaN check and np.unique both import numpy.ma (1.09 MB) on
+    # their first call; the probe's limit estimate and counts use neither
+    script = ("import contextlib, io, sys, numpy\n"
+              "loaded = 'numpy.ma' in sys.modules\n"
+              "from seqlab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, loaded, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "witness", "probe", "--seq", "spike:set=squares,base=1.234,delta=2",
+         "--n", "100000", "--probe-moduli", "id,log1p"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    code, loaded, after = proc.stdout.split()
+    if loaded == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert (code, after) == ("0", "False")
+
+
 def test_norm_past_the_float_range_exits_one(capsys):
     code, out, err = run(capsys, ["norm", "--kind", "luxemburg", "--orlicz", "explog",
                                   "--seq", "list:1.7e308"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import MAX_INDEX, IndexSet, make_index_set
-from seqlab.density import (_CHUNK, ComplementCheck, checkpoints, complement_inequality_check,
+from seqlab.density import (_CHUNK, ComplementCheck, _grid, checkpoints, complement_inequality_check,
                             exceedance_set, f_density, natural_density)
 from seqlab.modulus import Modulus, make_modulus
 from setops import complement
@@ -29,6 +29,15 @@ class TestCheckpoints:
     def test_same_as_float_ceiling_up_to_2_pow_53(self, n):
         pts = [math.ceil(n / 2 ** j) for j in range(60) if math.ceil(n / 2 ** j) >= 10]
         assert checkpoints(n).tolist() == sorted(pts)
+
+    @settings(max_examples=300)
+    @given(n=st.one_of(st.integers(min_value=0, max_value=MAX_INDEX), st.integers(min_value=0, max_value=100)))
+    def test_same_array_as_sorted_unique(self, n):
+        pts = [-(-n // 2 ** j) for j in range(64)]
+        want = np.unique(np.asarray([v for v in pts if v >= 10], dtype=np.int64))
+        got = checkpoints(n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [10 ** 16 + 1, 2 ** 62 + 3, MAX_INDEX])
     def test_exact_past_2_pow_53(self, n):
@@ -200,6 +209,16 @@ def _unchunked_complement_check(a, f, n):
     return ComplementCheck(True, None, n)
 
 
+def _recording_evens(sizes):
+    """The evens, appending the length of every ``counts`` call to ``sizes``."""
+    class Recording(IndexSet):
+        def counts(self, ns):
+            sizes.append(len(ns))
+            return super().counts(ns)
+
+    return Recording("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64), count_rule=lambda ns: ns // 2)
+
+
 SQUARE_FN = Modulus("sq", lambda t: t ** 2)
 POW_1_7 = Modulus("pow1.7", lambda t: np.power(t, 1.7))
 
@@ -224,18 +243,15 @@ class TestChunkedComplementCheck:
 
     def test_scans_in_blocks(self):
         sizes = []
-
-        class Recording(IndexSet):
-            def counts(self, ns):
-                sizes.append(len(ns))
-                return super().counts(ns)
-
-        evens = Recording("evens", lambda n: np.arange(2, n + 1, 2, dtype=np.int64),
-                          count_rule=lambda ns: ns // 2)
+        evens = _recording_evens(sizes)
         n = 32 * _CHUNK + 3
         res = complement_inequality_check(evens, make_modulus("id"), n)
         assert res.passed and res.n_checked == n
-        assert sizes == [_CHUNK] * 32 + [3]
+        # f = id leaves no margin, so the one grid call certifies nothing and
+        # every index past the first block is scanned
+        expected = [_CHUNK] * 32 + [3]
+        expected.insert(1, len(_grid(n)))
+        assert sizes == expected
 
     @pytest.mark.parametrize("m", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
                                    2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 1])
@@ -245,19 +261,51 @@ class TestChunkedComplementCheck:
         res = complement_inequality_check(make_index_set(f"arith:{m},1"), POW_1_7, 5 * _CHUNK)
         assert res == ComplementCheck(False, m, 5 * _CHUNK)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(set_spec=st.one_of(
                st.lists(st.integers(1, 3 * _CHUNK), min_size=1, max_size=40).map(
                    lambda xs: "list:" + ",".join(map(str, xs))),
+               st.lists(st.integers(1, 2 ** 21), min_size=1, max_size=40).map(
+                   lambda xs: "list:" + ",".join(map(str, xs))),
                st.sampled_from(["evens", "odds", "squares"]),
-               st.builds("arith:{},{}".format, st.integers(1, 3 * _CHUNK), st.integers(1, 50))),
+               st.builds("arith:{},{}".format, st.integers(1, 3 * _CHUNK), st.integers(1, 50)),
+               st.builds("arith:{},{}".format, st.integers(1, 2 ** 21), st.integers(1, 2 ** 12))),
            f=st.sampled_from([make_modulus("id"), make_modulus("log1p"), make_modulus("pow:0.5"),
                               SQUARE_FN, POW_1_7]),
            n=st.one_of(st.integers(1, 3 * _CHUNK + 2),
-                       st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1])))
+                       st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2,
+                                        2 * _CHUNK, 2 * _CHUNK + 1]),
+                       st.integers(1, 2 ** 21),
+                       # the first and last index of a certification interval, and one past it
+                       st.builds(int.__add__, st.sampled_from(_grid(2 ** 21).tolist()),
+                                 st.sampled_from([-1, 0, 1]))))
     def test_random_sets_equal_unchunked_reference(self, set_spec, f, n):
         a = make_index_set(set_spec)
         assert complement_inequality_check(a, f, n) == _unchunked_complement_check(a, f, n)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_violation_after_certified_intervals(self, scale):
+        # nondecreasing, subadditive on evens below 10^6 and superadditive
+        # just past it: the grid certifies the intervals up to there and the
+        # scan finds the first violation in the stretch it could not certify.
+        # Scaled by 1e-9, f grows by less than 1 across every interval, so a
+        # certificate with an absolute margin would pass over the violation
+        f = Modulus("sqrt-then-square", lambda t: scale * (np.sqrt(t) + np.maximum(0.0, t - 1e6) ** 2))
+        points = []
+        evens = _recording_evens(points)
+        n = 2 ** 21
+        res = complement_inequality_check(evens, f, n)
+        assert res == _unchunked_complement_check(make_index_set("evens"), f, n)
+        assert not res.passed and 10 ** 6 < res.first_violation < 10 ** 6 + 100
+        assert points == [_CHUNK, len(_grid(n)), _CHUNK]  # the first block, the grid, one scanned block
+
+    def test_pow_half_on_evens_at_the_int64_limit(self):
+        points = []
+        evens = _recording_evens(points)
+        res = complement_inequality_check(evens, make_modulus("pow:0.5"), MAX_INDEX)
+        assert res == ComplementCheck(True, None, MAX_INDEX)
+        assert points == [_CHUNK, len(_grid(MAX_INDEX))]
+        assert sum(points) <= 20_000
 
     def test_read_only_gauge_output(self):
         def sqrt_read_only(t):
@@ -335,6 +383,20 @@ def test_exceedance_set_matches_brute_force(vals, eps):
     assert list(e.members_upto(len(vals))) == brute
     assert list(e.counts(np.arange(1, len(vals) + 1))) == [
         sum(1 for i in brute if i <= n) for n in range(1, len(vals) + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 100_000), cuts=st.integers(1, 20_000), seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.floats(min_value=1e-3, max_value=1.0))
+def test_exceedance_counts_match_cumsum(size, cuts, seed, eps):
+    # many cuts per 2^13-index chunk, repeated and unsorted, some past the end
+    rng = np.random.default_rng(seed)
+    values = rng.random(size)
+    ns = rng.integers(0, int(rng.integers(1, size + 3)), cuts)
+    want = np.concatenate(([0], np.cumsum(values > eps)))[np.minimum(ns, size)]
+    got = exceedance_set(values, eps).counts(ns)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 @settings(max_examples=100)

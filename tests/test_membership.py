@@ -379,6 +379,25 @@ class TestLimitEstimate:
             estimate(values, reduction_params(limit=None))
 
 
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=12))
+def test_median_bitwise_equal_to_numpy(values):
+    # signed zeros, subnormals, and middle pairs whose sum overflows, which
+    # stat_limit_estimate then halves and doubles
+    x = np.asarray(values, dtype=float)
+    for v in (x, x / 2.0):
+        with np.errstate(over="ignore"):
+            want = np.median(v.copy(), overwrite_input=True)
+            got = membership._median(v.copy())
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestCauchy:
     def test_convergent(self):
         rep = stat_cauchy_check(harmonic_sequence(10_000).values, 0.1, ID_MOD)
