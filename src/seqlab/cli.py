@@ -175,10 +175,16 @@ _SPACE_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "orlicz":
 # The flags each route does not read, refused when set away from their defaults: a generated
 # instance makes its own sequence, rho, limit and eps, half-plateau also fixes its family, cuts
 # and alpha, and block-spike has no nu; any other route takes --seq, and no --nu or --rho-value.
+# Of the --seq witness tasks, probe takes its moduli from --probe-moduli and finds its own limit,
+# cauchy finds its own limit, and extract reads one --modulus.
 _PAIR_UNREAD = ("seq", "modulus", "matrix", "rho", "limit", "eps", "n", "depth", "probe_moduli")
 _INSTANCE_UNREAD = ("seq", "matrix", "rho", "limit", "eps", "n", "estimate_limit")
+_SEQ_UNREAD = ("nu", "rho_value")
 _UNREAD = {"witness half-plateau": _PAIR_UNREAD + ("orlicz", "theta", "alpha"),
            "witness block-spike": _PAIR_UNREAD + ("nu",),
+           "witness probe": _SEQ_UNREAD + ("modulus", "limit", "depth"),
+           "witness cauchy": _SEQ_UNREAD + ("limit", "probe_moduli"),
+           "witness extract": _SEQ_UNREAD + ("probe_moduli",),
            "membership --witness half-plateau": _INSTANCE_UNREAD + ("orlicz", "theta", "alpha"),
            "membership --witness block-spike": _INSTANCE_UNREAD + ("nu",)}
 _UNSET = {**_SPACE_DEFAULTS, "depth": None, "probe_moduli": None, "estimate_limit": False}
@@ -186,7 +192,7 @@ _UNSET = {**_SPACE_DEFAULTS, "depth": None, "probe_moduli": None, "estimate_limi
 
 def _refuse_unread(args, route: str) -> None:
     """Refuse the first flag ``route`` does not read that is set away from its default."""
-    for name in _UNREAD.get(route, ("nu", "rho_value")):
+    for name in _UNREAD.get(route, _SEQ_UNREAD):
         if getattr(args, name) != _UNSET[name]:
             raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
 

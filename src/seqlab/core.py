@@ -202,15 +202,16 @@ class IndexSet:
         Sorted-input contract: a strictly increasing input, such as the
         output of ``np.flatnonzero``, is kept in its given order after one
         O(n) comparison; any other input (unsorted, duplicated) is sorted and
-        deduplicated with ``np.unique``.  An ndarray is never turned into a
-        Python list.  Either way the set owns a read-only copy, so later
-        changes to the caller's array do not reach it.
+        deduplicated by comparing neighbours.  An ndarray is never turned
+        into a Python list.  Either way the set owns a read-only copy, so
+        later changes to the caller's array do not reach it.
         """
         if not isinstance(members, np.ndarray):
             members = list(members)
         arr = np.array(members, dtype=np.int64).reshape(-1)
         if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
-            arr = np.unique(arr)
+            arr.sort()
+            arr = arr[np.append(True, arr[1:] != arr[:-1])]  # distinct: np.unique would import numpy.ma
         if arr.size and arr[0] < 1:
             raise SpecError(f"index set {name!r} contains indices < 1")
         arr.flags.writeable = False

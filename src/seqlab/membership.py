@@ -76,14 +76,15 @@ def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
     if params.limit is None:
         raise ValueError("a candidate limit L is required to compute scores")
     s = np.empty(y.size)
+    rho = params.rho
     starts = range(0, y.size, _CHUNK)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
         # the last block first, so that a rho or weight table short of n names index n
         for lo in (*starts[-1:], *starts[:-1]):
             idx = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=np.int64)
-            dev = y[lo:lo + _CHUNK] - params.limit
+            dev = np.subtract(y[lo:lo + _CHUNK], params.limit, out=s[lo:lo + _CHUNK])
             np.abs(dev, out=dev)
-            dev /= params.rho.values(idx)
+            dev /= rho.values(idx) if rho.constant is None else rho.constant
             s[lo:lo + _CHUNK] = params.family.eval_many(idx, dev)
     # a NaN makes min and max NaN and an infinity one of them infinite, with no mask made
     if not (math.isfinite(s.min()) and math.isfinite(s.max())):
@@ -192,13 +193,41 @@ def _density_verdict(above: IndexSet, n: int, f: Modulus,
     return dens, INCONCLUSIVE
 
 
-def _median(members: np.ndarray) -> float:
-    """The median of the finite ``members``, which it partitions in place:
-    numpy's own ``np.median`` recipe, the same kth and ``np.mean`` of the
-    middle slice, without the NaN check whose first call imports ``numpy.ma``."""
-    k, odd = divmod(members.size, 2)
-    members.partition([k, -1] if odd else [k - 1, k, -1])
-    return float(np.mean(members[k - 1 + odd:k + 1]))
+def _run_median(ys: np.ndarray, at: int, count: int) -> float:
+    """The median of the sorted run ``ys[at:at + count]``: numpy's own ``np.median``
+    recipe, ``np.mean`` of the middle one or two values, halved and doubled where
+    two middle values near 1e308 overflow when averaged."""
+    k, odd = divmod(count, 2)
+    middle = ys[at + k - 1 + odd:at + k + 1]
+    with np.errstate(over="ignore"):
+        median = float(np.mean(middle))
+    if not math.isfinite(median):
+        median = 2.0 * float(np.mean(middle / 2.0))  # halving is exact at this size
+    return median
+
+
+def _modal_medians(y: np.ndarray, lo: float, width: float) -> list[float]:
+    """The medians of the at most five fullest bins floor((v - lo) / width) of ``y``,
+    fullest first and ties by bin.  Each IEEE step of the bin is monotone, so the
+    bins never drop along a sorted copy of ``y`` and each bin is one run of it,
+    whose starts are found in blocks of ``_CHUNK`` values."""
+    ys = np.sort(y)
+    runs = []
+    for at in range(0, ys.size, _CHUNK):
+        bins = ys[at:at + _CHUNK] - lo  # float bins: exact integers here, with no int64 cast to overflow
+        bins /= width
+        np.floor(bins, out=bins)
+        if at == 0 or bins[0] != last:  # a run starts at the block's first value
+            runs.append([at])
+        runs.append(np.flatnonzero(bins[1:] != bins[:-1]) + (at + 1))
+        last = bins[-1]
+    starts = np.concatenate(runs)
+    runs = bins = None  # up to n per-block starts, dropped before the counts are made
+    counts = np.diff(starts, append=ys.size)
+    # the runs follow the bins upward, so a stable sort breaks ties of count by bin
+    fullest = np.argsort(-counts, kind="stable")[:5]
+    return [_run_median(ys, at, count)
+            for at, count in zip(starts[fullest].tolist(), counts[fullest].tolist())]
 
 
 def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus],
@@ -206,42 +235,21 @@ def stat_limit_estimate(y: np.ndarray, params: SpaceParams, moduli: list[Modulus
     """Scan histogram modes of the transformed prefix ``y`` for a limit under
     each modulus: the first candidate whose density-mode verdict is ``member``,
     or None when none passes (an alternating sequence leaves exceedance density
-    1/2 around either value).  The bins are made once and sorted in place, and
-    their run lengths rank them; each of the at most five candidates gathers its
-    members block by block, and is scored and thresholded once for all moduli.
-    Also returns the scores against the last candidate scored: the winner's
-    when every modulus found one.
+    1/2 around either value).  The candidates are the medians of the at most five
+    fullest bins, all taken from one sorted copy of ``y``, which is dropped before
+    the first candidate is scored; each is scored and thresholded once for all
+    moduli.  Also returns the scores against the last candidate scored: the
+    winner's when every modulus found one.
     """
     moduli = [f.unbounded_for("the density mode") for f in moduli]
     width = max(params.eps, 1e-12)
     lo = float(y.min())
     if not math.isfinite((float(y.max()) - lo) / width):
         raise SpreadError("the transformed values spread past the float range; supply --limit")
-    # float bins, floor((y - lo) / width) in place: exact integers here, with no int64 cast to overflow
-    bins = y - lo
-    bins /= width
-    np.floor(bins, out=bins)
-    bins.sort()
-    starts = np.append(0, np.flatnonzero(bins[1:] != bins[:-1]) + 1)
-    uniq, cnt = bins[starts], np.diff(starts, append=bins.size)
-    bins = starts = None
-    order = np.lexsort((uniq, -cnt))[:5]
     limits: list[float | None] = [None] * len(moduli)
     s = None
-    for b, count in zip(uniq[order], cnt[order]):
-        s = above = None  # dropped before this candidate's members and scores are made
-        members, filled = np.empty(count), 0
-        for at in range(0, y.size, _CHUNK):
-            block = y[at:at + _CHUNK]
-            block = block[np.floor((block - lo) / width) == b]  # the bins' own operations, so the same bins
-            members[filled:filled + block.size] = block
-            filled += block.size
-        with np.errstate(over="ignore"):  # two middle values near 1e308 overflow when averaged
-            candidate = _median(members)
-        if not math.isfinite(candidate):
-            members /= 2.0  # halving is exact at this size
-            candidate = 2.0 * _median(members)
-        members = block = None
+    for candidate in _modal_medians(y, lo, width):
+        s = above = None  # dropped before this candidate's scores are made
         s = pointwise_scores(y, replace(params, limit=candidate))
         above = exceedance_set(s, params.eps)
         for i, f in enumerate(moduli):

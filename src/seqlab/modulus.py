@@ -100,9 +100,10 @@ class ModulusAxiomReport(AxiomReport):
 
 def _axiom_grid(grid, default: np.ndarray) -> np.ndarray:
     """The sorted distinct grid points; they must be positive and finite."""
-    g = np.unique(np.asarray(default if grid is None else grid, dtype=float))
+    g = np.sort(np.asarray(default if grid is None else grid, dtype=float), axis=None)
     if g.size == 0:
         raise ValueError("axiom grid must be nonempty")
+    g = g[np.append(True, g[1:] != g[:-1])]  # distinct: np.unique would import numpy.ma
     if np.any(g <= 0) or not np.all(np.isfinite(g)):
         raise ValueError("axiom grid values must be positive and finite")
     return g

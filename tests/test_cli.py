@@ -179,10 +179,23 @@ SEQ_ROUTE = ["--seq", "const:1", "--n", "2000"]
      unread("membership --seq", "rho-value")),
     (["witness", "probe", "--probe-moduli", "id", "--nu", "nan"] + SEQ_ROUTE, unread("witness probe", "nu")),
     (["witness", "extract", "--rho-value", "1.5"] + SEQ_ROUTE, unread("witness extract", "rho-value")),
+    (["witness", "probe", "--probe-moduli", "id", "--modulus", "log1p"] + SEQ_ROUTE,
+     unread("witness probe", "modulus")),
+    (["witness", "probe", "--probe-moduli", "id", "--limit", "5"] + SEQ_ROUTE, unread("witness probe", "limit")),
+    (["witness", "probe", "--probe-moduli", "id", "--depth", "7"] + SEQ_ROUTE, unread("witness probe", "depth")),
+    (["witness", "probe", "--probe-moduli", "id", "--rho-value", "2"] + SEQ_ROUTE,
+     unread("witness probe", "rho-value")),
+    (["witness", "cauchy", "--modulus", "id", "--limit", "5"] + SEQ_ROUTE, unread("witness cauchy", "limit")),
+    (["witness", "cauchy", "--modulus", "id", "--probe-moduli", "nope"] + SEQ_ROUTE,
+     unread("witness cauchy", "probe-moduli")),
+    (["witness", "cauchy", "--modulus", "id", "--nu", "2"] + SEQ_ROUTE, unread("witness cauchy", "nu")),
+    (["witness", "extract", "--modulus", "id", "--probe-moduli", "id"] + SEQ_ROUTE,
+     unread("witness extract", "probe-moduli")),
 ], ids=["half-plateau-junk", "membership-half-plateau-junk", "block-spike-eps-limit", "block-spike-n",
         "block-spike-depth", "block-spike-nu", "half-plateau-modulus", "half-plateau-alpha", "half-plateau-theta",
         "membership-estimate", "membership-eps-zero", "membership-half-plateau-orlicz", "membership-seq-rho-value",
-        "probe-nu", "extract-rho-value"])
+        "probe-nu", "extract-rho-value", "probe-modulus", "probe-limit", "probe-depth", "probe-rho-value",
+        "cauchy-limit", "cauchy-probe-moduli", "cauchy-nu", "extract-probe-moduli"])
 def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, argv, err):
     # a flag set away from its default on a route that does not read it is one error line, and nothing is generated
     from seqlab import witnesses
@@ -263,18 +276,20 @@ WEIGHTED = "weighted:base=poly:2,weights=file:{weights}"
     (["witness", "extract", "--seq", SPIKE, "--modulus", "id"], 2.5),
     (["witness", "cauchy", "--seq", "harmonic:0.5", "--modulus", "id"], 2.5),
     (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "density", "--modulus", "log1p"], 2.5),
+    (["membership", "--seq", "harmonic:1", "--estimate-limit", "--mode", "density", "--modulus", "id"], 2.5),
     (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "count", "--blocks", "20"], 2.5),
     (["membership", "--seq", "alt:1,2", "--limit", "1", "--mode", "mean", "--blocks", "20"], 2.5),
     (["norm", "--kind", "luxemburg", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
     (["norm", "--kind", "orlicz", "--orlicz", "explog", "--seq", "alt:1.003,-2.01"], 2.5),
     (["norm", "--kind", "luxemburg", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
     (["norm", "--kind", "orlicz", "--orlicz", WEIGHTED, "--seq", "alt:1.003,-2.01"], 3.5),
-], ids=["probe", "extract", "cauchy", "membership", "count", "mean", "luxemburg", "orlicz",
-        "weighted-luxemburg", "weighted-orlicz"])
+], ids=["probe", "extract", "cauchy", "membership", "harmonic-estimate", "count", "mean", "luxemburg",
+        "orlicz", "weighted-luxemburg", "weighted-orlicz"])
 def test_peak_memory_in_prefix_sizes(capsys, tmp_path, argv, bound):
     # the prefix x, the scores and O(block) or O(members) scratch; the limit
-    # estimate's float bins, which probe and extract make first, are dropped
-    # before any candidate is scored, and the block modes count a one-byte mask.
+    # estimate's sorted copy of the prefix, which probe, extract and
+    # --estimate-limit make first, is dropped before any candidate is scored
+    # (harmonic's values are all distinct), and the block modes count a one-byte mask.
     # A norm holds x, |x| / max|x| and O(block) scratch, and a weighted one its
     # weight table.
     n = 2 ** 20
@@ -440,9 +455,9 @@ def test_empty_spec_file_under_warnings_as_errors(tmp_path):
     assert proc.stderr == f"seqlab: error: empty weight file {path}\n"
 
 
-def test_witness_probe_leaves_numpy_ma_unimported():
-    # np.median's NaN check and np.unique both import numpy.ma (1.09 MB) on
-    # their first call; the probe's limit estimate and counts use neither
+def numpy_ma_after(argv):
+    """Whether ``numpy.ma`` is in ``sys.modules`` after ``main(argv)`` in a fresh interpreter;
+    skips where numpy imports it with numpy itself."""
     script = ("import contextlib, io, sys, numpy\n"
               "loaded = 'numpy.ma' in sys.modules\n"
               "from seqlab.cli import main\n"
@@ -450,14 +465,30 @@ def test_witness_probe_leaves_numpy_ma_unimported():
               "    code = main(sys.argv[1:])\n"
               "print(code, loaded, 'numpy.ma' in sys.modules)\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "witness", "probe", "--seq", "spike:set=squares,base=1.234,delta=2",
-         "--n", "100000", "--probe-moduli", "id,log1p"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     code, loaded, after = proc.stdout.split()
     if loaded == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
-    assert (code, after) == ("0", "False")
+    assert code == "0"
+    return after == "True"
+
+
+def test_witness_probe_leaves_numpy_ma_unimported():
+    # np.median's NaN check and np.unique both import numpy.ma (1.09 MB) on
+    # their first call; the probe's limit estimate and counts use neither
+    assert not numpy_ma_after(["witness", "probe", "--seq", "spike:set=squares,base=1.234,delta=2",
+                               "--n", "100000", "--probe-moduli", "id,log1p"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--modulus", "pow:0.5"],
+    ["density", "--set", "list:5,3,3,1", "--n", "100"],
+], ids=["axiom-grid", "unsorted-members"])
+def test_distinct_sorts_leave_numpy_ma_unimported(argv):
+    # the axiom grid and an unsorted member list are made distinct by comparing
+    # sorted neighbours, as np.unique would, without its numpy.ma import
+    assert not numpy_ma_after(argv)
 
 
 def test_norm_past_the_float_range_exits_one(capsys):

@@ -1,15 +1,17 @@
 """The witness routes' shared scans against reference copies of the loops they
 replaced.
 
-``stat_limit_estimate`` bins the transformed prefix once, ranks the bins by
-their sorted run lengths, gathers each candidate's members block by block and
-scores each candidate once for every modulus; ``_cauchy_search`` builds one
-deviation per anchor for every radius; ``witness extract`` reuses the limit
-estimate's scores, and the extraction and the off-witness check work from
-member positions.  The references below are the per-modulus and per-radius
-loops, the scan over a sorted copy of the bins, and the n-length mask and
-index arrays, kept verbatim in behaviour: the new code must return the same
-floats and anchors, and raise the same exception with the same message.
+``stat_limit_estimate`` sorts one copy of the transformed prefix, where every
+bin is one run, finds the runs in blocks of ``_CHUNK`` values, ranks them by
+length, takes each candidate's median from the middle of its run and scores
+each candidate once for every modulus; ``_cauchy_search`` builds one deviation
+per anchor for every radius; ``witness extract`` reuses the limit estimate's
+scores, and the extraction and the off-witness check work from member
+positions.  The references below are the per-modulus and per-radius loops,
+``np.unique`` over an n-length copy of the bins with ``np.median`` of each
+candidate's masked members, and the n-length mask and index arrays, kept
+verbatim in behaviour: the new code must return the same floats and anchors,
+and raise the same exception with the same message.
 """
 
 import math
@@ -299,6 +301,41 @@ def _near_the_float_max(n):
 def test_limit_scan_across_block_edges(n, make):
     params = SpaceParams(make_family("linear"), make_lacunary("powers2", 4), eps=0.1)
     assert assert_same_scan(make(n), params, [MODULI["id"], MODULI["log1p"]], 0.05)[0] == "ok"
+
+
+def _first_run_ending_at(end, n):
+    # bin 0 holds the first ``end`` values of the sorted copy and bin 10 the rest,
+    # each of distinct values, shuffled; so a run ends at ``end`` in the sorted copy
+    i = np.arange(n)
+    y = np.where(i < end, 0.09 * i / n, 1.0 + 0.09 * i / n)
+    return np.random.default_rng(end).permutation(y)
+
+
+def _more_bins_than_a_block(n):
+    # every pair of indices its own bin, past _CHUNK bins, and one bin of three
+    # in the middle, the fullest; the other candidates tie and go by bin
+    y = np.repeat(np.arange(_CHUNK + 100) * 0.25, 2)[:n]
+    y[n // 2] = y[n // 2 + 2]
+    return np.random.default_rng(n).permutation(y)
+
+
+def _one_bin_of_distinct_values(n):
+    return 2.5 + 0.04 * np.sin(np.arange(n))
+
+
+@quiet
+@pytest.mark.parametrize("make", [
+    *(lambda n, end=end: _first_run_ending_at(end, n)
+      for end in [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1]),
+    _more_bins_than_a_block, _one_bin_of_distinct_values,
+], ids=["run-end-chunk-1", "run-end-chunk", "run-end-chunk+1", "run-end-2chunk-1", "run-end-2chunk",
+        "run-end-2chunk+1", "more-bins-than-a-block", "one-bin"])
+def test_limit_scan_over_runs_of_the_sorted_copy(make):
+    # the runs of the sorted copy are found in blocks of _CHUNK values: a run
+    # that ends at one of a block's edges, more runs than a block holds, and one run
+    params = SpaceParams(make_family("linear"), make_lacunary("powers2", 4), eps=0.1)
+    y = make(2 * _CHUNK + 200)
+    assert assert_same_scan(y, params, [MODULI["id"], MODULI["log1p"]], 0.05)[0] == "ok"
 
 
 @quiet
