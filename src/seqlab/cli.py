@@ -168,32 +168,31 @@ def _witness_instance(kind: str, args):
 
 # the flags membership and witness both echo in their inputs
 _SPACE_ECHO = ("seq", "modulus", "theta", "blocks", "orlicz", "alpha", "rho", "limit", "eps", "tol", "n")
-# the parser defaults of the sequence, space and witness-instance flags that membership and witness share
-_SPACE_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "orlicz": "linear", "theta": "powers2",
-                   "alpha": 1.0, "rho": "const:1", "nu": 1.0, "rho_value": 1.0, "limit": None,
-                   "eps": membership_mod.DEFAULT_EPS, "tol": density_mod.DEFAULT_TOL, "n": None}
-# The flags each route does not read, refused when set away from their defaults: a generated
-# instance makes its own sequence, rho, limit and eps, half-plateau also fixes its family, cuts
-# and alpha, and block-spike has no nu; any other route takes --seq, and no --nu or --rho-value.
-# Of the --seq witness tasks, probe takes its moduli from --probe-moduli and finds its own limit,
-# cauchy finds its own limit, and extract reads one --modulus.
-_PAIR_UNREAD = ("seq", "modulus", "matrix", "rho", "limit", "eps", "n", "depth", "probe_moduli")
-_INSTANCE_UNREAD = ("seq", "matrix", "rho", "limit", "eps", "n", "estimate_limit")
-_SEQ_UNREAD = ("nu", "rho_value")
-_UNREAD = {"witness half-plateau": _PAIR_UNREAD + ("orlicz", "theta", "alpha"),
-           "witness block-spike": _PAIR_UNREAD + ("nu",),
-           "witness probe": _SEQ_UNREAD + ("modulus", "limit", "depth"),
-           "witness cauchy": _SEQ_UNREAD + ("limit", "probe_moduli"),
-           "witness extract": _SEQ_UNREAD + ("probe_moduli",),
-           "membership --witness half-plateau": _INSTANCE_UNREAD + ("orlicz", "theta", "alpha"),
-           "membership --witness block-spike": _INSTANCE_UNREAD + ("nu",)}
-_UNSET = {**_SPACE_DEFAULTS, "depth": None, "probe_moduli": None, "estimate_limit": False}
+# The parser default of each flag of membership and witness that a route may refuse, in the order the
+# first refused flag is named: the data and scoring flags, the generated instance's, the witness task's,
+# then the family and scheme flags.  membership's --blocks defaults to 10, and each membership route reads it.
+_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "rho": "const:1", "limit": None,
+             "eps": membership_mod.DEFAULT_EPS, "n": None, "estimate_limit": False, "nu": 1.0, "rho_value": 1.0,
+             "depth": None, "probe_moduli": None, "orlicz": "linear", "theta": "powers2", "alpha": 1.0,
+             "blocks": None}
+# the flags each route reads; any other flag set away from its default is refused
+_READS = {route: frozenset(names.split()) for route, names in {
+    "membership --seq": "seq modulus matrix orlicz theta blocks alpha rho limit eps n estimate_limit",
+    "membership --witness half-plateau": "modulus blocks nu rho_value",
+    "membership --witness block-spike": "modulus orlicz theta blocks alpha rho_value",
+    "witness half-plateau": "blocks nu rho_value",
+    "witness block-spike": "orlicz theta blocks alpha rho_value",
+    "witness probe": "seq matrix orlicz rho eps n probe_moduli",
+    "witness extract": "seq modulus matrix orlicz rho limit eps n depth",
+    "witness cauchy": "seq modulus matrix eps n depth"}.items()}
 
 
 def _refuse_unread(args, route: str) -> None:
-    """Refuse the first flag ``route`` does not read that is set away from its default."""
-    for name in _UNREAD.get(route, _SEQ_UNREAD):
-        if getattr(args, name) != _UNSET[name]:
+    """Refuse the first flag, in ``_DEFAULTS``' order, that ``route`` does not read and that is set
+    away from its default."""
+    reads = _READS[route]
+    for name, default in _DEFAULTS.items():
+        if name not in reads and getattr(args, name) != default:
             raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
 
 
@@ -308,8 +307,7 @@ def _cmd_witness(args) -> dict:
                "witness extraction" if args.limit is not None else "the density mode")
         f = make_modulus(args.modulus or "id").unbounded_for(use)
     x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
-    blocks = args.blocks if args.blocks is not None else max(1, int(math.log2(max(2, len(x)))))
-    matrix, params = _space_params(args, make_lacunary(args.theta, blocks))
+    matrix, params = _space_params(args, make_lacunary(args.theta, max(1, int(math.log2(max(2, len(x)))))))
     y = transform_prefix(matrix, x, len(x))  # once, for the probe, extract's scores or both Cauchy stages
 
     if args.task == "probe":
@@ -383,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     _add_common(p)
 
-    # the sequence, space and witness-instance flags of membership and witness
+    # the sequence, space and witness-instance flags of membership and witness, and every refusable default
     space = argparse.ArgumentParser(add_help=False)
-    space.set_defaults(**_SPACE_DEFAULTS)
+    space.set_defaults(**_DEFAULTS)
     space.add_argument("--seq")
     space.add_argument("--modulus")
     space.add_argument("--matrix")
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     space.add_argument("--rho-value", type=float, help="scalar rho for generated witness instances")
     space.add_argument("--limit", type=float, help="candidate limit L")
     space.add_argument("--eps", type=float)
-    space.add_argument("--tol", type=float)
+    space.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     space.add_argument("--n", type=int)
     _add_common(space)
 
@@ -419,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", parents=[space], help="constructions and probes")
     p.add_argument("task", choices=("extract", "cauchy", "half-plateau", "block-spike", "probe"))
-    p.add_argument("--probe-moduli", default=None, help="comma list, e.g. id,log1p,pow:0.5")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--probe-moduli", help="comma list, e.g. id,log1p,pow:0.5")
+    p.add_argument("--depth", type=int,
                    help=f"extract: 2..{MAX_DEPTH} (default 5), cauchy: 1..{MAX_DEPTH} (default 10)")
-    p.add_argument("--blocks", type=int, default=None)
+    p.add_argument("--blocks", type=int)
 
     p = sub.add_parser("check", help="sampled axiom checks for moduli and Orlicz functions")
     p.add_argument("--modulus", default=None)

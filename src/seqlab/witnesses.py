@@ -307,10 +307,6 @@ def gen_block_spike_instance(base: OrliczFn, scheme: LacunaryScheme, rho: float 
     exactly 1/h_r^alpha.  Requires an unbounded, strictly increasing gauge;
     a bounded one cannot satisfy the height inequality and raises.
     """
-    if not math.isfinite(rho):
-        raise ValueError(f"rho must be finite, got {rho}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     params = _instance_params(uniform_family(base), scheme, alpha, rho)
     if scheme.k_max > MATERIALIZE_CAP:
         raise TruncationError(f"block-spike scheme ends at {scheme.k_max}, past {MATERIALIZE_CAP} values")

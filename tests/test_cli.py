@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -128,13 +129,13 @@ def test_non_finite_block_spike_rho_exits_one(capsys, bad):
     code, out, err = run(capsys, ["witness", "block-spike", "--rho-value", bad])
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and f"rho must be finite, got {bad}" in err
+    assert err.count("\n") == 1 and f"rho constant must be positive and finite, got {bad}" in err
 
 
 @pytest.mark.parametrize("argv, message", [
     (["witness", "half-plateau", "--nu", "-1"], "plateau height nu must be >= 0"),
     (["witness", "half-plateau", "--rho-value", "0"], "rho must be positive"),
-    (["witness", "block-spike", "--rho-value", "0"], "rho must be positive"),
+    (["witness", "block-spike", "--rho-value", "0"], "rho constant must be positive and finite, got 0.0"),
     (["membership", "--mode", "mean", "--limit", "1"], "membership needs --seq or --witness"),
 ], ids=["half-plateau-nu", "half-plateau-rho", "block-spike-rho", "membership-no-source"])
 def test_out_of_range_instance_or_no_source_exits_one(capsys, argv, message):
@@ -155,6 +156,7 @@ def unread(route, flag):
 
 
 SEQ_ROUTE = ["--seq", "const:1", "--n", "2000"]
+AT_DEFAULTS = ["--theta", "powers2", "--alpha", "1", "--orlicz", "linear", "--rho", "const:1"]
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -191,11 +193,26 @@ SEQ_ROUTE = ["--seq", "const:1", "--n", "2000"]
     (["witness", "cauchy", "--modulus", "id", "--nu", "2"] + SEQ_ROUTE, unread("witness cauchy", "nu")),
     (["witness", "extract", "--modulus", "id", "--probe-moduli", "id"] + SEQ_ROUTE,
      unread("witness extract", "probe-moduli")),
+    # the --seq witness tasks build no scheme of their own, and cauchy scores with no family or rho
+    (["witness", "probe", "--probe-moduli", "id", "--theta", "geometric:1.5"] + SEQ_ROUTE,
+     unread("witness probe", "theta")),
+    (["witness", "probe", "--probe-moduli", "id", "--blocks", "200"] + SEQ_ROUTE, unread("witness probe", "blocks")),
+    (["witness", "probe", "--probe-moduli", "id", "--alpha", "0.5"] + SEQ_ROUTE, unread("witness probe", "alpha")),
+    (["witness", "extract", "--modulus", "id", "--theta", "bogus"] + SEQ_ROUTE, unread("witness extract", "theta")),
+    (["witness", "extract", "--modulus", "id", "--blocks", "3"] + SEQ_ROUTE, unread("witness extract", "blocks")),
+    (["witness", "extract", "--modulus", "id", "--alpha", "nan"] + SEQ_ROUTE, unread("witness extract", "alpha")),
+    (["witness", "cauchy", "--modulus", "id", "--theta", "powers2:"] + SEQ_ROUTE, unread("witness cauchy", "theta")),
+    (["witness", "cauchy", "--modulus", "id", "--blocks", "0"] + SEQ_ROUTE, unread("witness cauchy", "blocks")),
+    (["witness", "cauchy", "--modulus", "id", "--alpha", "2"] + SEQ_ROUTE, unread("witness cauchy", "alpha")),
+    (["witness", "cauchy", "--modulus", "id", "--orlicz", "explog"] + SEQ_ROUTE, unread("witness cauchy", "orlicz")),
+    (["witness", "cauchy", "--modulus", "id", "--rho", "const:5"] + SEQ_ROUTE, unread("witness cauchy", "rho")),
 ], ids=["half-plateau-junk", "membership-half-plateau-junk", "block-spike-eps-limit", "block-spike-n",
         "block-spike-depth", "block-spike-nu", "half-plateau-modulus", "half-plateau-alpha", "half-plateau-theta",
         "membership-estimate", "membership-eps-zero", "membership-half-plateau-orlicz", "membership-seq-rho-value",
         "probe-nu", "extract-rho-value", "probe-modulus", "probe-limit", "probe-depth", "probe-rho-value",
-        "cauchy-limit", "cauchy-probe-moduli", "cauchy-nu", "extract-probe-moduli"])
+        "cauchy-limit", "cauchy-probe-moduli", "cauchy-nu", "extract-probe-moduli", "probe-theta", "probe-blocks",
+        "probe-alpha", "extract-theta", "extract-blocks", "extract-alpha", "cauchy-theta", "cauchy-blocks",
+        "cauchy-alpha", "cauchy-orlicz", "cauchy-rho"])
 def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, argv, err):
     # a flag set away from its default on a route that does not read it is one error line, and nothing is generated
     from seqlab import witnesses
@@ -212,9 +229,45 @@ def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, arg
     ["witness", "half-plateau", "--orlicz", "linear", "--alpha", "1", "--theta", "powers2"],
     ["membership", "--witness", "half-plateau", "--mode", "density", "--modulus", "log1p", "--nu", "2"],
     ["membership", "--mode", "mean", "--limit", "1", "--nu", "1", "--rho-value", "1.0"] + SEQ_ROUTE,
-], ids=["block-spike", "half-plateau", "membership-witness", "membership-seq"])
+    ["witness", "probe", "--probe-moduli", "id"] + AT_DEFAULTS + SEQ_ROUTE,
+    ["witness", "extract", "--modulus", "id", "--limit", "1"] + AT_DEFAULTS + SEQ_ROUTE,
+    ["witness", "cauchy", "--modulus", "id"] + AT_DEFAULTS + SEQ_ROUTE,
+], ids=["block-spike", "half-plateau", "membership-witness", "membership-seq", "probe", "extract", "cauchy"])
 def test_flags_at_their_defaults_are_not_refused(capsys, argv):
     assert run_json(capsys, argv)["schema_version"] == "seqlab/1"
+
+
+# the flags no route refuses: output, tolerance, and what picks the route
+NEVER_REFUSED = {"help", "format", "out", "tol", "mode", "witness"}
+
+
+def test_every_refusable_flag_has_one_default_and_every_route_declares_its_reads():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    routes = {"membership --seq"}
+    for command in ("membership", "witness"):
+        parser = sub[command]
+        dests = {a.dest for a in parser._actions if a.option_strings} - NEVER_REFUSED
+        assert dests <= set(cli._DEFAULTS), command  # a new flag is refused on every route until one declares it
+        routes |= {f"{command} {choice}" if command == "witness" else f"membership --witness {choice}"
+                   for a in parser._actions if a.dest in ("task", "witness") for choice in a.choices}
+        for route, reads in cli._READS.items():
+            if route.startswith(command):  # each flag a route may refuse is compared with its own parser's default
+                assert all(cli._DEFAULTS[name] == parser.get_default(name) for name in dests - reads), route
+    assert set(cli._READS) == routes
+    assert all(reads <= set(cli._DEFAULTS) for reads in cli._READS.values())
+
+
+def test_readme_states_the_declaration_and_the_refusal_order():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def flags(names):
+        return [f"`--{name.replace('_', '-')}`" for name in names]
+
+    for route, reads in cli._READS.items():
+        row = re.search(rf"^\| `{route}` \| (.*) \|$", text, re.M)
+        assert row and sorted(row[1].split(", ")) == sorted(flags(reads)), route
+    order = re.search(r"the first in this order is\s+named: (.*?)\.\n", text, re.S)[1]
+    assert re.split(r",\s+", order) == flags(cli._DEFAULTS)
 
 
 def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):

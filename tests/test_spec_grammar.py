@@ -6,7 +6,8 @@ tiny values, empty tokens, extra commas and nested ``spike:set=`` specs.
 Numeric flags take hostile values too, but only values that argparse
 accepts, so argparse's own exit 2 never occurs.  Whatever the input, ``main`` exits 0
 with exactly one ``elapsed_ms=`` line on stderr, or exits 1 with an empty stdout
-and exactly one ``seqlab: error:`` line on stderr; no exception escapes it.
+and exactly one ``seqlab: error:`` line on stderr; no exception escapes it.  A
+``does not read --FLAG`` line names a flag that the command line sets.
 
 Sizes stay small: every ``--n`` a run can build is at most 10^5 values, and
 larger ones are met only as values the boundary refuses before allocating.
@@ -163,6 +164,9 @@ def test_cli_exit_contract_under_fuzzing(args):
     if code == 1:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("seqlab: error: "), err
+        # a refusal names a flag the command line set, never one left at its default
+        unread = re.search(r" does not read (--[a-z-]+)$", err.rstrip("\n"))
+        assert unread is None or any(a == unread[1] or a.startswith(unread[1] + "=") for a in args), err
     else:  # the one timing line and nothing else, so no warning reaches stderr
         assert re.fullmatch(r"elapsed_ms=\d+\.\d\n", err), err
 

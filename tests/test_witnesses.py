@@ -145,7 +145,7 @@ class TestBlockSpike:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rho_named(self, bad):
-        with pytest.raises(ValueError, match=f"^rho must be finite, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^rho constant must be positive and finite, got {bad}$"):
             gen_block_spike_instance(make_orlicz("linear"), make_lacunary("powers2", 8), rho=bad)
 
 
