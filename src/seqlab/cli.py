@@ -128,11 +128,13 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _report(subcommand: str, inputs: dict, results, warnings=()) -> dict:
+def _report(args, results, warnings=(), **resolved) -> dict:
+    """The report of ``args``, whose ``inputs`` hold exactly the flags its route reads: each
+    as given, or at the value the run used where ``resolved`` names one."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "inputs": inputs,
+        "subcommand": args.command,
+        "inputs": {name: resolved.get(name, getattr(args, name)) for name in _READS[_route(args)]},
         "results": results,
         "warnings": list(warnings),
     }
@@ -155,8 +157,8 @@ def _pair_payload(rep, **extra) -> dict:
 
 def _witness_instance(kind: str, args):
     """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, extras)``, extras the
-    fields its ``witness`` report adds.  Unset ``--blocks`` (``witness`` only: ``membership``
-    defaults it to 10) means 10 blocks, or 12 for block-spike."""
+    fields its ``witness`` report adds.  Unset ``--blocks`` means 10 blocks, or 12 for
+    block-spike, under ``membership --witness`` and ``witness`` alike."""
     blocks = args.blocks if args.blocks is not None else (10 if kind == "half-plateau" else 12)
     if kind == "half-plateau":
         x, params = witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks)
@@ -166,40 +168,41 @@ def _witness_instance(kind: str, args):
     return x, params, {"cuts": params.scheme.cuts, "spike_heights": heights}
 
 
-# the flags membership and witness both echo in their inputs
-_SPACE_ECHO = ("seq", "modulus", "theta", "blocks", "orlicz", "alpha", "rho", "limit", "eps", "tol", "n")
-# The parser default of each flag of membership and witness that a route may refuse, in the order the
-# first refused flag is named: the data and scoring flags, the generated instance's, the witness task's,
-# then the family and scheme flags.  membership's --blocks defaults to 10, and each membership route reads it.
-_DEFAULTS = {"seq": None, "modulus": None, "matrix": "identity", "rho": "const:1", "limit": None,
-             "eps": membership_mod.DEFAULT_EPS, "n": None, "estimate_limit": False, "nu": 1.0, "rho_value": 1.0,
-             "depth": None, "probe_moduli": None, "orlicz": "linear", "theta": "powers2", "alpha": 1.0,
-             "blocks": None}
-# the flags each route reads; any other flag set away from its default is refused
+# The flags each route reads, which are the flags its report echoes under inputs
 _READS = {route: frozenset(names.split()) for route, names in {
-    "membership --seq": "seq modulus matrix orlicz theta blocks alpha rho limit eps n estimate_limit",
-    "membership --witness half-plateau": "modulus blocks nu rho_value",
-    "membership --witness block-spike": "modulus orlicz theta blocks alpha rho_value",
-    "witness half-plateau": "blocks nu rho_value",
-    "witness block-spike": "orlicz theta blocks alpha rho_value",
-    "witness probe": "seq matrix orlicz rho eps n probe_moduli",
-    "witness extract": "seq modulus matrix orlicz rho limit eps n depth",
-    "witness cauchy": "seq modulus matrix eps n depth"}.items()}
+    "density": "set modulus n tol",
+    "membership --seq": "seq witness mode modulus matrix orlicz theta blocks alpha rho limit eps tol n estimate_limit",
+    "membership --witness half-plateau": "witness mode modulus blocks nu rho_value tol",
+    "membership --witness block-spike": "witness mode modulus orlicz theta blocks alpha rho_value tol",
+    "norm luxemburg": "kind orlicz seq tol n",
+    "norm orlicz": "kind orlicz seq tol n",
+    "norm block-mean": "kind seq theta blocks n",
+    "witness half-plateau": "task blocks nu rho_value tol",
+    "witness block-spike": "task orlicz theta blocks alpha rho_value tol",
+    "witness probe": "task seq matrix orlicz rho eps tol n probe_moduli",
+    "witness extract": "task seq modulus matrix orlicz rho limit eps tol n depth",
+    "witness cauchy": "task seq modulus matrix eps tol n depth",
+    "check": "modulus orlicz"}.items()}
+# The order in which the first flag a route does not read is named: the data and scoring flags, the
+# generated instance's, the witness task's, then the family and scheme flags
+_REFUSAL_ORDER = ("seq", "modulus", "matrix", "rho", "limit", "eps", "tol", "n", "estimate_limit", "nu",
+                  "rho_value", "depth", "probe_moduli", "orlicz", "theta", "alpha", "blocks")
 
 
-def _refuse_unread(args, route: str) -> None:
-    """Refuse the first flag, in ``_DEFAULTS``' order, that ``route`` does not read and that is set
-    away from its default."""
-    reads = _READS[route]
-    for name, default in _DEFAULTS.items():
-        if name not in reads and getattr(args, name) != default:
+def _route(args) -> str:
+    """The ``_READS`` key of ``args``: the command, with the source, kind or task that picks its route."""
+    if args.command == "membership":
+        return f"membership --witness {args.witness}" if args.witness else "membership --seq"
+    return " ".join([args.command] + [getattr(args, pick) for pick in ("kind", "task") if hasattr(args, pick)])
+
+
+def _refuse_unread(args, parser) -> None:
+    """Refuse the first flag, in ``_REFUSAL_ORDER``, that the route of ``args`` does not read and
+    that is set away from its default in the command's own subparser of ``parser``."""
+    route, command = _route(args), next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    for name in _REFUSAL_ORDER:
+        if name not in _READS[route] and getattr(args, name, None) != command.get_default(name):
             raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
-
-
-def _echo(args, names, **resolved) -> dict:
-    """A report's ``inputs``: each flag in ``names`` as given, then ``resolved``
-    values, which override flags of the same name."""
-    return {**{name: getattr(args, name) for name in names}, **resolved}
 
 
 def _space_params(args, scheme) -> tuple[SummabilityMatrix, SpaceParams]:
@@ -215,7 +218,7 @@ def _space_params(args, scheme) -> tuple[SummabilityMatrix, SpaceParams]:
 def _cmd_density(args) -> dict:
     a = make_index_set(args.set)
     est = density_mod.f_density(a, make_modulus(args.modulus or "id"), args.n, args.tol)
-    return _report("density", _echo(args, ("set", "modulus", "n", "tol")), est)
+    return _report(args, est)
 
 
 def _scored(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
@@ -231,7 +234,6 @@ def _scored(y, params: SpaceParams, f, tol) -> tuple[SpaceParams, np.ndarray]:
 
 
 def _cmd_membership(args) -> dict:
-    _refuse_unread(args, f"membership --witness {args.witness}" if args.witness else "membership --seq")
     f = make_modulus(args.modulus or "id")
     # refused before any data is made: a bounded modulus where a density is judged, or no limit to score against
     if args.mode == "density" or args.estimate_limit:
@@ -244,7 +246,7 @@ def _cmd_membership(args) -> dict:
     elif args.limit is None and not args.estimate_limit:
         raise SeqlabError("membership needs --limit or --estimate-limit")
     else:  # --matrix's one transform of --seq
-        scheme = make_lacunary(args.theta, args.blocks)
+        scheme = make_lacunary(args.theta, 10 if args.blocks is None else args.blocks)
         # a density trail needs room, and so does the limit estimate, which scans one; block modes need k_max
         room = 100_000 if args.mode == "density" else 1000 if args.estimate_limit else 0
         x = make_sequence(args.seq, max(scheme.k_max, room) if args.n is None else args.n)
@@ -258,39 +260,34 @@ def _cmd_membership(args) -> dict:
         rep = membership_mod.density_membership(s, params, f, args.tol)
     else:
         rep = membership_mod.block_membership(s, params, args.mode, args.tol)
-    inputs = _echo(args, _SPACE_ECHO + ("witness", "mode", "matrix"),
-                   limit=params.limit, eps=params.eps, n=len(x))
     warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if args.witness == "block-spike" else []
-    return _report("membership", inputs, _membership_payload(rep), warnings)
+    return _report(args, _membership_payload(rep), warnings, limit=params.limit, n=len(x), blocks=params.scheme.blocks)
 
 
 def _cmd_norm(args) -> dict:
     x = make_sequence(args.seq, args.n)
-    inputs = _echo(args, ("kind", "orlicz", "seq", "theta", "blocks"), n=len(x))
     if args.kind == "block-mean":
         scheme = make_lacunary(args.theta, args.blocks)
-        return _report("norm", inputs, {"value": block_mean_norm(x, scheme), "cuts": scheme.cuts})
+        return _report(args, {"value": block_mean_norm(x, scheme), "cuts": scheme.cuts},
+                       n=len(x), blocks=scheme.blocks)
     family = make_family(args.orlicz)
     default = LUXEMBURG_TOL if args.kind == "luxemburg" else ORLICZ_TOL
     tol = default if args.tol is None else args.tol
-    inputs["tol"] = tol
     if args.kind == "luxemburg":
-        return _report("norm", inputs, {"value": luxemburg_norm(family, x, tol)})
+        return _report(args, {"value": luxemburg_norm(family, x, tol)}, n=len(x), tol=tol)
     res = orlicz_norm(family, x, tol)
     past = res.scale is None and res.value > 0  # x = 0 has no scale either
-    return _report("norm", inputs, res, ["the minimizing scale k lies past the float range"] if past else [])
+    return _report(args, res, ["the minimizing scale k lies past the float range"] if past else [], n=len(x), tol=tol)
 
 
 def _cmd_witness(args) -> dict:
-    _refuse_unread(args, f"witness {args.task}")
-    inputs = _echo(args, _SPACE_ECHO + ("task", "depth", "nu", "probe_moduli"))
-
     if args.task in ("half-plateau", "block-spike"):
         x, params, extras = _witness_instance(args.task, args)
         spike = args.task == "block-spike"
         report = witnesses_mod.block_spike_report if spike else witnesses_mod.half_plateau_report
         warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if spike else []
-        return _report("witness", inputs, _pair_payload(report(x, params, args.tol), **extras), warnings)
+        return _report(args, _pair_payload(report(x, params, args.tol), **extras), warnings,
+                       blocks=params.scheme.blocks)
 
     if args.seq is None:
         raise SeqlabError(f"witness task {args.task!r} needs --seq")
@@ -309,9 +306,10 @@ def _cmd_witness(args) -> dict:
     x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
     matrix, params = _space_params(args, make_lacunary(args.theta, max(1, int(math.log2(max(2, len(x)))))))
     y = transform_prefix(matrix, x, len(x))  # once, for the probe, extract's scores or both Cauchy stages
+    used = {"n": len(x), "depth": depth}
 
     if args.task == "probe":
-        return _report("witness", inputs, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol))
+        return _report(args, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol), **used)
     if args.task == "extract":
         params, s = _scored(y, params, f, args.tol)  # against the given or the estimated limit
         try:
@@ -319,7 +317,7 @@ def _cmd_witness(args) -> dict:
         except WitnessExtractionError as exc:
             results = {"failure": {"stuck_level": exc.stuck_level, "message": str(exc)},
                        "limit": params.limit}
-            return _report("witness", inputs, results)
+            return _report(args, results, **used)
         off = witnesses_mod.converge_off_witness(s, ws.members, params.eps, 1.0 / depth)
         members = ws.members.members_upto(len(x))
         results = {
@@ -331,7 +329,7 @@ def _cmd_witness(args) -> dict:
             "off_tail_sup": ws.off_tail_sup,
             "off_check": off,
         }
-        return _report("witness", inputs, results)
+        return _report(args, results, **used)
 
     # cauchy, the one task left
     base = membership_mod.stat_cauchy_check(y, params.eps, f, tol=args.tol)
@@ -342,7 +340,7 @@ def _cmd_witness(args) -> dict:
             results.update(limit=nested.value, width=nested.width, anchors=nested.anchors)
         except CauchyConstructionError as exc:
             results["failure"] = {"level": exc.level, "message": str(exc)}
-    return _report("witness", inputs, results)
+    return _report(args, results, **used)
 
 
 def _cmd_check(args) -> dict:
@@ -355,7 +353,7 @@ def _cmd_check(args) -> dict:
         report = check_orlicz_axioms(make_orlicz(args.orlicz))
         kind, name = "orlicz", args.orlicz
     results = {"kind": kind, "name": name, "passed": report.passed, "axioms": report.checks()}
-    return _report("check", _echo(args, ("modulus", "orlicz")), results)
+    return _report(args, results)
 
 
 # -----------------------------
@@ -381,20 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     _add_common(p)
 
-    # the sequence, space and witness-instance flags of membership and witness, and every refusable default
+    # the sequence, space and witness-instance flags of membership and witness
     space = argparse.ArgumentParser(add_help=False)
-    space.set_defaults(**_DEFAULTS)
     space.add_argument("--seq")
     space.add_argument("--modulus")
-    space.add_argument("--matrix")
-    space.add_argument("--orlicz")
-    space.add_argument("--theta")
-    space.add_argument("--alpha", type=float)
-    space.add_argument("--rho")
-    space.add_argument("--nu", type=float)
-    space.add_argument("--rho-value", type=float, help="scalar rho for generated witness instances")
+    space.add_argument("--matrix", default="identity")
+    space.add_argument("--orlicz", default="linear")
+    space.add_argument("--theta", default="powers2")
+    space.add_argument("--alpha", type=float, default=1.0)
+    space.add_argument("--rho", default="const:1")
+    space.add_argument("--nu", type=float, default=1.0)
+    space.add_argument("--rho-value", type=float, default=1.0, help="scalar rho for generated witness instances")
     space.add_argument("--limit", type=float, help="candidate limit L")
-    space.add_argument("--eps", type=float)
+    space.add_argument("--eps", type=float, default=membership_mod.DEFAULT_EPS)
     space.add_argument("--tol", type=float, default=density_mod.DEFAULT_TOL)
     space.add_argument("--n", type=int)
     _add_common(space)
@@ -402,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", parents=[space], help="block membership diagnostics")
     p.add_argument("--witness", choices=("half-plateau", "block-spike"), default=None)
     p.add_argument("--mode", choices=("mean", "count", "density"), required=True)
-    p.add_argument("--blocks", type=int, default=10)
+    p.add_argument("--blocks", type=int)
     p.add_argument("--estimate-limit", action="store_true")
 
     p = sub.add_parser("norm", help="Luxemburg, Orlicz, or block-mean norm")
@@ -444,6 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _refuse_unread(args, parser)  # before any handler generates data
         payload = _HANDLERS[args.command](args)
     except (SeqlabError, ValueError, ArithmeticError) as exc:
         print(f"seqlab: error: {exc}", file=sys.stderr)

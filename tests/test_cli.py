@@ -206,13 +206,22 @@ AT_DEFAULTS = ["--theta", "powers2", "--alpha", "1", "--orlicz", "linear", "--rh
     (["witness", "cauchy", "--modulus", "id", "--alpha", "2"] + SEQ_ROUTE, unread("witness cauchy", "alpha")),
     (["witness", "cauchy", "--modulus", "id", "--orlicz", "explog"] + SEQ_ROUTE, unread("witness cauchy", "orlicz")),
     (["witness", "cauchy", "--modulus", "id", "--rho", "const:5"] + SEQ_ROUTE, unread("witness cauchy", "rho")),
+    # each norm kind refuses what it ignores: the gauge kinds the scheme, block-mean the gauge and its tolerance
+    (["norm", "--kind", "luxemburg", "--orlicz", "poly:2", "--seq", "list:3,4", "--theta", "bogus"],
+     unread("norm luxemburg", "theta")),
+    (["norm", "--kind", "orlicz", "--seq", "list:3,4", "--blocks", "4"], unread("norm orlicz", "blocks")),
+    (["norm", "--kind", "block-mean", "--blocks", "4", "--seq", "const:1", "--n", "16", "--orlicz", "nope"],
+     unread("norm block-mean", "orlicz")),
+    (["norm", "--kind", "block-mean", "--blocks", "4", "--seq", "const:1", "--n", "16", "--orlicz", "nope",
+      "--tol", "5"], unread("norm block-mean", "tol")),
 ], ids=["half-plateau-junk", "membership-half-plateau-junk", "block-spike-eps-limit", "block-spike-n",
         "block-spike-depth", "block-spike-nu", "half-plateau-modulus", "half-plateau-alpha", "half-plateau-theta",
         "membership-estimate", "membership-eps-zero", "membership-half-plateau-orlicz", "membership-seq-rho-value",
         "probe-nu", "extract-rho-value", "probe-modulus", "probe-limit", "probe-depth", "probe-rho-value",
         "cauchy-limit", "cauchy-probe-moduli", "cauchy-nu", "extract-probe-moduli", "probe-theta", "probe-blocks",
         "probe-alpha", "extract-theta", "extract-blocks", "extract-alpha", "cauchy-theta", "cauchy-blocks",
-        "cauchy-alpha", "cauchy-orlicz", "cauchy-rho"])
+        "cauchy-alpha", "cauchy-orlicz", "cauchy-rho", "luxemburg-theta", "orlicz-blocks", "block-mean-orlicz",
+        "block-mean-tol"])
 def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, argv, err):
     # a flag set away from its default on a route that does not read it is one error line, and nothing is generated
     from seqlab import witnesses
@@ -232,42 +241,60 @@ def test_unread_flags_are_refused_before_any_generation(capsys, monkeypatch, arg
     ["witness", "probe", "--probe-moduli", "id"] + AT_DEFAULTS + SEQ_ROUTE,
     ["witness", "extract", "--modulus", "id", "--limit", "1"] + AT_DEFAULTS + SEQ_ROUTE,
     ["witness", "cauchy", "--modulus", "id"] + AT_DEFAULTS + SEQ_ROUTE,
-], ids=["block-spike", "half-plateau", "membership-witness", "membership-seq", "probe", "extract", "cauchy"])
+    ["norm", "--kind", "block-mean", "--orlicz", "poly:2", "--blocks", "4", "--seq", "const:1", "--n", "16"],
+    ["norm", "--kind", "luxemburg", "--theta", "powers2", "--orlicz", "poly:2", "--seq", "list:3,4"],
+    ["norm", "--kind", "orlicz", "--theta", "powers2", "--seq", "list:3,4"],
+], ids=["block-spike", "half-plateau", "membership-witness", "membership-seq", "probe", "extract", "cauchy",
+        "block-mean", "luxemburg", "orlicz"])
 def test_flags_at_their_defaults_are_not_refused(capsys, argv):
     assert run_json(capsys, argv)["schema_version"] == "seqlab/1"
 
 
-# the flags no route refuses: output, tolerance, and what picks the route
-NEVER_REFUSED = {"help", "format", "out", "tol", "mode", "witness"}
+# the flags no route reads or refuses: help and the output
+NEVER_REFUSED = {"help", "format", "out"}
 
 
 def test_every_refusable_flag_has_one_default_and_every_route_declares_its_reads():
+    # each flag is refused against its own subcommand's default, so only the order is declared
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    routes = {"membership --seq"}
-    for command in ("membership", "witness"):
-        parser = sub[command]
-        dests = {a.dest for a in parser._actions if a.option_strings} - NEVER_REFUSED
-        assert dests <= set(cli._DEFAULTS), command  # a new flag is refused on every route until one declares it
-        routes |= {f"{command} {choice}" if command == "witness" else f"membership --witness {choice}"
-                   for a in parser._actions if a.dest in ("task", "witness") for choice in a.choices}
-        for route, reads in cli._READS.items():
-            if route.startswith(command):  # each flag a route may refuse is compared with its own parser's default
-                assert all(cli._DEFAULTS[name] == parser.get_default(name) for name in dests - reads), route
-    assert set(cli._READS) == routes
-    assert all(reads <= set(cli._DEFAULTS) for reads in cli._READS.values())
+    routes = set()
+    for command, parser in sub.items():
+        dests = {a.dest for a in parser._actions} - NEVER_REFUSED
+        picks = next((a.choices for a in parser._actions if a.dest in ("kind", "task", "witness")), [""])
+        if command == "membership":
+            own = {"membership --seq"} | {f"membership --witness {pick}" for pick in picks}
+        else:
+            own = {f"{command} {pick}".strip() for pick in picks}
+        for route in own:  # a new flag is refused on every route of its command until one declares it
+            assert cli._READS[route] <= dests, route
+            assert dests - cli._READS[route] <= set(cli._REFUSAL_ORDER), route
+        routes |= own
+    assert set(cli._READS) == routes and len(routes) == 13
+    assert len(set(cli._REFUSAL_ORDER)) == len(cli._REFUSAL_ORDER)
+    assert all(any(name not in reads for reads in cli._READS.values()) for name in cli._REFUSAL_ORDER)
+
+
+def _readme_flags(names):
+    """README's spelling of each flag in ``names``: the witness task is the positional ``task``."""
+    return [f"`{name}`" if name == "task" else f"`--{name.replace('_', '-')}`" for name in names]
 
 
 def test_readme_states_the_declaration_and_the_refusal_order():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-
-    def flags(names):
-        return [f"`--{name.replace('_', '-')}`" for name in names]
-
+    rows = dict(re.findall(r"^\| `([a-z -]+)` \| (`.*`) \|$", text, re.M))
+    assert set(rows) == set(cli._READS)
     for route, reads in cli._READS.items():
-        row = re.search(rf"^\| `{route}` \| (.*) \|$", text, re.M)
-        assert row and sorted(row[1].split(", ")) == sorted(flags(reads)), route
+        assert sorted(rows[route].split(", ")) == sorted(_readme_flags(reads)), route
     order = re.search(r"the first in this order is\s+named: (.*?)\.\n", text, re.S)[1]
-    assert re.split(r",\s+", order) == flags(cli._DEFAULTS)
+    assert re.split(r",\s+", order) == _readme_flags(cli._REFUSAL_ORDER)
+
+
+def test_block_spike_takes_twelve_blocks_under_both_commands(capsys):
+    member = run_json(capsys, ["membership", "--witness", "block-spike", "--mode", "mean"])
+    witness = run_json(capsys, ["witness", "block-spike"])
+    assert member["inputs"]["blocks"] == witness["inputs"]["blocks"] == 12
+    assert member["results"]["block_residuals"] == witness["results"]["residuals"]
+    assert len(witness["results"]["residuals"]) == 12
 
 
 def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):

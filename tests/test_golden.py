@@ -16,6 +16,7 @@ Recapture (only when an output change is intended) with::
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -67,6 +68,45 @@ def test_golden_help(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     # twice in one process, so a second rendering matches the first
     assert [_help(HELP[name]) for _ in range(2)] == [(GOLDEN / "help" / f"{name}.txt").read_text()] * 2
+
+
+@functools.cache
+def _json_report(name):
+    """The JSON report of case ``name``, whatever ``--format`` its argv names."""
+    argv = CASES[name]
+    at = argv.index("--format") if "--format" in argv else len(argv)
+    code, out = _stdout(argv[:at] + argv[at + 2:])
+    assert code == 0
+    return json.loads(out)
+
+
+def _replayed(report):
+    """The argv rebuilt from ``report``'s ``inputs``: a null or false flag left out, a true one
+    bare, and the witness task as the positional argument."""
+    argv = [report["subcommand"]]
+    for name, value in sorted(report["inputs"].items()):
+        if name == "task":
+            argv.insert(1, value)
+        elif value is True:
+            argv.append(f"--{name.replace('_', '-')}")
+        elif value is not None and value is not False:
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_inputs_are_the_routes_declaration(name):
+    route = cli._route(cli.build_parser().parse_args(CASES[name]))
+    assert set(_json_report(name)["inputs"]) == cli._READS[route]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_inputs_replay_the_results(name):
+    # the configuration a report echoes is enough to reproduce its results
+    report = _json_report(name)
+    code, out = _stdout(_replayed(report))
+    assert code == 0
+    assert json.loads(out)["results"] == report["results"]
 
 
 def _readme_commands():
