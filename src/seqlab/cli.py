@@ -156,9 +156,8 @@ def _pair_payload(rep, **extra) -> dict:
 
 
 def _witness_instance(kind: str, args):
-    """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, extras)``, extras the
-    fields its ``witness`` report adds.  Unset ``--blocks`` means 10 blocks, or 12 for
-    block-spike, under ``membership --witness`` and ``witness`` alike."""
+    """The ``half-plateau`` or ``block-spike`` instance as ``(x, params, extras)``, extras the fields its
+    ``witness`` report adds.  Unset ``--blocks`` means 10 blocks, or 12 for block-spike, on both commands."""
     blocks = args.blocks if args.blocks is not None else (10 if kind == "half-plateau" else 12)
     if kind == "half-plateau":
         x, params = witnesses_mod.gen_half_plateau_instance(args.nu, args.rho_value, blocks)
@@ -168,10 +167,11 @@ def _witness_instance(kind: str, args):
     return x, params, {"cuts": params.scheme.cuts, "spike_heights": heights}
 
 
-# The flags each route reads, which are the flags its report echoes under inputs
+# The flags each route reads: the flags its report echoes under inputs, and the only ones it takes
 _READS = {route: frozenset(names.split()) for route, names in {
     "density": "set modulus n tol",
-    "membership --seq": "seq witness mode modulus matrix orlicz theta blocks alpha rho limit eps tol n estimate_limit",
+    "membership --seq": "seq witness mode modulus matrix orlicz theta blocks alpha rho limit eps tol n "
+                        "estimate_limit",
     "membership --witness half-plateau": "witness mode modulus blocks nu rho_value tol",
     "membership --witness block-spike": "witness mode modulus orlicz theta blocks alpha rho_value tol",
     "norm luxemburg": "kind orlicz seq tol n",
@@ -199,7 +199,8 @@ def _route(args) -> str:
 def _refuse_unread(args, parser) -> None:
     """Refuse the first flag, in ``_REFUSAL_ORDER``, that the route of ``args`` does not read and
     that is set away from its default in the command's own subparser of ``parser``."""
-    route, command = _route(args), next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    route = _route(args)
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     for name in _REFUSAL_ORDER:
         if name not in _READS[route] and getattr(args, name, None) != command.get_default(name):
             raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
@@ -261,7 +262,8 @@ def _cmd_membership(args) -> dict:
     else:
         rep = membership_mod.block_membership(s, params, args.mode, args.tol)
     warnings = [witnesses_mod.BLOCK_SPIKE_DISCREPANCY] if args.witness == "block-spike" else []
-    return _report(args, _membership_payload(rep), warnings, limit=params.limit, n=len(x), blocks=params.scheme.blocks)
+    return _report(args, _membership_payload(rep), warnings, limit=params.limit, n=len(x),
+                   blocks=params.scheme.blocks)
 
 
 def _cmd_norm(args) -> dict:
@@ -277,7 +279,8 @@ def _cmd_norm(args) -> dict:
         return _report(args, {"value": luxemburg_norm(family, x, tol)}, n=len(x), tol=tol)
     res = orlicz_norm(family, x, tol)
     past = res.scale is None and res.value > 0  # x = 0 has no scale either
-    return _report(args, res, ["the minimizing scale k lies past the float range"] if past else [], n=len(x), tol=tol)
+    return _report(args, res, ["the minimizing scale k lies past the float range"] if past else [],
+                   n=len(x), tol=tol)
 
 
 def _cmd_witness(args) -> dict:
@@ -306,10 +309,9 @@ def _cmd_witness(args) -> dict:
     x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
     matrix, params = _space_params(args, make_lacunary(args.theta, max(1, int(math.log2(max(2, len(x)))))))
     y = transform_prefix(matrix, x, len(x))  # once, for the probe, extract's scores or both Cauchy stages
-    used = {"n": len(x), "depth": depth}
 
     if args.task == "probe":
-        return _report(args, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol), **used)
+        return _report(args, witnesses_mod.multi_modulus_probe(y, params, moduli, args.tol), n=len(x))
     if args.task == "extract":
         params, s = _scored(y, params, f, args.tol)  # against the given or the estimated limit
         try:
@@ -317,7 +319,7 @@ def _cmd_witness(args) -> dict:
         except WitnessExtractionError as exc:
             results = {"failure": {"stuck_level": exc.stuck_level, "message": str(exc)},
                        "limit": params.limit}
-            return _report(args, results, **used)
+            return _report(args, results, n=len(x), depth=depth)
         off = witnesses_mod.converge_off_witness(s, ws.members, params.eps, 1.0 / depth)
         members = ws.members.members_upto(len(x))
         results = {
@@ -329,7 +331,7 @@ def _cmd_witness(args) -> dict:
             "off_tail_sup": ws.off_tail_sup,
             "off_check": off,
         }
-        return _report(args, results, **used)
+        return _report(args, results, n=len(x), depth=depth)
 
     # cauchy, the one task left
     base = membership_mod.stat_cauchy_check(y, params.eps, f, tol=args.tol)
@@ -340,7 +342,7 @@ def _cmd_witness(args) -> dict:
             results.update(limit=nested.value, width=nested.width, anchors=nested.anchors)
         except CauchyConstructionError as exc:
             results["failure"] = {"level": exc.level, "message": str(exc)}
-    return _report(args, results, **used)
+    return _report(args, results, n=len(x), depth=depth)
 
 
 def _cmd_check(args) -> dict:
