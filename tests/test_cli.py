@@ -274,19 +274,18 @@ def test_every_refusable_flag_has_one_default_and_every_route_declares_its_reads
     assert all(any(name not in reads for reads in cli._READS.values()) for name in cli._REFUSAL_ORDER)
 
 
-def _readme_flags(names):
-    """README's spelling of each flag in ``names``: the witness task is the positional ``task``."""
-    return [f"`{name}`" if name == "task" else f"`--{name.replace('_', '-')}`" for name in names]
-
-
 def test_readme_states_the_declaration_and_the_refusal_order():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def flags(names):  # the witness task is the positional `task`
+        return [f"`{name}`" if name == "task" else f"`--{name.replace('_', '-')}`" for name in names]
+
     rows = dict(re.findall(r"^\| `([a-z -]+)` \| (`.*`) \|$", text, re.M))
     assert set(rows) == set(cli._READS)
     for route, reads in cli._READS.items():
-        assert sorted(rows[route].split(", ")) == sorted(_readme_flags(reads)), route
+        assert sorted(rows[route].split(", ")) == sorted(flags(reads)), route
     order = re.search(r"the first in this order is\s+named: (.*?)\.\n", text, re.S)[1]
-    assert re.split(r",\s+", order) == _readme_flags(cli._REFUSAL_ORDER)
+    assert re.split(r",\s+", order) == flags(cli._REFUSAL_ORDER)
 
 
 def test_block_spike_takes_twelve_blocks_under_both_commands(capsys):
