@@ -44,7 +44,7 @@ from .membership import SpaceParams
 from .modulus import check_modulus_axioms, make_modulus
 from .orlicz import (LUXEMBURG_TOL, ORLICZ_TOL, block_mean_norm, check_orlicz_axioms,
                      luxemburg_norm, make_family, make_orlicz, make_rho, orlicz_norm)
-from .sequences import make_sequence
+from .sequences import is_generated, make_sequence
 
 SCHEMA_VERSION = "seqlab/1"
 # Largest --depth of witness extract and cauchy, whose time grows with it.
@@ -306,7 +306,8 @@ def _cmd_witness(args) -> dict:
         use = ("the Cauchy check" if args.task == "cauchy" else
                "witness extraction" if args.limit is not None else "the density mode")
         f = make_modulus(args.modulus or "id").unbounded_for(use)
-    x = make_sequence(args.seq, args.n if args.n is not None else 100_000)
+    # an unset --n is 100,000 for a generated sequence; list and file data keep their own length, as under norm
+    x = make_sequence(args.seq, 100_000 if args.n is None and is_generated(args.seq) else args.n)
     matrix, params = _space_params(args, make_lacunary(args.theta, max(1, int(math.log2(max(2, len(x)))))))
     y = transform_prefix(matrix, x, len(x))  # once, for the probe, extract's scores or both Cauchy stages
 

@@ -327,10 +327,17 @@ class LacunaryScheme:
         return self.cuts[r - 1], self.cuts[r]
 
 
+def _block_count(spec: str, blocks, hi: float = math.inf) -> int:
+    """``blocks`` in [1, hi], the count a theta generated block by block needs."""
+    if blocks is None:
+        raise SpecError(f"theta spec {spec!r} needs --blocks, its block count")
+    return spec_number(spec, "blocks", blocks, int, 1, hi)
+
+
 def _geometric(spec: str, body: str, blocks) -> LacunaryScheme:
     q = spec_number(spec, "q", body, lo=1.0, hi=1e18, open_lo=True)
     cuts = [0]
-    for r in range(1, spec_number(spec, "blocks", blocks, int, 1) + 1):
+    for r in range(1, _block_count(spec, blocks) + 1):
         cuts.append(max(cuts[-1] + 1, math.ceil(q ** r)))
         if cuts[-1] > MAX_INDEX:  # refused as a field past the last block that fits
             spec_number(spec, "blocks", blocks, int, 1, r - 1)
@@ -346,7 +353,7 @@ def _given_cuts(spec: str, cuts, blocks) -> LacunaryScheme:
 
 _THETA_FORMS = {
     "powers2": lambda spec, body, blocks: LacunaryScheme(
-        (0,) + tuple(2 ** r for r in range(1, spec_number(spec, "blocks", blocks, int, 1, 62) + 1))),
+        (0,) + tuple(2 ** r for r in range(1, _block_count(spec, blocks, 62) + 1))),
     "geometric:": _geometric,
     "explicit:": lambda spec, body, blocks: _given_cuts(spec, spec_items(spec, body, "cut", int, 0), blocks),
     "file:": lambda spec, path, blocks: _given_cuts(spec, read_numbers(path, "theta", int), blocks),

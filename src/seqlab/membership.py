@@ -81,11 +81,11 @@ def pointwise_scores(y: np.ndarray, params: SpaceParams) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
         # the last block first, so that a rho or weight table short of n names index n
         for lo in (*starts[-1:], *starts[:-1]):
-            idx = np.arange(lo + 1, min(lo + _CHUNK, y.size) + 1, dtype=np.int64)
             dev = np.subtract(y[lo:lo + _CHUNK], params.limit, out=s[lo:lo + _CHUNK])
             np.abs(dev, out=dev)
-            dev /= rho.values(idx) if rho.constant is None else rho.constant
-            s[lo:lo + _CHUNK] = params.family.eval_many(idx, dev)
+            # only a rho table reads indices here; a family that reads them makes its own
+            dev /= rho.values(np.arange(lo + 1, lo + dev.size + 1)) if rho.constant is None else rho.constant
+            s[lo:lo + _CHUNK] = params.family.eval_block(lo, dev)
     # a NaN makes min and max NaN and an infinity one of them infinite, with no mask made
     if not (math.isfinite(s.min()) and math.isfinite(s.max())):
         raise ValueError(f"non-finite score at index {int(np.argmin(np.isfinite(s))) + 1}")

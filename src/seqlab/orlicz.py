@@ -2,10 +2,13 @@
 checks, and the block-mean norm.
 
 The modular I(x) = sum_k M_k(|x_k|) is the gauge behind both norms, and each
-norm costs a handful of modular passes at any scale of x.  A pass evaluates
-the gauge in 2^14-index blocks added in numpy's pairwise order, so it has the
-bits of one ``np.sum`` over all n terms with no n-length temporary: a norm
-holds |x| / max|x| (8 bytes per index beside x) and O(block) scratch.  The
+norm costs a handful of modular passes at any scale of x.  A norm plans its
+passes once: the 2^14-index blocks numpy's pairwise sum splits n terms into,
+and the fixed order in which their sums are added, so every pass has the bits
+of one ``np.sum`` over all n terms with no n-length temporary: a norm holds
+|x| / max|x| (8 bytes per index beside x) and O(block) scratch.  A block is a
+run of consecutive indices, and ``OrliczFamily.eval_block`` makes an index
+array for it only for a family that reads one.  The
 Luxemburg norm is the root of I(x / k) = 1: convexity brackets it from one
 pass at k = max|x|, and Illinois regula falsi on (log k, log I) narrows the
 bracket to a relative width of ``tol``.  The Orlicz (Amemiya) norm minimizes
@@ -60,25 +63,36 @@ def make_orlicz(spec: str) -> OrliczFn:
 
 
 class OrliczFamily:
-    """An indexed family i -> M_i, evaluated in batches by ``eval_many``."""
+    """An indexed family i -> M_i, evaluated in batches by ``eval_many`` and over runs of
+    consecutive indices by ``eval_block``.  A family that ``uniform_family`` built keeps its
+    gauge, so its blocks make no index array; any other family reads one."""
 
-    __slots__ = ("name", "_eval_many")
+    __slots__ = ("name", "_eval_many", "_base")
 
     def __init__(self, name: str, eval_many: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.name = name
         self._eval_many = eval_many
+        self._base = None
 
     def eval_many(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """M_idx[j](t[j]) for aligned index/value arrays."""
         return np.asarray(self._eval_many(np.asarray(idx, dtype=np.int64),
                                           np.asarray(t, dtype=float)), dtype=float)
 
+    def eval_block(self, lo: int, t: np.ndarray) -> np.ndarray:
+        """M_{lo+1..lo+len(t)}(t): ``eval_many`` over the indices lo + 1, ..., lo + len(t)."""
+        if self._base is not None:
+            return self._base.fn(t)
+        return self.eval_many(np.arange(lo + 1, lo + t.size + 1, dtype=np.int64), t)
+
     def __repr__(self) -> str:
         return f"OrliczFamily({self.name!r})"
 
 
 def uniform_family(base: OrliczFn) -> OrliczFamily:
-    return OrliczFamily(base.name, lambda idx, t: base.fn(t))
+    family = OrliczFamily(base.name, lambda idx, t: base.fn(t))
+    family._base = base
+    return family
 
 
 def weighted_family(base: OrliczFn, weight: Callable[[np.ndarray], np.ndarray],
@@ -161,28 +175,41 @@ def make_rho(spec: str) -> RhoSchedule:
     return parse_spec(spec, "rho", _RHO_FORMS)
 
 
-def _modular_sum(family: OrliczFamily, a: np.ndarray, s: float) -> float:
-    """sum_i M_i(s a_i), inf when a term or the sum overflows.  Split as numpy's
-    pairwise sum splits it down to blocks of at most ``_BLOCK`` indices, the total
-    has the bits of one ``np.sum``; the right half goes first, so that a weight
-    table short of n names index n."""
+def _block_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The blocks [lo, hi) of at most ``_BLOCK`` indices that numpy's pairwise sum splits [0, n)
+    into, in the order a pass evaluates them, and the additions that combine their sums into the
+    bits of one ``np.sum``: each adds two earlier entries of the block sums followed by the sums
+    of the additions before it.  The right half goes first, so that a weight table short of n
+    names index n."""
+    blocks, adds = [], []
 
-    def pairwise(lo: int, hi: int) -> float:
-        n = hi - lo
-        if n > _BLOCK:
-            half = n // 2 - n // 2 % 8
-            right = pairwise(lo + half, hi)
-            return pairwise(lo, lo + half) + right
-        return float(np.sum(family.eval_many(np.arange(lo + 1, hi + 1, dtype=np.int64), a[lo:hi] * s)))
+    def split(lo: int, hi: int) -> int:  # the sum over [lo, hi): block k's is k, and addition m's is -m
+        if hi - lo <= _BLOCK:
+            blocks.append((lo, hi))
+            return len(blocks) - 1
+        half = (hi - lo) // 2 - (hi - lo) // 2 % 8
+        right = split(lo + half, hi)
+        adds.append((split(lo, lo + half), right))
+        return -len(adds)
 
+    split(0, n)
+    # addition m's sum is the entry after the block sums and the m - 1 additions before it
+    return tuple(blocks), tuple(tuple(k if k >= 0 else len(blocks) - 1 - k for k in pair) for pair in adds)
+
+
+def _modular_sum(family: OrliczFamily, a: np.ndarray, plan, s: float) -> float:
+    """sum_i M_i(s a_i) over the ``_block_plan`` of a.size, inf when a term or the sum overflows."""
+    blocks, adds = plan
     with np.errstate(over="ignore", invalid="ignore"):
-        total = pairwise(0, a.size)
-    return total if math.isfinite(total) else math.inf
+        sums = [float(np.add.reduce(family.eval_block(lo, a[lo:hi] * s))) for lo, hi in blocks]
+    for i, j in adds:
+        sums.append(sums[i] + sums[j])
+    return sums[-1] if math.isfinite(sums[-1]) else math.inf
 
 
 def modular(family: OrliczFamily, x: SequencePrefix) -> float:
     """The modular sum_k M_k(|x_k|); inf when a term or the sum overflows."""
-    return _modular_sum(family, np.abs(x.values), 1.0)
+    return _modular_sum(family, np.abs(x.values), _block_plan(len(x)), 1.0)
 
 
 # Doubling or halving a scale more than 2^50 times past max|x| gives up.
@@ -196,18 +223,19 @@ _EPS = float(np.finfo(float).eps)
 
 class _Modular:
     """s -> sum_i M_i(s |x_i| / unit) with unit = max|x|, counting the passes
-    it makes over x.
+    it makes over x along one ``_block_plan`` of its length.
 
     Both norms are solved for x / unit and scaled back: the change of
     variable k -> k / unit is exact for any family and keeps every scale the
     solvers visit near 1, whatever the magnitude of x.
     """
 
-    __slots__ = ("family", "a", "unit", "label", "passes")
+    __slots__ = ("family", "a", "plan", "unit", "label", "passes")
 
     def __init__(self, family: OrliczFamily, x: SequencePrefix):
         self.family = family
         self.a = np.abs(x.values)
+        self.plan = _block_plan(self.a.size)
         self.unit = float(self.a.max())
         self.a /= self.unit
         self.label = x.label or "x"
@@ -215,7 +243,7 @@ class _Modular:
 
     def __call__(self, s: float) -> float:
         self.passes += 1
-        return _modular_sum(self.family, self.a, s)
+        return _modular_sum(self.family, self.a, self.plan, s)
 
     def scale_back(self, norm: float) -> float:
         """unit * norm, the norm of x; past the float range it is an OverflowError."""

@@ -90,6 +90,12 @@ def _generated(build):
     return generate
 
 
+# data of its own length, which n may truncate but not extend
+_DATA_FORMS = {
+    "list:": lambda spec, body, n: _fit_length(SequencePrefix(np.asarray(spec_items(spec, body, "value")),
+                                                              label=spec), n),
+    "file:": lambda spec, path, n: _fit_length(read_sequence_csv(path), n),
+}
 _SEQUENCE_FORMS = {
     "const:": _generated(lambda spec, body, n: const_sequence(n, spec_number(spec, "c", body))),
     "spike:": _generated(_spike),
@@ -97,9 +103,7 @@ _SEQUENCE_FORMS = {
     "alt:": _generated(lambda spec, body, n: alternating_sequence(
         n, *(spec_number(spec, name, tok) for name, tok in zip("ab", body.partition(",")[::2])))),
     "harmonic:": _generated(lambda spec, body, n: harmonic_sequence(n, spec_number(spec, "L", body))),
-    "list:": lambda spec, body, n: _fit_length(SequencePrefix(np.asarray(spec_items(spec, body, "value")),
-                                                              label=spec), n),
-    "file:": lambda spec, path, n: _fit_length(read_sequence_csv(path), n),
+    **_DATA_FORMS,
 }
 
 
@@ -113,6 +117,12 @@ def make_sequence(spec: str, n: int | None = None) -> SequencePrefix:
     """
     return parse_spec(spec, "sequence", _SEQUENCE_FORMS,
                       n if n is None else spec_number(spec, "n", n, int, 1, MATERIALIZE_CAP))
+
+
+def is_generated(spec: str) -> bool:
+    """Whether ``spec`` generates its sequence to a length n, where list and file data have their own."""
+    head, colon, _ = spec.strip().partition(":")
+    return head + colon not in _DATA_FORMS
 
 
 def _fit_length(seq: SequencePrefix, n: int | None) -> SequencePrefix:

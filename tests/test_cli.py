@@ -296,6 +296,40 @@ def test_block_spike_takes_twelve_blocks_under_both_commands(capsys):
     assert len(witness["results"]["residuals"]) == 12
 
 
+@pytest.mark.parametrize("task", [["probe", "--probe-moduli", "id"], ["extract", "--modulus", "id", "--limit", "1"],
+                                  ["cauchy", "--modulus", "id"]], ids=["probe", "extract", "cauchy"])
+def test_witness_data_keeps_its_own_length_when_n_is_unset(capsys, tmp_path, task):
+    # list and file data cannot be extended, so an unset --n takes their length, as under norm
+    values = [1.0 + (-1) ** i / i for i in range(1, 301)]
+    path = tmp_path / "seq.csv"
+    path.write_text("i,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values, start=1)))
+    for spec in ("list:" + ",".join(map(repr, values)), f"file:{path}"):
+        assert run_json(capsys, ["witness", *task, "--seq", spec])["inputs"]["n"] == 300
+    # a generated sequence is made to 100,000 terms
+    assert run_json(capsys, ["witness", *task, "--seq", "harmonic:1"])["inputs"]["n"] == 100_000
+
+
+def test_witness_probe_of_five_values_is_refused_for_their_length(capsys):
+    # the limit estimate needs 100 terms; the five given ones are all it is offered
+    argv = ["witness", "probe", "--seq", "list:1,2,3,1,2", "--probe-moduli", "id"]
+    assert run(capsys, argv) == (1, "", "seqlab: error: truncation must be >= 100, got 5\n")
+
+
+@pytest.mark.parametrize("theta", ["powers2", "geometric:1.5"])
+def test_block_mean_theta_generated_to_a_count_needs_blocks(capsys, theta):
+    argv = ["norm", "--kind", "block-mean", "--seq", "const:1", "--n", "16", "--theta", theta]
+    assert run(capsys, argv) == (1, "", f"seqlab: error: theta spec {theta!r} needs --blocks, its block count\n")
+
+
+def test_block_mean_listed_cuts_are_used_whole_without_blocks(capsys, tmp_path):
+    path = tmp_path / "cuts.txt"
+    path.write_text("2\n4\n8\n16\n")
+    for theta in ("explicit:2,4,8,16", f"file:{path}"):
+        payload = run_json(capsys, ["norm", "--kind", "block-mean", "--seq", "const:1", "--n", "16", "--theta", theta])
+        assert payload["results"] == {"cuts": [0, 2, 4, 8, 16], "value": 1.0}
+        assert payload["inputs"]["blocks"] == 4
+
+
 def test_explicit_matrix_overflow_exits_one(capsys, tmp_path):
     # row 2 sums two finite terms to inf; row 1 alone is fine
     p = tmp_path / "m.csv"

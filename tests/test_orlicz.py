@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from seqlab import orlicz as orlicz_mod
 from seqlab.core import SequencePrefix, make_lacunary
+from seqlab.membership import SpaceParams, pointwise_scores
 from seqlab.errors import SpecError, TruncationError, UnboundedNormError
 from seqlab.orlicz import (OrliczFamily, OrliczFn, block_mean_norm,
                            check_orlicz_axioms, delta2_check, luxemburg_norm,
                            make_family, make_orlicz, make_rho, modular,
                            orlicz_norm, uniform_family, weighted_family)
 from seqlab.sequences import make_sequence
+from seqlab.witnesses import gen_half_plateau_instance
 
 POLY2 = uniform_family(make_orlicz("poly:2"))
 LINEAR = uniform_family(make_orlicz("linear"))
@@ -327,6 +329,7 @@ class ReferenceModular:
 
 B = orlicz_mod._BLOCK
 BITWISE_NS = [1, 7, B - 1, B, B + 1, 3 * B + 5, 2 ** 20 + 3]
+BITWISE_SCALES = (1e-3, 0.37, 1.0, 2.5, 30.0, 700.0, 1e3, 1e6)
 BITWISE_W = np.random.default_rng(11).uniform(0.01, 100.0, BITWISE_NS[-1])
 BITWISE_FAMILIES = {**GAUGES,
                     "weighted": weighted_family(make_orlicz("explog"), lambda idx: BITWISE_W[idx - 1])}
@@ -346,7 +349,7 @@ class TestBlockedModular:
         mod, ref = orlicz_mod._Modular(family, x), ReferenceModular(family, x)
         assert mod.unit == ref.unit and np.array_equal(mod.a, ref.a)
         # explog overflows to inf from s = 710 on, at the index of max|x|
-        for s in (1e-3, 0.37, 1.0, 2.5, 30.0, 700.0, 1e3, 1e6):
+        for s in BITWISE_SCALES:
             assert mod(s) == ref(s), s
         if gauge == "explog":
             assert mod(1e3) == math.inf
@@ -369,6 +372,71 @@ class TestBlockedModular:
         family = make_family(f"weighted:base=poly:2,weights=file:{path}")
         with pytest.raises(TruncationError, match=rf"covers 1\.\.{size}, index {n} requested$"):
             norm_value(kind, family, make_sequence("alt:1,-2", n))
+
+
+class TestBlockPlan:
+    @staticmethod
+    def assert_plan(n):
+        blocks, adds = orlicz_mod._block_plan(n)
+        assert [lo for lo, _ in sorted(blocks)] == [0] + [hi for _, hi in sorted(blocks)][:-1]
+        assert max(hi for _, hi in blocks) == n
+        assert all(0 < hi - lo <= B for lo, hi in blocks)
+        assert blocks[0][1] == n  # so a weight table short of n names index n
+        # each addition reads two earlier entries, and every entry but the total is read once
+        assert all(max(pair) < len(blocks) + m for m, pair in enumerate(adds))
+        assert sorted(i for pair in adds for i in pair) == list(range(len(blocks) + len(adds) - 1))
+
+    @pytest.mark.parametrize("n", BITWISE_NS)
+    def test_blocks_partition_and_index_n_goes_first(self, n):
+        self.assert_plan(n)
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=2 ** 20 + 3), gauge=st.sampled_from(sorted(BITWISE_FAMILIES)))
+    @example(n=2 ** 19 + 3 * B + 1, gauge="weighted")
+    def test_planned_pass_equals_one_sum(self, n, gauge):
+        self.assert_plan(n)
+        family, x = BITWISE_FAMILIES[gauge], bitwise_prefix(n)
+        mod, ref = orlicz_mod._Modular(family, x), ReferenceModular(family, x)
+        for s in BITWISE_SCALES:
+            assert mod(s) == ref(s), s
+
+
+POWER_TOWER = OrliczFamily("t^k", lambda idx, t: np.power(t, idx))
+
+
+class TestEvalBlock:
+    @pytest.fixture(scope="class")
+    def families(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("weights") / "w.txt"
+        np.savetxt(path, 1.0 + np.arange(5 * B + 300) % 7 / 4.0, fmt="%.17g")
+        return {**GAUGES, "file-weighted": make_family(f"weighted:base=poly:2,weights=file:{path}"),
+                "t/i": gen_half_plateau_instance()[1].family, "t^k": POWER_TOWER}
+
+    @pytest.mark.parametrize("lo", [0, 1, B - 1, 5 * B])
+    @pytest.mark.parametrize("name", sorted(GAUGES) + ["file-weighted", "t/i", "t^k"])
+    def test_equals_eval_many_bit_for_bit(self, families, name, lo):
+        t = np.random.default_rng(lo).uniform(0.0, 3.0, 300)
+        with np.errstate(over="ignore", under="ignore"):
+            got = families[name].eval_block(lo, t)
+            want = families[name].eval_many(np.arange(lo + 1, lo + t.size + 1), t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_uniform_families_make_no_eval_many_call(self, monkeypatch):
+        calls = []
+        eval_many = OrliczFamily.eval_many
+
+        def spy(self, idx, t):
+            calls.append(self.name)
+            return eval_many(self, idx, t)
+
+        monkeypatch.setattr(OrliczFamily, "eval_many", spy)
+        x = bitwise_prefix(3 * B + 5)
+        params = SpaceParams(POLY2, make_lacunary("powers2", 6), rho=make_rho("const:2"), limit=0.0)
+        luxemburg_norm(POLY2, x), orlicz_norm(POLY2, x), pointwise_scores(x.values, params)
+        assert calls == []
+        # while a family that reads its indices goes through eval_many on every block
+        luxemburg_norm(BITWISE_FAMILIES["weighted"], x)
+        assert calls and set(calls) == {BITWISE_FAMILIES["weighted"].name}
 
 
 class TestDelta2:
