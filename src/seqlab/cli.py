@@ -55,59 +55,83 @@ MAX_DEPTH = 1000
 # canonical rendering
 # -----------------------------
 
-def _canon(obj):
+def _node(obj):
+    """``obj`` as a report reads it, by the first rule that fits: a dataclass or dict as a dict of str keys, an
+    ndarray as a list, a bool, int or float of Python or numpy as its Python value, bool tested before int, a
+    list, tuple, str or None as itself, and anything else as its str."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {fld.name: _canon(getattr(obj, fld.name)) for fld in dataclasses.fields(obj)}
+        return {fld.name: getattr(obj, fld.name) for fld in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+        return {str(k): v for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            return str(v)
-        return float(f"{v:.12g}")
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
+        return obj.tolist()
+    for kind, of in ((bool, (bool, np.bool_)), (int, (int, np.integer)), (float, (float, np.floating))):
+        if isinstance(obj, of):
+            return kind(obj)
+    return obj if obj is None or isinstance(obj, (list, tuple, str)) else str(obj)
+
+
+_digits = "{:.12g}".format  # a float at 12 significant digits, as every format rounds it; "nan", "inf" by name
+
+
+def _json_float(v) -> str:
+    """A float's JSON: its ``_digits`` as a number, or as the string "inf", "-inf" or "nan" if not finite."""
+    return repr(float(_digits(float(v)))) if math.isfinite(v) else f'"{_digits(float(v))}"'
+
+
+_json_str = json.encoder.encode_basestring_ascii
+# The JSON of a scalar by its exact type, the path of nearly every leaf; _json takes other types through _node
+_JSON_SCALARS = {str: _json_str, int: int.__repr__, float: _json_float, np.float64: _json_float,
+                 np.int64: lambda v: repr(int(v)), type(None): lambda v: "null",
+                 bool: lambda v: "true" if v else "false", np.bool_: lambda v: "true" if v else "false"}
+
+
+def _json(obj, pad: str) -> str:
+    """The JSON of ``obj``, keys sorted and one element a line, its inner lines at ``pad`` plus two spaces."""
+    if type(obj) in _JSON_SCALARS:
+        return _JSON_SCALARS[type(obj)](obj)
+    obj, inner = _node(obj), pad + "  "
+    if isinstance(obj, dict):
+        texts, ends = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())], "{}"
+    elif isinstance(obj, (list, tuple)):
+        try:  # a list of scalars, as most are
+            texts = [_JSON_SCALARS[type(v)](v) for v in obj]
+        except KeyError:
+            texts = [_json(v, inner) for v in obj]
+        ends = "[]"
+    else:  # a scalar _node made plain, or a str subclass
+        return _JSON_SCALARS.get(type(obj), _json_str)(obj)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}{ends[1]}" if texts else ends
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_canon(payload), sort_keys=True, indent=2) + "\n"
+    """The canonical report: ``json.dumps(..., sort_keys=True, indent=2)``'s text, written in one walk."""
+    return _json(payload, "") + "\n"
 
 
-def _fmt_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    if v is None:
-        return ""
-    return str(v)
+def _cell(v) -> str:
+    """A scalar's csv or table text: true or false, a float at 12 significant digits, None as empty."""
+    v = _node(v)
+    return (str(v).lower() if isinstance(v, bool) else _digits(v) if isinstance(v, float)
+            else "" if v is None else str(v))
 
 
 def _flatten(obj, prefix: str = ""):
-    """Yield (path, leaf) over a canonical payload, whose lists hold scalars only;
-    a leaf is a scalar or such a list (possibly empty)."""
+    """Yield (path, leaf) over a payload: a leaf is a scalar or a list of scalars, as _node reads it."""
+    obj = _node(obj)
     if isinstance(obj, dict):
         for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k))
+            yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else k)
     else:
         yield prefix, obj
 
 
 def render_csv(payload: dict) -> str:
     lines = ["field,index,value"]
-    for field, leaf in _flatten(_canon(payload)):
-        for idx, v in enumerate(leaf, start=1) if isinstance(leaf, list) else [("", leaf)]:
-            val = _fmt_scalar(v)
-            if "," in val or '"' in val:
+    for field, leaf in _flatten(payload):
+        for idx, v in enumerate(leaf, start=1) if isinstance(leaf, (list, tuple)) else [("", leaf)]:
+            val = _cell(v)
+            if any(c in val for c in ',"\n\r'):  # quoted as RFC 4180 asks
                 val = '"' + val.replace('"', '""') + '"'
             lines.append(f"{field},{idx},{val}")
     return "\n".join(lines) + "\n"
@@ -115,8 +139,8 @@ def render_csv(payload: dict) -> str:
 
 def render_table(payload: dict) -> str:
     # a list joins into one row, so an empty list still prints its field
-    flat = [(field, ", ".join(map(_fmt_scalar, leaf)) if isinstance(leaf, list) else _fmt_scalar(leaf))
-            for field, leaf in _flatten(_canon(payload))]
+    flat = [(field, ", ".join(map(_cell, leaf)) if isinstance(leaf, (list, tuple)) else _cell(leaf))
+            for field, leaf in _flatten(payload)]
     width = max((len(k) for k, _ in flat), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in flat) + "\n"
 
@@ -124,7 +148,10 @@ def render_table(payload: dict) -> str:
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
     text = {"json": render_json, "csv": render_csv, "table": render_table}[fmt](payload)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SeqlabError(f"cannot write report to {out}: {exc.strerror or exc}") from None
     sys.stdout.write(text)
 
 
@@ -199,10 +226,9 @@ def _route(args) -> str:
 def _refuse_unread(args, parser) -> None:
     """Refuse the first flag, in ``_REFUSAL_ORDER``, that the route of ``args`` does not read and
     that is set away from its default in the command's own subparser of ``parser``."""
-    route = _route(args)
-    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    route, defaults = _route(args), _defaults(parser)[args.command]
     for name in _REFUSAL_ORDER:
-        if name not in _READS[route] and getattr(args, name, None) != command.get_default(name):
+        if name not in _READS[route] and getattr(args, name, None) != defaults[name]:
             raise SeqlabError(f"{route} does not read --{name.replace('_', '-')}")
 
 
@@ -430,13 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "density": _cmd_density,
-    "membership": _cmd_membership,
-    "norm": _cmd_norm,
-    "witness": _cmd_witness,
-    "check": _cmd_check,
-}
+@functools.cache
+def _defaults(parser: argparse.ArgumentParser) -> dict[str, dict]:
+    """Each command's default of every ``_REFUSAL_ORDER`` flag, read once from its subparser in ``parser``."""
+    return {cmd: {name: sub.get_default(name) for name in _REFUSAL_ORDER}
+            for cmd, sub in next(a for a in parser._actions if a.dest == "command").choices.items()}
+
+
+_HANDLERS = {"density": _cmd_density, "membership": _cmd_membership, "norm": _cmd_norm,
+             "witness": _cmd_witness, "check": _cmd_check}
 
 
 def main(argv=None) -> int:
@@ -445,11 +473,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         _refuse_unread(args, parser)  # before any handler generates data
-        payload = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args.format, args.out)
     except (SeqlabError, ValueError, ArithmeticError) as exc:
         print(f"seqlab: error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.format, args.out)
     print(f"elapsed_ms={1000.0 * (time.monotonic() - started):.1f}", file=sys.stderr)
     return 0
 

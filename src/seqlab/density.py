@@ -61,15 +61,9 @@ class DensityEstimate:
 
 def checkpoints(n: int) -> np.ndarray:
     """Geometric checkpoints ceil(n / 2^j), ascending, all >= _CHECKPOINT_FLOOR."""
-    n = int(n)
-    pts = []
-    j = 0
-    while True:
-        v = -(-n // 2 ** j)  # integer ceiling: exact for every n, unlike float division
-        if v < _CHECKPOINT_FLOOR:
-            break
+    n, pts = int(n), []
+    while (v := -(-n // 2 ** len(pts))) >= _CHECKPOINT_FLOOR:  # integer ceiling: exact, unlike float division
         pts.append(v)
-        j += 1
     return np.asarray(pts[::-1], dtype=np.int64)  # ceil(v / 2) < v, so already distinct
 
 
@@ -96,11 +90,15 @@ def _diagnose(ratios: np.ndarray, tol: float) -> str:
 
 def _extrapolate(ns: np.ndarray, ratios: np.ndarray) -> float:
     """Intercept of ratio ~ a + b / log(n) over the given tail, clamped to [0, 1]."""
-    if len(ns) < 2:
-        return float(min(1.0, max(0.0, ratios[-1])))
-    u = 1.0 / np.log(ns.astype(float))
-    slope, intercept = np.polyfit(u, ratios, 1)
-    return float(min(1.0, max(0.0, intercept)))
+    return float(min(1.0, max(0.0, _intercept(ns, ratios) if len(ns) >= 2 else ratios[-1])))
+
+
+def _intercept(ns: np.ndarray, ratios: np.ndarray) -> float:
+    """Unclamped least-squares intercept of ratio ~ a + b / log(n), in centered closed form over fsum sums."""
+    u, r = (1.0 / np.log(ns.astype(float))).tolist(), ratios.tolist()
+    u_bar, r_bar = math.fsum(u) / len(u), math.fsum(r) / len(r)
+    du = [x - u_bar for x in u]
+    return r_bar - math.fsum(d * (y - r_bar) for d, y in zip(du, r)) / math.fsum(d * d for d in du) * u_bar
 
 
 def _estimate(ns: np.ndarray, raw_ratios: np.ndarray, tol: float) -> DensityEstimate:
@@ -111,8 +109,8 @@ def _estimate(ns: np.ndarray, raw_ratios: np.ndarray, tol: float) -> DensityEsti
         w = tail_window(len(ratios))
         value = _extrapolate(ns[-w:], ratios[-w:])
     return DensityEstimate(
-        checkpoints=tuple(int(v) for v in ns),
-        ratios=tuple(float(r) for r in ratios),
+        checkpoints=tuple(ns.tolist()),
+        ratios=tuple(ratios.tolist()),
         value=value,
         verdict=verdict,
         tol=tol,

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -938,6 +940,29 @@ class TestOutputFormats:
         code, out, _ = run(capsys, ["check", "--modulus", "id", "--out", str(target)])
         assert code == 0
         assert target.read_text() == out
+
+    @pytest.mark.parametrize("where", ["missing/report.csv", "."])
+    def test_unwritable_out_exits_one_naming_the_path(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run(capsys, ["density", "--set", "evens", "--n", "1000", "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert re.fullmatch(f"seqlab: error: cannot write report to {re.escape(str(target))}: [^\n]+\n", err)
+
+    def test_out_file_is_utf8(self, capsys, tmp_path):
+        data = tmp_path / "é.txt"
+        data.write_text("i,value\n1,3\n2,4\n")
+        target = tmp_path / "report.txt"
+        code, out, _ = run(capsys, ["norm", "--kind", "luxemburg", "--orlicz", "poly:2", "--seq", f"file:{data}",
+                                    "--format", "table", "--out", str(target)])
+        assert code == 0 and "é" in out
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_csv_quotes_line_breaks(self, capsys):
+        code, out, _ = run(capsys, ["density", "--set", "evens\n", "--n", "1000", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert all(len(row) == 3 for row in rows)
+        assert ["inputs.set", "", "evens\n"] in rows
 
     def test_csv_one_row_per_checkpoint(self, capsys):
         code, out, _ = run(capsys, ["density", "--set", "evens", "--n", "1000",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import MAX_INDEX, IndexSet, make_index_set
-from seqlab.density import (_CHUNK, ComplementCheck, _grid, checkpoints, complement_inequality_check,
-                            exceedance_set, f_density, natural_density)
+from seqlab.density import (_CHUNK, ComplementCheck, _extrapolate, _grid, _intercept, checkpoints,
+                            complement_inequality_check, exceedance_set, f_density, natural_density,
+                            tail_window)
 from seqlab.modulus import Modulus, make_modulus
 from setops import complement
 
@@ -97,6 +99,29 @@ class TestNaturalDensity:
             natural_density(a, 1000, tol=tol)
         with pytest.raises(ValueError, match="positive and finite"):
             f_density(a, make_modulus("id"), 1000, tol=tol)
+
+
+def _exact_intercept(u, r):
+    """The least-squares intercept of r ~ a + b u in exact rational arithmetic over the float inputs."""
+    u, r = [Fraction(x) for x in u], [Fraction(y) for y in r]
+    u_bar, r_bar = sum(u) / len(u), sum(r) / len(r)
+    slope = sum((x - u_bar) * (y - r_bar) for x, y in zip(u, r)) / sum((x - u_bar) ** 2 for x in u)
+    return r_bar - slope * u_bar
+
+
+@given(st.integers(100, MAX_INDEX), st.floats(0, 1), st.floats(-2, 2),
+       st.lists(st.floats(-1e-3, 1e-3), min_size=21, max_size=21))
+def test_tail_fit_is_as_exact_as_polyfit(n, limit, b, noise):
+    # a tail as _estimate fits it: the last third of the checkpoints, ratios in [0, 1] near limit + b / log n
+    ns = checkpoints(n)[-tail_window(len(checkpoints(n))):]
+    u = 1.0 / np.log(ns.astype(float))
+    r = np.clip(limit + b * u + np.array(noise[:len(ns)]), 0.0, 1.0)
+    exact, fit = _exact_intercept(u.tolist(), r.tolist()), _intercept(ns, r)
+    fitted = float(np.polyfit(u, r, 1)[1])
+    scale = float(np.max(np.abs(r)))
+    assert abs(Fraction(fit) - exact) <= abs(Fraction(fitted) - exact) + 4 * Fraction(math.ulp(scale))
+    assert math.isclose(fit, fitted, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    assert _extrapolate(ns, r) == min(1.0, max(0.0, fit))
 
 
 def _closed_form(spec, cp):
